@@ -1,6 +1,6 @@
 """Fitness pricing throughput: batching (PR 1) and covering kernels.
 
-Three comparisons share the synthetic workloads:
+Two comparisons share the synthetic workloads:
 
 * **Batching** — the pre-batching per-genome ``reference`` algorithm
   (dict/heap Huffman over a Python covering loop, pinned verbatim),
@@ -13,14 +13,10 @@ Three comparisons share the synthetic workloads:
   the single-word seed could not express.  The kernel acceptance
   target is bitpack beating gemm on the bandwidth-bound ``large``
   table.
-* **MV match-column caching** — the unique-MV dedup path against the
-  fused kernels, on both the uniform random batches (worst case:
-  almost every MV row unique) and the ``convergent`` high-duplicate
-  batch built by :func:`build_convergent_workload`, which mimics a
-  converged population (copy/crossover offspring sharing most parent
-  MVs).  :func:`stage_timings` splits one batched call into its
-  pack / match / first-match+gather / Huffman stages so a future
-  regression can be localized, not just detected.
+
+:func:`stage_timings` splits one batched call into its pack / cover /
+Huffman stages so a future regression can be localized, not just
+detected.
 
 Run with ``pytest benchmarks/bench_batch.py --benchmark-only`` and
 compare the ``genomes_per_second`` extra-info columns, or use
@@ -193,35 +189,12 @@ def build_kernel_workload(name):
     return blocks, block_length, n_vectors, genomes
 
 
-def build_convergent_workload(name, n_parents=8, mutated_genes=3):
-    """A high-duplicate batch: the late-run shape the MV cache targets.
-
-    Every genome is a copy of one of ``n_parents`` parents with
-    ``mutated_genes`` point mutations — so across the batch (and
-    across repeated generations of it) the vast majority of MV rows
-    repeat, exactly like copy/crossover offspring of a converged
-    population.  Built on a kernel workload's blocks and batch size.
-    """
-    blocks, block_length, n_vectors, genomes = build_kernel_workload(name)
-    batch_size = len(genomes)
-    rng = np.random.default_rng(KERNEL_WORKLOADS[name][0].seed + 1)
-    parents = genomes[:n_parents]
-    children = parents[rng.integers(0, n_parents, size=batch_size)].copy()
-    genome_length = n_vectors * block_length
-    for row in range(batch_size):
-        sites = rng.integers(0, genome_length - block_length, size=mutated_genes)
-        children[row, sites] = rng.integers(0, 3, size=mutated_genes)
-    return blocks, block_length, n_vectors, children
-
-
 def stage_timings(fitness, genomes, repeats=3):
     """Per-stage wall seconds of ``evaluate_batch`` (best-of-N).
 
-    Stages are ``pack`` (genome reshape, covering order, word packing
-    + dedup), ``match`` (cache lookups + kernel match columns on the
-    miss set), ``cover`` (first-match + gather; the fused
-    ``mv_cache_size=0`` path reports its whole kernel pass here) and
-    ``huffman`` (codeword + fill pricing).
+    Stages are ``pack`` (genome reshape and covering order), ``cover``
+    (the kernel's fused covering pass) and ``huffman`` (codeword + fill
+    pricing).
     """
     fitness.evaluate_batch(genomes)  # warm caches and allocations
     best = None
@@ -240,15 +213,10 @@ def kernel_workload(request):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_path(benchmark, kernel_workload, kernel):
-    """The batched pipeline under each registered covering kernel.
-
-    The MV cache is disabled here so repeats keep timing the kernel
-    itself — the cached path is benchmarked separately.
-    """
+    """The batched pipeline under each registered covering kernel."""
     name, blocks, block_length, n_vectors, genomes = kernel_workload
     fitness = BatchCompressionRateFitness(
         blocks, n_vectors=n_vectors, block_length=block_length, kernel=kernel,
-        mv_cache_size=0,
     )
     benchmark.group = f"kernel-{name}"
     benchmark.extra_info["auto_pick"] = select_kernel_name(
@@ -277,66 +245,12 @@ def test_kernels_agree(kernel_workload):
         assert (rates[kernel] == reference).all(), kernel
 
 
-@pytest.mark.parametrize("mv_cache", ["cached", "fused"])
-def test_convergent_mv_cache_path(benchmark, mv_cache):
-    """Steady-state generation pricing on a high-duplicate batch.
-
-    The ``cached`` contender is warmed by one prior generation, so the
-    benchmark measures the convergent steady state the MV cache is
-    built for; ``fused`` is the PR-3 per-generation kernel path.
-    """
-    blocks, block_length, n_vectors, genomes = build_convergent_workload(
-        "medium"
-    )
-    fitness = BatchCompressionRateFitness(
-        blocks,
-        n_vectors=n_vectors,
-        block_length=block_length,
-        mv_cache_size=0 if mv_cache == "fused" else 16384,
-    )
-    fitness.evaluate_batch(genomes)  # warm-up generation
-    benchmark.group = "mv-cache-convergent"
-    rates = benchmark(fitness.evaluate_batch, genomes)
-    _report(benchmark, len(genomes))
-    stats = fitness.mv_cache_stats
-    benchmark.extra_info["mv_cache_hit_rate"] = round(stats.hit_rate, 3)
-    assert rates.shape == (len(genomes),)
-
-
 def test_stage_timings_cover_the_whole_call():
     """Not a benchmark: the stage breakdown must account for the call."""
     blocks, block_length, n_vectors, genomes = build_kernel_workload("medium")
-    for mv_cache_size in (0, 4096):
-        fitness = BatchCompressionRateFitness(
-            blocks,
-            n_vectors=n_vectors,
-            block_length=block_length,
-            mv_cache_size=mv_cache_size,
-        )
-        timings = stage_timings(fitness, genomes, repeats=2)
-        expected = (
-            {"pack", "cover", "huffman"}
-            if mv_cache_size == 0
-            else {"pack", "match", "cover", "huffman"}
-        )
-        assert set(timings) == expected
-        assert all(seconds >= 0.0 for seconds in timings.values())
-
-
-def test_convergent_batches_price_identically():
-    """Not a benchmark: cached and fused paths agree on duplicates."""
-    blocks, block_length, n_vectors, genomes = build_convergent_workload(
-        "medium"
-    )
-    fused = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length, mv_cache_size=0
-    )
-    cached = BatchCompressionRateFitness(
+    fitness = BatchCompressionRateFitness(
         blocks, n_vectors=n_vectors, block_length=block_length
     )
-    expected = fused.evaluate_batch(genomes)
-    assert (cached.evaluate_batch(genomes) == expected).all()
-    assert (cached.evaluate_batch(genomes) == expected).all()  # warm pass
-    stats = cached.mv_cache_stats
-    assert stats.rows_unique < stats.rows_total  # the dedup actually bites
-    assert stats.hits > 0
+    timings = stage_timings(fitness, genomes, repeats=2)
+    assert set(timings) == {"pack", "cover", "huffman"}
+    assert all(seconds >= 0.0 for seconds in timings.values())

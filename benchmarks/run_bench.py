@@ -14,18 +14,9 @@ script and catch regressions:
   same workloads plus the ``wide`` K = 96 one, recording the
   bitpack-over-gemm speedup and what ``auto`` would pick.  A
   ``stage_breakdown`` section splits one batched call into its
-  pack / match / cover / huffman stages (so a future regression can
-  be localized, not just detected) and an ``mv_cache`` section prices
-  the unique-MV match-column cache against the fused kernels on
-  convergent (high-duplicate) and cold uniform-random batches, with
-  hit rates and dedup ratios recorded.  An ``eviction_policy``
-  section compares every registered cache policy (lru, lfu, 2q,
-  segmented) under real eviction pressure — hit rates and genomes/s
-  on convergent and cold-uniform traffic — and a ``warm_start``
-  section measures the cold-vs-warm first-generation speedup from a
-  persisted cache (written to a throwaway directory, never the real
-  ``$REPRO_CACHE_DIR``).  ``cpu_count`` and the resolved cache
-  directory are recorded as provenance.
+  pack / cover / huffman stages (so a future regression can be
+  localized, not just detected).  ``cpu_count`` is recorded as
+  provenance.
 * ``BENCH_parallel.json`` — runs/second of the multi-run EA fan-out
   through the serial, thread, and process backends at jobs ∈
   {1, 2, 4, 8} (``bench_parallel.scaling_report``), with ``cpu_count``
@@ -47,13 +38,11 @@ against the committed ``BENCH_fitness.json``, exiting nonzero if any
 workload's speedup fell by more than ``--check-tolerance`` (default
 30%).  Both paths run in the same process, so the gate is meaningful
 on any machine — including CI's bench lane, which runs it on every
-push; raw genomes/second are printed for context only.  The gated
-fitnesses pin cache persistence *off*, so a leftover persisted cache
-can never warm-start a measurement the gate depends on.  ``--profile
+push; raw genomes/second are printed for context only.  ``--profile
 PATH`` applies a ``repro tune`` profile to every in-process fitness
 (CI tunes first, then gates against the tuned profile, so the gate
-and the tuner agree on kernel and cache-engagement decisions); the
-artifacts record which profile governed the run.
+and the tuner agree on kernel decisions); the artifacts record which
+profile governed the run.
 
 The artifacts intentionally avoid pytest-benchmark's statistics; use
 ``pytest benchmarks/bench_batch.py --benchmark-only`` (or
@@ -67,7 +56,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -80,14 +68,11 @@ from bench_batch import (  # noqa: E402
     KERNEL_WORKLOADS,
     KERNELS,
     WORKLOADS,
-    build_convergent_workload,
     build_kernel_workload,
     reference_scalar_fitness,
     stage_timings,
 )
-from repro.core.cache import POLICY_CHOICES, mv_cache_dir  # noqa: E402
 from repro.core.fitness import (  # noqa: E402
-    DEFAULT_MV_CACHE_SIZE,
     BatchCompressionRateFitness,
     CompressionRateFitness,
 )
@@ -100,17 +85,6 @@ from repro.tuning.profile import (  # noqa: E402
     load_profile_or_none,
     set_active_profile,
 )
-
-# Workloads priced by the mv_cache section; small's table sits below
-# the dedup engagement floor, so it has nothing to measure.
-MV_CACHE_WORKLOADS = ("medium", "large", "wide")
-
-# Workloads for the eviction_policy and warm_start sections — one per
-# kind is enough (the parity suites pin that results never differ; the
-# bench only records *speed*, and the shapes repeat across workloads).
-POLICY_BENCH_WORKLOADS = ("medium",)
-WARM_START_WORKLOADS = ("medium", "large")
-
 
 def best_seconds(function, repeats: int) -> float:
     """Best-of-N wall time — robust to noisy shared machines."""
@@ -126,12 +100,8 @@ def best_seconds(function, repeats: int) -> float:
 def bench_workload(name: str, repeats: int) -> dict:
     """Reference / wrapper / batched throughput on one workload.
 
-    The batched contender pins ``mv_cache_size=0``: best-of-N repeats
-    of one fixed batch would otherwise hit a ~100% warm MV cache and
-    stop exercising the covering kernels — and this row feeds the
-    ``--check`` regression gate, which exists to guard exactly those
-    kernels.  The cached path is measured in the ``mv_cache`` section
-    against both convergent and cold batches.
+    This row feeds the ``--check`` regression gate, which exists to
+    guard the covering kernels.
     """
     spec, block_length, n_vectors, batch_size = WORKLOADS[name]
     blocks = synthetic_test_set(spec).blocks(block_length)
@@ -142,23 +112,11 @@ def bench_workload(name: str, repeats: int) -> dict:
     genomes[:, -block_length:] = 2
 
     reference = reference_scalar_fitness(blocks, n_vectors, block_length)
-    # Persistence is pinned off alongside the cache itself: the
-    # ``--check`` gate times these exact rows, and a warm-started cache
-    # (for example a leftover ``$REPRO_CACHE_DIR`` from a previous lane)
-    # would make the measurement depend on disk state instead of code.
     scalar = CompressionRateFitness(
-        blocks,
-        n_vectors=n_vectors,
-        block_length=block_length,
-        mv_cache_size=0,
-        mv_cache_persist=False,
+        blocks, n_vectors=n_vectors, block_length=block_length
     )
     batch = BatchCompressionRateFitness(
-        blocks,
-        n_vectors=n_vectors,
-        block_length=block_length,
-        mv_cache_size=0,
-        mv_cache_persist=False,
+        blocks, n_vectors=n_vectors, block_length=block_length
     )
     assert np.allclose(
         batch.evaluate_batch(genomes[:8]),
@@ -198,11 +156,7 @@ def bench_workload(name: str, repeats: int) -> dict:
 
 
 def bench_kernels(name: str, repeats: int) -> dict:
-    """Per-kernel throughput of the batched pipeline on one workload.
-
-    The MV cache is disabled so repeats keep timing the kernels
-    themselves (the cached path has its own ``mv_cache`` section).
-    """
+    """Per-kernel throughput of the batched pipeline on one workload."""
     blocks, block_length, n_vectors, genomes = build_kernel_workload(name)
     batch_size = len(genomes)
     fitnesses = {
@@ -211,7 +165,6 @@ def bench_kernels(name: str, repeats: int) -> dict:
             n_vectors=n_vectors,
             block_length=block_length,
             kernel=kernel,
-            mv_cache_size=0,
         )
         for kernel in KERNELS
     }
@@ -274,257 +227,6 @@ def bench_stages(name: str, repeats: int, kernel: str = "auto") -> dict:
     }
 
 
-def bench_mv_cache(name: str, repeats: int) -> dict:
-    """MV match-column cache vs the fused kernels on one workload.
-
-    Two batch compositions bracket the cache's operating range:
-
-    * ``convergent`` — copy+mutate offspring of a few parents, warmed
-      by one prior generation: the late-run steady state the cache is
-      built for (the PR-4 acceptance target is ≥1.5× here);
-    * ``uniform_cold`` — freshly drawn random batches never seen
-      before: the worst case, every MV row unique and cold.  Recorded
-      honestly so the dedup path's overhead on cache-hostile batches
-      stays visible.
-    """
-    blocks, block_length, n_vectors, convergent = build_convergent_workload(
-        name
-    )
-    batch_size = len(convergent)
-
-    def fitness(mv_cache_size):
-        return BatchCompressionRateFitness(
-            blocks,
-            n_vectors=n_vectors,
-            block_length=block_length,
-            mv_cache_size=mv_cache_size,
-        )
-
-    fused = fitness(0)
-    cached = fitness(DEFAULT_MV_CACHE_SIZE)
-    fused_seconds = best_seconds(
-        lambda: fused.evaluate_batch(convergent), repeats
-    )
-    cached.evaluate_batch(convergent)  # warm generation
-    cached_seconds = best_seconds(
-        lambda: cached.evaluate_batch(convergent), repeats
-    )
-    stats = cached.mv_cache_stats
-
-    # Cold uniform batches: fresh genomes per measurement, median-of-N.
-    spec = KERNEL_WORKLOADS[name][0]
-    rng = np.random.default_rng(spec.seed + 2)
-    def fresh_batch():
-        genomes = np.stack(
-            [
-                random_genome(n_vectors * block_length, rng)
-                for _ in range(batch_size)
-            ]
-        )
-        genomes[:, -block_length:] = 2
-        return genomes
-
-    def cold_seconds(target):
-        target.evaluate_batch(fresh_batch())  # warm allocations only
-        samples = []
-        for _ in range(max(3, repeats)):
-            batch = fresh_batch()
-            start = time.perf_counter()
-            target.evaluate_batch(batch)
-            samples.append(time.perf_counter() - start)
-        return float(np.median(samples))
-
-    fused_cold = cold_seconds(fitness(0))
-    cached_cold = cold_seconds(fitness(DEFAULT_MV_CACHE_SIZE))
-
-    return {
-        "workload": f"convergent-{name}",
-        "block_length": block_length,
-        "n_vectors": n_vectors,
-        "batch_size": batch_size,
-        "n_distinct_blocks": blocks.n_distinct,
-        "genomes_per_second": {
-            "fused": round(batch_size / fused_seconds, 1),
-            "cached_steady_state": round(batch_size / cached_seconds, 1),
-            "fused_uniform_cold": round(batch_size / fused_cold, 1),
-            "cached_uniform_cold": round(batch_size / cached_cold, 1),
-        },
-        "speedup_cached_vs_fused_convergent": round(
-            fused_seconds / cached_seconds, 2
-        ),
-        "speedup_cached_vs_fused_uniform_cold": round(
-            fused_cold / cached_cold, 2
-        ),
-        "mv_cache": {
-            "capacity": stats.capacity,
-            "hit_rate": round(stats.hit_rate, 3),
-            "rows_total": stats.rows_total,
-            "rows_unique": stats.rows_unique,
-            "rows_saved_rate": round(stats.rows_saved_rate, 3),
-        },
-    }
-
-
-def _fresh_batch_maker(name, n_vectors, block_length, batch_size):
-    """Generator of never-seen uniform-random batches for one workload."""
-    spec = KERNEL_WORKLOADS[name][0]
-    rng = np.random.default_rng(spec.seed + 3)
-
-    def fresh_batch():
-        genomes = np.stack(
-            [
-                random_genome(n_vectors * block_length, rng)
-                for _ in range(batch_size)
-            ]
-        )
-        genomes[:, -block_length:] = 2
-        return genomes
-
-    return fresh_batch
-
-
-def bench_eviction_policies(name: str, repeats: int) -> dict:
-    """Throughput and hit rate of every eviction policy on one workload.
-
-    Capacity is pinned to *half* the convergent batch's unique-MV-row
-    count so eviction pressure is real and the policies can actually
-    diverge — at the default capacity the whole working set fits and
-    every policy is trivially identical.  Two traffic shapes:
-
-    * ``convergent`` — repeated generations of the same high-duplicate
-      offspring batch (steady state; what retention quality buys);
-    * ``uniform_cold`` — a stream of never-repeated random batches
-      (pure scan; what admission/eviction overhead costs when nothing
-      is reusable).
-
-    Rates are pinned byte-identical across policies by the parity
-    suites; only speed and hit rate may differ here.
-    """
-    blocks, block_length, n_vectors, convergent = build_convergent_workload(
-        name
-    )
-    batch_size = len(convergent)
-
-    probe = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
-    probe.evaluate_batch(convergent)
-    rows_unique = probe.mv_cache_stats.rows_unique
-    capacity = max(64, rows_unique // 2)
-
-    fresh_batch = _fresh_batch_maker(name, n_vectors, block_length, batch_size)
-    policies = {}
-    for policy in POLICY_CHOICES:
-
-        def fitness():
-            return BatchCompressionRateFitness(
-                blocks,
-                n_vectors=n_vectors,
-                block_length=block_length,
-                mv_cache_size=capacity,
-                mv_cache_policy=policy,
-            )
-
-        steady = fitness()
-        steady.evaluate_batch(convergent)  # warm generation
-        steady_seconds = best_seconds(
-            lambda: steady.evaluate_batch(convergent), repeats
-        )
-        steady_stats = steady.mv_cache_stats
-
-        cold = fitness()
-        cold.evaluate_batch(fresh_batch())  # warm allocations only
-        samples = []
-        for _ in range(max(3, repeats)):
-            batch = fresh_batch()
-            start = time.perf_counter()
-            cold.evaluate_batch(batch)
-            samples.append(time.perf_counter() - start)
-        cold_seconds = float(np.median(samples))
-        cold_stats = cold.mv_cache_stats
-
-        policies[policy] = {
-            "genomes_per_second": {
-                "convergent_steady_state": round(
-                    batch_size / steady_seconds, 1
-                ),
-                "uniform_cold": round(batch_size / cold_seconds, 1),
-            },
-            "hit_rate": {
-                "convergent": round(steady_stats.hit_rate, 3),
-                "uniform_cold": round(cold_stats.hit_rate, 3),
-            },
-            "evictions_convergent": steady_stats.evictions,
-        }
-
-    return {
-        "workload": f"convergent-{name}",
-        "batch_size": batch_size,
-        "rows_unique_per_batch": rows_unique,
-        "capacity": capacity,
-        "policies": policies,
-    }
-
-
-def bench_warm_start(name: str, repeats: int) -> dict:
-    """Cold vs persisted-warm *first generation* on one workload.
-
-    Times the complete first ``evaluate_batch`` of a freshly built
-    fitness — kernel resolution, persisted-cache probe, pricing —
-    first against an empty cache directory, then against the file a
-    previous run persisted, in a throwaway ``$REPRO_CACHE_DIR`` so the
-    bench never touches (or is warmed by) the user's real cache.
-    """
-    blocks, block_length, n_vectors, convergent = build_convergent_workload(
-        name
-    )
-    batch_size = len(convergent)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-mvcache-") as tmp:
-        cache_dir = Path(tmp)
-
-        def fitness():
-            return BatchCompressionRateFitness(
-                blocks,
-                n_vectors=n_vectors,
-                block_length=block_length,
-                mv_cache_persist=True,
-                mv_cache_dir=cache_dir,
-            )
-
-        def first_generation():
-            samples = []
-            for _ in range(max(3, repeats)):
-                target = fitness()
-                start = time.perf_counter()
-                target.evaluate_batch(convergent)
-                samples.append(time.perf_counter() - start)
-            return float(np.median(samples)), target.mv_cache_stats
-
-        # Cold: the directory is empty, every probe misses silently.
-        cold_seconds, _ = first_generation()
-        # Persist one generation's columns, then re-measure first
-        # generations that warm-load them.
-        seeding = fitness()
-        seeding.evaluate_batch(convergent)
-        seeding.persist_mv_cache()
-        warm_seconds, warm_stats = first_generation()
-
-    return {
-        "workload": f"convergent-{name}",
-        "batch_size": batch_size,
-        "first_generation_genomes_per_second": {
-            "cold": round(batch_size / cold_seconds, 1),
-            "warm": round(batch_size / warm_seconds, 1),
-        },
-        "speedup_warm_vs_cold_first_generation": round(
-            cold_seconds / warm_seconds, 2
-        ),
-        "warm_loaded_entries": warm_stats.warm_loaded,
-        "warm_first_generation_hit_rate": round(warm_stats.hit_rate, 3),
-    }
-
-
 def _profile_note() -> dict | None:
     """What tuning profile governed this run (None = shipped defaults)."""
     profile = get_active_profile()
@@ -538,14 +240,8 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
         "benchmark": "batched fitness engine (cover + Huffman + price)",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # Provenance: throughput scales with the machine, and the
-        # warm_start section depends on where persisted caches live
-        # (the bench itself always uses a throwaway directory).
+        # Provenance: throughput scales with the machine.
         "cpu_count": os.cpu_count(),
-        "repro_cache_dir": {
-            "env": os.environ.get("REPRO_CACHE_DIR"),
-            "resolved": str(mv_cache_dir()),
-        },
         "tuning_profile": _profile_note(),
         "workloads": [
             bench_workload(name, repeats) for name in sorted(WORKLOADS)
@@ -561,16 +257,6 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
             for kernel in (
                 ("auto", "bitpack") if "native" in KERNELS else ("auto",)
             )
-        ],
-        "mv_cache": [
-            bench_mv_cache(name, repeats) for name in MV_CACHE_WORKLOADS
-        ],
-        "eviction_policy": [
-            bench_eviction_policies(name, repeats)
-            for name in POLICY_BENCH_WORKLOADS
-        ],
-        "warm_start": [
-            bench_warm_start(name, repeats) for name in WARM_START_WORKLOADS
         ],
     }
     atomic_write_json(output, document)
@@ -600,35 +286,6 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
             + "  ".join(
                 f"{stage}={fractions[stage]:.0%}" for stage in fractions
             )
-        )
-    for row in document["mv_cache"]:
-        rates = row["genomes_per_second"]
-        print(
-            f"{row['workload']:>18}: cached {rates['cached_steady_state']}/s "
-            f"vs fused {rates['fused']}/s "
-            f"×{row['speedup_cached_vs_fused_convergent']}  "
-            f"(hit {row['mv_cache']['hit_rate']:.0%}; uniform-cold "
-            f"×{row['speedup_cached_vs_fused_uniform_cold']})"
-        )
-    for row in document["eviction_policy"]:
-        for policy, entry in row["policies"].items():
-            rates = entry["genomes_per_second"]
-            hits = entry["hit_rate"]
-            print(
-                f"{row['workload']:>18} policy {policy:>9}: "
-                f"steady {rates['convergent_steady_state']}/s "
-                f"(hit {hits['convergent']:.0%})  "
-                f"cold {rates['uniform_cold']}/s "
-                f"(hit {hits['uniform_cold']:.0%})"
-            )
-    for row in document["warm_start"]:
-        rates = row["first_generation_genomes_per_second"]
-        print(
-            f"{row['workload']:>18} first gen: warm {rates['warm']}/s "
-            f"vs cold {rates['cold']}/s "
-            f"×{row['speedup_warm_vs_cold_first_generation']}  "
-            f"({row['warm_loaded_entries']} entries loaded, "
-            f"hit {row['warm_first_generation_hit_rate']:.0%})"
         )
     print(f"wrote {output}")
 
@@ -812,9 +469,9 @@ def main() -> None:
         help=(
             "tuning profile written by `repro tune`; applied to every "
             "in-process fitness so the regression gate and the tuner "
-            "agree on kernel and cache-engagement decisions (the gated "
-            "metric stays hardware-normalized; a mismatched profile is "
-            "ignored with a warning)"
+            "agree on kernel decisions (the gated metric stays "
+            "hardware-normalized; a mismatched profile is ignored with "
+            "a warning)"
         ),
     )
     args = parser.parse_args()

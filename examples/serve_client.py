@@ -15,8 +15,8 @@ and drop the daemon setup), then walks the whole protocol:
    passes;
 3. run a seeded ``/compress`` twice and check the two responses are
    byte-identical (the serve determinism contract);
-4. read ``/stats`` — batching occupancy and MV-cache hit rates, the
-   operational story that never appears in response bodies.
+4. read ``/stats`` — batching occupancy and per-table warm engines,
+   the operational story that never appears in response bodies.
 
 The CLI equivalents::
 
@@ -143,16 +143,16 @@ def main() -> None:
         # 4. Operational counters — never part of response bodies.
         stats = call(address, "/stats")
         batch = stats["batch"]
-        cache = stats["tables"][digest]["mv_cache"]
+        table = stats["tables"][digest]
         print(
             f"batching: {batch['flushes']} flushes, "
             f"mean occupancy {batch['mean_occupancy']:.2f}, "
             f"max {batch['max_occupancy']}"
         )
         print(
-            f"shared MV cache: {cache['hits']} hits / "
-            f"{cache['misses']} misses "
-            f"(hit rate {cache['hit_rate']:.1%}, policy {cache['policy']})"
+            f"warm table: {table['engines']} engine(s), "
+            f"{table['fitness_requests']} fitness / "
+            f"{table['compress_requests']} compress requests"
         )
     finally:
         daemon.shutdown(drain=True)

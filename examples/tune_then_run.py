@@ -4,7 +4,7 @@ Run with::
 
     python examples/tune_then_run.py
 
-The shipped kernel/cache thresholds were measured on one reference
+The shipped kernel thresholds were measured on one reference
 container; ``repro.tuning`` re-measures them on *your* machine and
 persists them as a profile, so every later run dispatches with
 thresholds that match your BLAS, cache sizes and core count.  The CLI
@@ -41,10 +41,8 @@ def main() -> None:
     print(f"wrote {path}")
     print(
         f"  bitpack from D>={profile.bitpack_min_distinct}, "
-        f"MV dedup from C>={profile.mv_dedup_min_genomes} at "
-        f"D>={profile.mv_dedup_min_table}, "
-        f"feedback break-even hit rate "
-        f"{profile.mv_feedback_min_hit_rate:.2f}"
+        f"shard size {profile.bitpack_shard_size or 'auto'}, "
+        f"Huffman lockstep from {profile.huffman_lockstep_min_rows} rows"
     )
 
     # 2. Load it back (version + machine fingerprint checked) and pin

@@ -8,13 +8,12 @@ Commands
 ``atpg``        Generate a stuck-at test set for a library circuit and
                 compress it with all methods.
 ``ablate``      Run one of the ablation studies on a calibrated test set.
-``tune``        Probe this machine's kernel/cache crossovers and write
-                a tuning profile for the other commands' ``--profile``.
+``tune``        Probe this machine's kernel crossovers and write a
+                tuning profile for the other commands' ``--profile``.
 ``kernels``     List the covering-kernel backends with availability
                 (e.g. ``native: unavailable — no C compiler found``)
                 and, with ``--shape C,D,L,K``, the ``auto`` pick.
-``cache``       Inspect or clear the on-disk caches — persisted MV
-                caches and native kernel builds
+``cache``       Inspect or clear the on-disk native kernel builds
                 (``list``/``info``/``clear``).
 ``serve``       Run the long-lived compression daemon: warm per-table
                 state, cross-request batching, ``/compress`` ``/fitness``
@@ -40,8 +39,7 @@ Every command takes ``--jobs N`` (1 = serial, 0 = all CPU cores) and
 ``--backend {process,thread}``; results are independent of both — the
 same seed gives the same table at any job count.  ``--profile PATH``
 applies a machine-measured tuning profile (written by ``repro tune``)
-to every hot-path threshold; like ``--kernel``, ``--mv-cache-size``,
-``--mv-cache-policy`` and ``--mv-cache-persist``, it only moves the
+to every hot-path threshold; like ``--kernel``, it only moves the
 wall clock — seeded output is byte-identical with or without it.
 
 Fault tolerance: ``--retries N`` re-attempts transient failures
@@ -60,10 +58,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.cache import DEFAULT_POLICY, POLICY_CHOICES
 from .core.compressor import compress_blocks
 from .core.config import CompressionConfig, EAParameters
-from .core.fitness import DEFAULT_MV_CACHE_SIZE
 from .core.kernels import KERNEL_CHOICES
 from .core.nine_c import compress_nine_c
 from .core.optimizer import EAMVOptimizer
@@ -106,54 +102,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--mv-cache-size",
-        type=int,
-        default=DEFAULT_MV_CACHE_SIZE,
-        metavar="N",
-        help=(
-            "per-run MV match-column cache capacity behind the "
-            "unique-MV dedup path of the batched fitness; 0 disables "
-            "the cache and prices through the fused per-generation "
-            "kernels (results are byte-identical either way, only "
-            f"the wall clock moves; default {DEFAULT_MV_CACHE_SIZE})"
-        ),
-    )
-    parser.add_argument(
-        "--mv-cache-policy",
-        choices=POLICY_CHOICES,
-        default=None,
-        help=(
-            "eviction policy of the MV match-column cache; unset "
-            "defers to the tuning profile's choice and then to the "
-            f"default ({DEFAULT_POLICY}); every policy prices "
-            "byte-identically, only hit rates differ"
-        ),
-    )
-    parser.add_argument(
-        "--mv-cache-persist",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "save the MV cache contents under REPRO_CACHE_DIR after "
-            "each run and warm-start later runs on the same block "
-            "table and kernel from disk; a corrupt or mismatched "
-            "file is ignored with a warning (cold start) and seeded "
-            "results are byte-identical either way (default off)"
-        ),
-    )
-    parser.add_argument(
-        "--mv-feedback",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "runtime MV-cache engagement monitor: auto/on attach a "
-            "hit-rate monitor that can disengage the dedup path "
-            "mid-run and re-probe it later, off keeps the static "
-            "shape decision only (results are byte-identical either "
-            "way; default auto)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         type=Path,
         default=None,
@@ -161,8 +109,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "tuning profile written by `repro tune`; its "
             "machine-measured thresholds replace the shipped defaults "
-            "for kernel auto-selection, MV-cache engagement, bitpack "
-            "shard sizing and Huffman batching (ignored with a "
+            "for kernel auto-selection, bitpack shard sizing and "
+            "Huffman batching (ignored with a "
             "warning on version/fingerprint mismatch; results are "
             "byte-identical with or without it)"
         ),
@@ -221,10 +169,6 @@ def _resolve_tuning(arguments: argparse.Namespace) -> TuningProfile | None:
     return profile
 
 
-def _resolve_mv_feedback(arguments: argparse.Namespace) -> bool | None:
-    return {"auto": None, "on": True, "off": False}[arguments.mv_feedback]
-
-
 def _resolve_fault_tolerance(
     arguments: argparse.Namespace,
 ) -> tuple[RetryPolicy | None, float | None]:
@@ -261,27 +205,6 @@ def _print_fault_summary(stats: dict[str, int]) -> None:
     print(f"fault tolerance: {rendered}", file=sys.stderr)
 
 
-def _print_mv_cache_summary(result, persist: bool) -> None:
-    """Warm/cold cache accounting on stderr (stdout stays byte-stable).
-
-    The warm line is the hook the CI smoke step greps for: a second
-    ``--mv-cache-persist`` run over the same inputs must report a warm
-    start.
-    """
-    if not persist:
-        return
-    warm = sum(run.ea_result.mv_cache_warm_loaded for run in result.runs)
-    if warm:
-        print(
-            f"mv cache: warm start ({warm} persisted entries loaded "
-            f"across {len(result.runs)} runs)",
-            file=sys.stderr,
-        )
-    else:
-        print("mv cache: cold start (no usable persisted cache)",
-              file=sys.stderr)
-
-
 def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--full", action="store_true", help="run every circuit in the table"
@@ -310,7 +233,6 @@ def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _table_command(arguments: argparse.Namespace, which: int) -> int:
     tuning = _resolve_tuning(arguments)
-    mv_feedback = _resolve_mv_feedback(arguments)
     from .experiments import (
         PAPER,
         QUICK,
@@ -338,11 +260,7 @@ def _table_command(arguments: argparse.Namespace, which: int) -> int:
         progress=print,
         backend=_resolve_backend(arguments),
         kernel=arguments.kernel,
-        mv_cache_size=arguments.mv_cache_size,
         tuning=tuning,
-        mv_feedback=mv_feedback,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         retry=retry,
         timeout=timeout,
         checkpoint=_resolve_checkpoint(arguments),
@@ -379,7 +297,6 @@ def _print_pareto_front(blocks, config, arguments: argparse.Namespace) -> int:
 
 def _compress_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
-    mv_feedback = _resolve_mv_feedback(arguments)
     lines = [
         line.strip()
         for line in Path(arguments.file).read_text().splitlines()
@@ -397,11 +314,7 @@ def _compress_command(arguments: argparse.Namespace) -> int:
         n_vectors=arguments.l,
         runs=arguments.runs,
         kernel=arguments.kernel,
-        mv_cache_size=arguments.mv_cache_size,
         tuning=tuning,
-        mv_feedback=mv_feedback,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         ea=EAParameters(
             stagnation_limit=arguments.stagnation,
             max_evaluations=arguments.max_evaluations,
@@ -418,7 +331,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
     result = optimizer.optimize(
         test_set.blocks(arguments.k), retry=retry, timeout=timeout
     )
-    _print_mv_cache_summary(result, arguments.mv_cache_persist)
     print(
         f"EA     rate: {result.mean_rate:6.2f}% mean, "
         f"{result.best_rate:6.2f}% best over {config.runs} runs"
@@ -432,7 +344,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
 
 def _atpg_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
-    mv_feedback = _resolve_mv_feedback(arguments)
     from .atpg.stuck_at import generate_stuck_at_tests
     from .circuits.library import load_circuit
 
@@ -455,11 +366,7 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
         n_vectors=arguments.l,
         runs=3,
         kernel=arguments.kernel,
-        mv_cache_size=arguments.mv_cache_size,
         tuning=tuning,
-        mv_feedback=mv_feedback,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     if arguments.objectives != "rate":
@@ -470,7 +377,6 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
     result = EAMVOptimizer(
         config, seed=arguments.seed, backend=_resolve_backend(arguments)
     ).optimize(test_set.blocks(arguments.k), retry=retry, timeout=timeout)
-    _print_mv_cache_summary(result, arguments.mv_cache_persist)
     print(
         f"EA     rate: {result.mean_rate:6.2f}% mean, "
         f"{result.best_rate:6.2f}% best"
@@ -492,7 +398,6 @@ def _calibrated_test_set(circuit: str, seed: int) -> TestSet:
 
 def _ablate_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
-    mv_feedback = _resolve_mv_feedback(arguments)
     from .experiments import (
         ablation_markdown,
         decoder_cost_study,
@@ -510,11 +415,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"K/L sweep on {arguments.circuit}"))
@@ -522,11 +423,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(
@@ -538,11 +435,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"9C seeding on {arguments.circuit}"))
@@ -550,11 +443,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout,
         )
         print(
@@ -566,11 +455,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         costs = decoder_cost_study(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
         )
         for method, values in costs.items():
             print(
@@ -583,7 +468,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
 
 def _report_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
-    mv_feedback = _resolve_mv_feedback(arguments)
     from .experiments import (
         PAPER,
         QUICK,
@@ -612,11 +496,7 @@ def _report_command(arguments: argparse.Namespace) -> int:
         progress=print,
         backend=backend,
         kernel=arguments.kernel,
-        mv_cache_size=arguments.mv_cache_size,
         tuning=tuning,
-        mv_feedback=mv_feedback,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("building Table 2 ...")
@@ -627,11 +507,7 @@ def _report_command(arguments: argparse.Namespace) -> int:
         progress=print,
         backend=backend,
         kernel=arguments.kernel,
-        mv_cache_size=arguments.mv_cache_size,
         tuning=tuning,
-        mv_feedback=mv_feedback,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("running ablations on s349 ...")
@@ -640,41 +516,25 @@ def _report_command(arguments: argparse.Namespace) -> int:
         "K/L sweep (s349, source of EA-Best)": kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Operator probabilities (s349)": operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "9C seeding of the initial population (s349)": seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Subsumption-aware encoding (s349, Section 3.3)": subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            mv_cache_size=arguments.mv_cache_size,
             tuning=tuning,
-            mv_feedback=mv_feedback,
-            mv_cache_policy=arguments.mv_cache_policy,
-            mv_cache_persist=arguments.mv_cache_persist,
             retry=retry, timeout=timeout,
         ),
     }
@@ -698,8 +558,8 @@ def _tune_command(arguments: argparse.Namespace) -> int:
     from .tuning.profile import save_profile
 
     print(
-        "probing kernel crossovers, MV-dedup break-even, shard size "
-        f"and Huffman cutover ({'quick' if arguments.quick else 'full'} "
+        "probing kernel crossovers, shard size and Huffman cutover "
+        f" ({'quick' if arguments.quick else 'full'} "
         f"mode, best of {arguments.repeats}) ..."
     )
     profile = run_probes(
@@ -713,12 +573,8 @@ def _tune_command(arguments: argparse.Namespace) -> int:
         f"bitpack_wide_min_distinct={profile.bitpack_wide_min_distinct}  "
         f"native_min_distinct={profile.native_min_distinct}  "
         f"native_wide_min_distinct={profile.native_wide_min_distinct}  "
-        f"mv_dedup_min_genomes={profile.mv_dedup_min_genomes}  "
-        f"mv_dedup_min_table={profile.mv_dedup_min_table}  "
-        f"mv_dedup_min_distinct={profile.mv_dedup_min_distinct}  "
         f"bitpack_shard_size={profile.bitpack_shard_size}  "
-        f"huffman_lockstep_min_rows={profile.huffman_lockstep_min_rows}  "
-        f"mv_feedback_min_hit_rate={profile.mv_feedback_min_hit_rate:.2f}"
+        f"huffman_lockstep_min_rows={profile.huffman_lockstep_min_rows}"
     )
     if not arguments.no_summary:
         summary = tuning_summary(profile, quick=arguments.quick)
@@ -736,63 +592,45 @@ def _tune_command(arguments: argparse.Namespace) -> int:
 
 
 def _cache_command(arguments: argparse.Namespace) -> int:
-    from .core.cache import describe_cache_file, mv_cache_dir
     from .core.kernels.build import describe_build_file, native_build_dir
 
-    # Cache entries are .npz (persisted MV caches) and .so (native
-    # kernel builds); .json build sidecars and stray .lock files ride
-    # along on `clear` but are not listed as entries of their own.
-    def entries(directory: Path) -> list[Path]:
-        if not directory.is_dir():
-            return []
-        return sorted(directory.glob("*.npz")) + sorted(directory.glob("*.so"))
-
-    if arguments.dir is not None:
-        directories = [Path(arguments.dir)]
-    else:
-        directories = [mv_cache_dir(), native_build_dir()]
+    # Cache entries are native kernel builds (.so); .json build sidecars
+    # and stray .lock files ride along on `clear` but are not listed as
+    # entries of their own.
+    directory = Path(arguments.dir) if arguments.dir is not None else native_build_dir()
+    files = sorted(directory.glob("*.so")) if directory.is_dir() else []
 
     if arguments.action == "list":
-        for directory in directories:
-            files = entries(directory)
-            print(f"cache directory: {directory}")
-            if not files:
-                print("(empty)")
-                continue
-            total = 0
-            for path in files:
-                size = path.stat().st_size
-                total += size
-                print(f"{size:>12,d}  {path.name}")
-            print(f"{total:>12,d}  total in {len(files)} file(s)")
+        print(f"cache directory: {directory}")
+        if not files:
+            print("(empty)")
+            return 0
+        total = 0
+        for path in files:
+            size = path.stat().st_size
+            total += size
+            print(f"{size:>12,d}  {path.name}")
+        print(f"{total:>12,d}  total in {len(files)} file(s)")
         return 0
     if arguments.action == "info":
-        for directory in directories:
-            files = entries(directory)
-            if not files:
-                print(f"cache directory: {directory}")
-                print("(empty)")
-                continue
-            for path in files:
-                info = (
-                    describe_cache_file(path)
-                    if path.suffix == ".npz"
-                    else describe_build_file(path)
-                )
-                print(f"{path.name}:")
-                for key in sorted(info):
-                    if key != "file":
-                        print(f"  {key}: {info[key]}")
+        if not files:
+            print(f"cache directory: {directory}")
+            print("(empty)")
+        for path in files:
+            info = describe_build_file(path)
+            print(f"{path.name}:")
+            for key in sorted(info):
+                if key != "file":
+                    print(f"  {key}: {info[key]}")
         return 0
     # clear
-    for directory in directories:
-        removed = 0
-        if directory.is_dir():
-            for pattern in ("*.npz", "*.so", "*.json", "*.lock"):
-                for path in sorted(directory.glob(pattern)):
-                    path.unlink()
-                    removed += 1
-        print(f"removed {removed} file(s) from {directory}")
+    removed = 0
+    if directory.is_dir():
+        for pattern in ("*.so", "*.json", "*.lock"):
+            for path in sorted(directory.glob(pattern)):
+                path.unlink()
+                removed += 1
+    print(f"removed {removed} file(s) from {directory}")
     return 0
 
 
@@ -809,9 +647,6 @@ def _build_service(arguments: argparse.Namespace):
     tuning = _resolve_tuning(arguments)
     retry, timeout = _resolve_fault_tolerance(arguments)
     registry = WarmRegistry(
-        mv_cache_size=arguments.mv_cache_size,
-        mv_cache_policy=arguments.mv_cache_policy,
-        mv_cache_persist=arguments.mv_cache_persist,
         tuning=tuning,
     )
     service = CompressionService(
@@ -1003,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = commands.add_parser(
         "tune",
         help=(
-            "probe this machine's kernel/cache crossovers and write a "
+            "probe this machine's kernel crossovers and write a "
             "tuning profile for --profile"
         ),
     )
@@ -1054,8 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = commands.add_parser(
         "cache",
         help=(
-            "inspect or clear the on-disk caches: persisted MV caches "
-            "(--mv-cache-persist) and native kernel builds"
+            "inspect or clear the on-disk native kernel build cache"
         ),
     )
     cache.add_argument(
@@ -1072,8 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "single cache directory to operate on (default: both the "
-            "mv_cache and native directories under REPRO_CACHE_DIR)"
+            "cache directory to operate on (default: the native "
+            "directory under REPRO_CACHE_DIR)"
         ),
     )
 
@@ -1149,8 +983,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Bad input a command raises — a ``ValueError`` (an invalid option
+    value, a malformed pattern) or an ``OSError`` (an unreadable file)
+    — prints one ``repro: error: …`` line on stderr and exits 2, the
+    status argparse uses for a bad flag, instead of a traceback.
+    """
     arguments = build_parser().parse_args(argv)
+    try:
+        return _dispatch(arguments)
+    except (ValueError, OSError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(arguments: argparse.Namespace) -> int:
     if arguments.command == "table1":
         return _table_command(arguments, which=1)
     if arguments.command == "table2":

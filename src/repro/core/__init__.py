@@ -49,12 +49,9 @@ from .encoding import (
     refine_subsumption,
 )
 from .fitness import (
-    DEFAULT_MV_CACHE_SIZE,
     INVALID_FITNESS,
     BatchCompressionRateFitness,
     CompressionRateFitness,
-    MVCacheStats,
-    MVMatchCache,
 )
 from .matching import MatchingVector, MVSet
 from .nine_c import (
@@ -122,12 +119,9 @@ __all__ = [
     "build_encoding_table",
     "compressed_size",
     "refine_subsumption",
-    "DEFAULT_MV_CACHE_SIZE",
     "INVALID_FITNESS",
     "BatchCompressionRateFitness",
     "CompressionRateFitness",
-    "MVCacheStats",
-    "MVMatchCache",
     "MatchingVector",
     "MVSet",
     "DEFAULT_NINE_C_BLOCK_LENGTH",

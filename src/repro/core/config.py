@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..tuning.profile import TuningProfile
-from .cache import POLICY_CHOICES
 from .encoding import EncodingStrategy
-from .fitness import DEFAULT_MV_CACHE_SIZE
 from .kernels import AUTO_KERNEL, CoveringKernel, available_kernels
 
 __all__ = ["EAParameters", "CompressionConfig"]
@@ -120,29 +118,12 @@ class CompressionConfig:
     :mod:`repro.core.kernels`); every kernel produces bit-identical
     results, so this knob only moves the wall clock.
 
-    ``mv_cache_size`` bounds the per-run MV match-column cache behind
-    the unique-MV dedup path of the batched fitness
-    (:class:`repro.core.fitness.MVMatchCache`); ``0`` disables the
-    factored path and prices through the fused per-generation kernels.
-    Like ``kernel``, it never changes results — only the wall clock.
-    ``mv_cache_policy`` selects that cache's eviction policy
-    (``lru``/``lfu``/``2q``/``segmented``; ``None`` defers to the
-    tuning profile, then the shipped LRU default) and
-    ``mv_cache_persist`` saves the warm cache to
-    ``$REPRO_CACHE_DIR/mv_cache/`` after each run and reloads it on
-    the next run over the same block table — both semantically inert,
-    both riding inside the picklable config so process-pool workers
-    behave identically to the serial path.
-
     ``tuning`` pins a machine-measured
     :class:`repro.tuning.TuningProfile` for every run of this
-    configuration (kernel auto cutovers, dedup engagement shapes,
-    bitpack shard size, Huffman lockstep cutover).  The profile
-    travels *inside* the config, so process-pool workers — which never
-    see the CLI's process-wide active profile — tune identically to
-    the serial path.  ``mv_feedback`` controls the runtime MV-cache
-    engagement monitor: ``None`` leaves it on whenever the cache is
-    on, ``False`` forces the static shape decision only.  Both are
+    configuration (kernel auto cutovers, bitpack shard size, Huffman
+    lockstep cutover).  The profile travels *inside* the config, so
+    process-pool workers — which never see the CLI's process-wide
+    active profile — tune identically to the serial path.  It is
     semantically inert — wall clock only, results byte-identical.
     """
 
@@ -152,11 +133,8 @@ class CompressionConfig:
     fill_default: int = 0
     runs: int = 5
     kernel: str | CoveringKernel = "auto"
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE
-    mv_cache_policy: str | None = None
-    mv_cache_persist: bool = False
+    mv_cache_persist: bool = False  # inert: perfbench/ still passes False
     tuning: TuningProfile | None = None
-    mv_feedback: bool | None = None
     ea: EAParameters = field(default_factory=EAParameters)
 
     def __post_init__(self) -> None:
@@ -173,16 +151,8 @@ class CompressionConfig:
                 )
         if self.n_vectors < 1:
             raise ValueError("n_vectors must be >= 1")
-        if self.mv_cache_size < 0:
-            raise ValueError("mv_cache_size must be >= 0")
-        if (
-            self.mv_cache_policy is not None
-            and self.mv_cache_policy not in POLICY_CHOICES
-        ):
-            raise ValueError(
-                f"unknown MV cache policy {self.mv_cache_policy!r}; "
-                f"choose one of: {', '.join(POLICY_CHOICES)}"
-            )
+        if self.mv_cache_persist:
+            raise ValueError("MV cache persistence was removed")
         if self.tuning is not None and not isinstance(self.tuning, TuningProfile):
             raise ValueError(
                 f"tuning must be a TuningProfile or None, got {self.tuning!r}"

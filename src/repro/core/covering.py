@@ -22,14 +22,7 @@ results.  This module is the thin dispatcher over that registry:
   resolving ``kernel`` (``"auto"`` by default) through the registry;
 * :func:`cover_bits_batch`/:func:`unpack_mask_bits` remain the GEMM
   kernel's bit-matrix core, re-exported for callers that manage their
-  own unpacked representation;
-* :func:`cover_from_match_columns`/:func:`cover_packed_columns` are
-  the *factored* covering primitives behind the batched fitness's
-  unique-MV dedup path (PR 4): given per-MV match columns — from
-  ``CoveringKernel.match_columns`` or the fitness's persistent
-  :class:`~repro.core.fitness.MVMatchCache` — they reassemble
-  per-genome coverings without re-running any kernel, bit-identically
-  to the fused entry points.
+  own unpacked representation.
 """
 
 from __future__ import annotations
@@ -41,9 +34,7 @@ import numpy as np
 from .blocks import WORD_BITS, BlockSet
 from .kernels import (
     cover_bits_batch,
-    cover_from_match_columns,
     cover_masks,
-    cover_packed_columns,
     resolve_kernel,
     unpack_mask_bits,
 )
@@ -54,10 +45,8 @@ __all__ = [
     "UncoverableError",
     "cover",
     "cover_bits_batch",
-    "cover_from_match_columns",
     "cover_masks",
     "cover_masks_batch",
-    "cover_packed_columns",
     "unpack_mask_bits",
 ]
 

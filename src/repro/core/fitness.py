@@ -4,33 +4,17 @@ This is the EA's inner loop.  The workhorse is
 :class:`BatchCompressionRateFitness`, which prices an entire
 generation of ``C`` genomes in a handful of numpy kernel calls:
 
-1. the ``(C, L·K)`` genome matrix is packed into ``(C, L)`` mask and
-   fill-count arrays in one vectorized pass (no ``MVSet`` objects);
-2. the ``C·L`` MV rows are deduplicated (``np.unique`` over their
-   packed uint64 word representation) and a pluggable covering kernel
-   (:mod:`repro.core.kernels` — float32 GEMM, bit-packed uint64 lanes
-   with block-table sharding, or the scalar reference; ``"auto"``
-   picks per workload shape) computes *match columns* only for the
-   unique MVs that miss the persistent :class:`MVMatchCache`; the
-   per-genome coverings are then reassembled by gather + first-match
-   (:func:`repro.core.kernels.cover_from_match_columns`), early-exiting
-   genomes whose MVs cannot cover every block;
+1. the ``(C, L·K)`` genome matrix is reshaped into a ``(C, L, K)``
+   trit grid and each genome's MVs are ordered by increasing ``U``
+   count (the paper's covering priority) in one vectorized pass;
+2. a pluggable covering kernel (:mod:`repro.core.kernels` — compiled
+   native lanes, float32 GEMM, bit-packed uint64 lanes, or the scalar
+   reference; ``"auto"`` picks per workload shape) covers the whole
+   generation in ONE fused ``cover_grid`` pass, early-exiting genomes
+   whose MVs cannot cover every block;
 3. :func:`repro.coding.huffman.huffman_total_bits_batch` prices all
-   frequency rows with a lockstep two-queue merge (no per-genome dict
-   or heap), and the fill bits are one matrix dot away.
-
-The decomposition in step 2 is sound because the match column of an MV
-depends only on (MV, block table) — never on its neighbors or its
-priority position — so deduplication and caching can never change a
-result, only skip recomputing it.  Copy, crossover and late-run
-convergence all preserve most of a parent's ``L`` matching vectors, so
-on convergent workloads the kernel pass shrinks toward the handful of
-genuinely new rows.  The factored path engages per batch shape
-(generation-scale batches, or any batch against a very large distinct
-table); tiny batches on small tables keep the fused per-generation
-kernels, whose single pass undercuts the dedup bookkeeping there, and
-``mv_cache_size=0`` forces the fused path everywhere — all of which is
-bit-identical, pinned by the parity suite.
+   frequency rows with a two-queue merge (no per-genome dict or
+   heap), and the fill bits are one matrix dot away.
 
 :class:`CompressionRateFitness` keeps the historical single-genome
 callable API as a thin batch-of-one wrapper, so existing callers keep
@@ -41,47 +25,25 @@ negative constant, far below any reachable rate.
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..coding.huffman import huffman_length_stats_batch, huffman_total_bits_batch
-from ..tuning.feedback import MVCacheFeedback, MVFeedbackStats
 from ..tuning.profile import TuningProfile, get_active_profile
 from .blocks import BlockSet, mask_word_count, pack_bits_to_words
-from .cache import (
-    DEFAULT_POLICY,
-    EvictionPolicy,
-    block_table_digest,
-    load_mv_cache,
-    make_policy,
-    save_mv_cache,
-)
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
-from .kernels import (
-    AUTO_KERNEL,
-    CoveringKernel,
-    build_count_lut,
-    cover_packed_columns,
-    pack_match_columns,
-    resolve_kernel,
-)
+from .kernels import AUTO_KERNEL, CoveringKernel, resolve_kernel
 from .matching import MVSet
 from .trits import DC, ONE, ZERO
 
 __all__ = [
-    "DEFAULT_MV_CACHE_SIZE",
     "INVALID_FITNESS",
     "OBJECTIVE_COLUMNS",
     "BatchCompressionRateFitness",
     "CompressionRateFitness",
-    "MVCacheStats",
-    "MVMatchCache",
 ]
 
 # Column order of ``BatchCompressionRateFitness.evaluate_objectives``:
@@ -92,310 +54,16 @@ OBJECTIVE_COLUMNS = ("rate", "area", "time")
 
 INVALID_FITNESS = -1.0e6  # far below 100·(orig−comp)/orig for any valid encoding
 
-# Unique MVs memoized per fitness.  An entry is the MV's packed key
-# (2W uint64 words) plus its bit-packed match column (⌈D/8⌉ bytes) —
-# ~0.5 KiB at the acceptance workloads' D≈3.3k — so the default is a
-# few MiB while comfortably outliving a converged population (S·L is
-# 640 MVs at the paper's settings).
-DEFAULT_MV_CACHE_SIZE = 16384
-
-# When the dedup path engages — the no-profile defaults, measured on
-# the bench workloads and re-confirmed by the ``repro tune`` prober on
-# the single-core CI-class container (results are bit-identical either
-# way, so these only move the wall clock, exactly like kernel
-# auto-selection):
-# * generation-scale batches over a non-tiny table — the per-batch
-#   dedup/lookup bookkeeping amortizes and the saved kernel work
-#   dominates (×1.4–1.9 on the convergent bench batches at D≈0.9k–3.3k;
-#   at D≈150 the kernel pass is too cheap to beat the bookkeeping even
-#   with C=64, hence the table floor);
-# * large distinct tables — kernel work per MV row is so heavy that
-#   even the engine's 1–2 genome post-memo batches break even (parity
-#   at D≈3.3k, ×0.94 wall clock by D≈8k on seeded EA runs).
-# Below the thresholds (the paper's C=5 EA on a small circuit) the
-# fused kernel pass is cheaper than the bookkeeping, so the factored
-# path steps aside.  A :class:`repro.tuning.TuningProfile` (explicit
-# ``tuning`` argument, or the process-wide active profile set by
-# ``--profile``) overrides all three per machine; on top of the static
-# decision, an :class:`repro.tuning.MVCacheFeedback` monitor can
-# disengage the path mid-run when observed hit rates stay below
-# break-even (see ``mv_feedback``).
-# Recalibration (PR 5, `repro tune` full mode on the single-core
-# CI-class container): the table floor (512) and the any-batch floor
-# (2048) re-measured exactly; the genome floor measured C>=2 on the
-# prober's fully-warmed convergent batches vs the 16 shipped from
-# EA-realistic (partly cold) batches — the warm-case gap is now the
-# feedback monitor's job, so the conservative static floor stands.
-_MV_DEDUP_MIN_GENOMES = 16
-_MV_DEDUP_MIN_TABLE = 512
-_MV_DEDUP_MIN_DISTINCT = 2048
-
 
 @dataclass(frozen=True)
-class MVCacheStats:
-    """Effectiveness counters of the MV-level match-column path.
+class _DedupRowCounts:
+    """MV rows before/after a per-batch dedup: always zero (no dedup)."""
 
-    ``rows_total``/``rows_unique`` count MV rows before and after the
-    per-batch dedup; ``hits``/``misses`` count unique rows served from
-    (vs priced into) the persistent cache.  Only kernel work for
-    misses is ever recomputed, so the saved fraction of match work is
-    ``1 − misses/rows_total``.  ``policy`` names the cache's eviction
-    policy (empty when the cache is disabled) and ``warm_loaded``
-    counts entries hydrated from a persisted cache file before the
-    first batch.  ``feedback`` carries the runtime engagement
-    monitor's decision counters (``None`` when no monitor is
-    attached).  Every ratio here is well-defined at zero activity:
-    a run that never looks anything up reports 0.0, never NaN.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    capacity: int = 0
     rows_total: int = 0
     rows_unique: int = 0
-    policy: str = ""
-    warm_loaded: int = 0
-    feedback: MVFeedbackStats | None = None
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over unique-row lookups (0.0 when nothing was looked up)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    @property
-    def rows_saved_rate(self) -> float:
-        """Fraction of MV rows that needed no kernel work at all."""
-        if not self.rows_total:
-            return 0.0
-        return 1.0 - self.misses / self.rows_total
 
 
-class MVMatchCache:
-    """Policy-bounded cache: packed MV key → bit-packed match column.
-
-    Keys identify an MV's ``[ones|zeros]`` word representation — a
-    plain ``int`` when the fused row fits one uint64 (``2K ≤ 64``),
-    the row's ``tobytes()`` otherwise.  Values are the MV's match
-    column over the distinct-block table, bit-packed along D
-    (``np.packbits`` little-endian, ⌈D/8⌉ uint8) and stored as rows of
-    one preallocated slot array, so whole-generation lookups resolve
-    into a single vectorized gather (:meth:`columns_at`) instead of
-    per-row array copies.
-
-    Which entries a *full* cache keeps is delegated to a pluggable
-    :class:`repro.core.cache.EvictionPolicy` (``"lru"`` — the
-    historical behavior — ``"lfu"``, ``"2q"``, ``"segmented"``).  Any
-    policy is semantically inert, exactly like the engine's genome
-    memo cache: an eviction can only cost a recomputation, never
-    change a result.  :meth:`export_state`/:meth:`load_state` move the
-    retained entries to and from the persisted on-disk form
-    (:mod:`repro.core.cache.persist`), coldest entry first so a reload
-    into a smaller cache keeps the hottest columns.
-
-    The cache is thread-safe: every public method holds one internal
-    lock, so a single instance can back many concurrent fitness
-    engines (the serve daemon shares one per block table).  Policies
-    themselves stay lock-free — all mutation routes through these
-    methods.  Concurrent readers must use :meth:`fetch`, which fuses
-    lookup + column gather into one atomic step; the split
-    :meth:`lookup`/:meth:`columns_at` pair is only safe when no other
-    thread can insert between the two calls, because an insert may
-    recycle an evicted slot out from under the gather.
-    """
-
-    def __init__(
-        self, capacity: int, policy: str | EvictionPolicy = DEFAULT_POLICY
-    ) -> None:
-        if isinstance(policy, EvictionPolicy):
-            self._policy = policy
-            self._capacity = policy.capacity
-        else:
-            self._policy = make_policy(policy, capacity)
-            self._capacity = capacity
-        self._store: np.ndarray | None = None  # (capacity, ⌈D/8⌉) uint8
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.warm_loaded = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of match columns retained."""
-        return self._capacity
-
-    @property
-    def policy_name(self) -> str:
-        """Name of the eviction policy deciding retention."""
-        return self._policy.name
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._policy)
-
-    def _ensure_store(self, column_width: int) -> None:
-        if self._store is None:
-            self._store = np.empty((self._capacity, column_width), np.uint8)
-        elif self._store.shape[1] != column_width:
-            raise ValueError(
-                f"cache holds {self._store.shape[1]}-byte columns, "
-                f"got {column_width} (one block table per cache)"
-            )
-
-    def _claim_slot(self, key: int | bytes) -> int:
-        """The store row for a new ``key``, evicting a victim if full."""
-        slot, evicted = self._policy.claim(key)
-        if evicted:
-            self.evictions += 1
-        return slot
-
-    def get(self, key: int | bytes) -> np.ndarray | None:
-        """The cached packed column for ``key``, refreshing its priority.
-
-        Returns a copy: a view into the slot store would be silently
-        overwritten when a later insert recycles the slot.
-        """
-        with self._lock:
-            slot = self._policy.lookup(key)
-            if slot is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return self._store[slot].copy()
-
-    def put(self, key: int | bytes, column: np.ndarray) -> None:
-        """Insert ``key``'s packed column, evicting the policy's victim."""
-        column = np.asarray(column, dtype=np.uint8)
-        with self._lock:
-            self._ensure_store(column.shape[-1])
-            slot = self._policy.lookup(key)  # overwrite refreshes priority
-            if slot is None:
-                slot = self._claim_slot(key)
-            self._store[slot] = column
-
-    def lookup(self, keys: list) -> np.ndarray:
-        """Store slot per key (``-1`` for misses), counting and
-        priority-refreshing hits — the batch counterpart of :meth:`get`.
-
-        Single-threaded use only: the returned slots go stale as soon
-        as any other thread inserts.  Concurrent callers want
-        :meth:`fetch`.
-        """
-        with self._lock:
-            return self._lookup_slots(keys)
-
-    def _lookup_slots(self, keys: list) -> np.ndarray:
-        """Slot per key under the caller's lock, updating counters."""
-        policy = self._policy
-        slots = np.empty(len(keys), dtype=np.int64)
-        hits = 0
-        for index, key in enumerate(keys):
-            slot = policy.lookup(key)
-            if slot is None:
-                slots[index] = -1
-            else:
-                slots[index] = slot
-                hits += 1
-        self.hits += hits
-        self.misses += len(keys) - hits
-        return slots
-
-    def columns_at(self, slots: np.ndarray) -> np.ndarray:
-        """Gather the packed columns at ``slots`` in one vectorized read.
-
-        Only valid for slots just returned by :meth:`lookup` and read
-        *before* the next :meth:`insert` (an insert may recycle an
-        evicted slot) — which also rules out any concurrent inserter.
-        """
-        with self._lock:
-            return self._store[slots]
-
-    def fetch(self, keys: list) -> tuple[np.ndarray, np.ndarray | None]:
-        """Atomic batch lookup + gather: ``(hit_mask, hit_columns)``.
-
-        One lock acquisition covers the slot lookup, the hit/miss
-        counters *and* the column gather, so no concurrent insert can
-        recycle a slot between lookup and read — the safe concurrent
-        counterpart of the :meth:`lookup`/:meth:`columns_at` pair.
-        ``hit_columns`` are the packed columns of the hit keys in key
-        order (a copy, valid indefinitely), or ``None`` when nothing
-        hit.
-        """
-        with self._lock:
-            slots = self._lookup_slots(keys)
-            hit = slots >= 0
-            columns = self._store[slots[hit]].copy() if hit.any() else None
-        return hit, columns
-
-    def insert(self, keys: list, columns: np.ndarray) -> None:
-        """Bulk :meth:`put` of freshly priced columns (one per key).
-
-        Under eviction pressure inside one bulk insert, recycled slots
-        may be claimed several times; only the *newest* claim still
-        owns its slot, so duplicates are resolved to the last
-        occurrence before the vectorized store write (numpy leaves
-        repeated-index assignment order unspecified).  Concurrent
-        inserts of the same key are harmless: the match column is a
-        pure function of (key, block table), so both writers store the
-        same bytes.
-        """
-        columns = np.asarray(columns, dtype=np.uint8)
-        with self._lock:
-            self._ensure_store(columns.shape[-1])
-            policy = self._policy
-            slots = np.empty(len(keys), dtype=np.int64)
-            for index, key in enumerate(keys):
-                slot = policy.lookup(key)
-                if slot is None:
-                    slot = self._claim_slot(key)
-                slots[index] = slot
-            unique_slots, reversed_first = np.unique(
-                slots[::-1], return_index=True
-            )
-            last_rows = len(keys) - 1 - reversed_first
-            self._store[unique_slots] = columns[last_rows]
-
-    # -- persistence --------------------------------------------------
-
-    def export_state(self) -> tuple[list, np.ndarray]:
-        """Retained ``(keys, columns)`` in eviction order, coldest first.
-
-        The on-disk form: replaying the pairs through
-        :meth:`load_state` reproduces the retention priority under any
-        policy, and under a smaller capacity the coldest entries are
-        the ones dropped.
-        """
-        with self._lock:
-            pairs = list(self._policy.items())
-            if not pairs:
-                return [], np.empty((0, 0), dtype=np.uint8)
-            keys = [key for key, _ in pairs]
-            slots = np.fromiter(
-                (slot for _, slot in pairs), dtype=np.int64, count=len(pairs)
-            )
-            return keys, self._store[slots].copy()
-
-    def load_state(self, keys: list, columns: np.ndarray) -> None:
-        """Hydrate from persisted ``(keys, columns)``, coldest first.
-
-        Counters stay untouched — a warm start is not a hit, and
-        truncation to a smaller capacity is not run-time eviction
-        pressure; :attr:`warm_loaded` records how many entries are
-        resident after the load.
-        """
-        columns = np.asarray(columns, dtype=np.uint8)
-        with self._lock:
-            self._ensure_store(columns.shape[-1])
-            policy = self._policy
-            for index, key in enumerate(keys):
-                slot = policy.lookup(key)
-                if slot is None:
-                    slot, _ = policy.claim(key)
-                self._store[slot] = columns[index]
-            self.warm_loaded = len(policy)
+_NO_DEDUP = _DedupRowCounts()
 
 
 class _StageClock:
@@ -415,31 +83,19 @@ class BatchCompressionRateFitness:
     """Price a whole generation of genomes against a fixed block set.
 
     ``kernel`` selects the covering kernel by registry name
-    (``"auto"``, ``"gemm"``, ``"bitpack"``, ``"scalar"``) or passes a
-    :class:`~repro.core.kernels.CoveringKernel` instance directly;
-    ``"auto"`` resolves from the workload shape (C, D, L, K) when the
-    first batch arrives.  ``mv_cache_size`` bounds the persistent
-    :class:`MVMatchCache` behind the unique-MV dedup path; ``0`` (or
-    ``None``) prices through the fused per-generation kernels instead,
-    and an explicit ``mv_cache`` instance overrides both — the route by
-    which the serve daemon shares one warm thread-safe cache across
-    every request touching the same block table.
-    With the cache enabled, the dedup path engages per batch shape —
-    generation-scale batches or very large distinct tables — and tiny
-    batches on small tables keep the fused kernels, whose single pass
-    is cheaper than the dedup bookkeeping there.
+    (``"auto"``, ``"gemm"``, ``"bitpack"``, ``"native"``, ``"scalar"``)
+    or passes a :class:`~repro.core.kernels.CoveringKernel` instance
+    directly; ``"auto"`` resolves from the workload shape (C, D, L, K)
+    when the first batch arrives.  Every generation prices through the
+    kernel's one fused ``cover_grid`` pass.
 
     ``tuning`` pins a :class:`repro.tuning.TuningProfile` whose
     machine-measured thresholds replace the shipped defaults for
-    kernel auto-selection, dedup engagement, bitpack shard sizing and
-    the Huffman lockstep cutover; when ``None``, the process-wide
-    active profile applies, and without one the module constants do.
-    ``mv_feedback`` controls the runtime engagement monitor
-    (:class:`repro.tuning.MVCacheFeedback`): ``None``/``True`` attach
-    one (default on whenever the cache is on), ``False`` forces the
-    static shape decision only, and an explicit monitor instance is
-    used as-is.  Every configuration prices bit-identically, so all
-    of these knobs only move the wall clock.
+    kernel auto-selection, bitpack shard sizing and the Huffman
+    lockstep cutover; when ``None``, the process-wide active profile
+    applies, and without one the module constants do.  Every
+    configuration prices bit-identically, so these knobs only move
+    the wall clock.
 
     >>> blocks = BlockSet.from_string("111 000 111 111", 3)
     >>> fit = BatchCompressionRateFitness(blocks, n_vectors=2, block_length=3)
@@ -456,13 +112,7 @@ class BatchCompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        mv_cache_size: int | None = DEFAULT_MV_CACHE_SIZE,
         tuning: TuningProfile | None = None,
-        mv_feedback: bool | MVCacheFeedback | None = None,
-        mv_cache_policy: str | None = None,
-        mv_cache_persist: bool = False,
-        mv_cache_dir: Path | None = None,
-        mv_cache: MVMatchCache | None = None,
     ) -> None:
         if blocks.block_length != block_length:
             raise ValueError(
@@ -474,9 +124,6 @@ class BatchCompressionRateFitness:
             raise ValueError("cannot evaluate fitness on an empty test set")
         if strategy is EncodingStrategy.FIXED:
             raise ValueError("fitness evaluation requires a frequency-based strategy")
-        mv_cache_size = int(mv_cache_size or 0)
-        if mv_cache_size < 0:
-            raise ValueError("mv_cache_size must be >= 0")
         self._blocks = blocks
         self._n_vectors = n_vectors
         self._block_length = block_length
@@ -485,33 +132,6 @@ class BatchCompressionRateFitness:
         # Threshold resolution order: explicit profile > process-wide
         # active profile > shipped module defaults (profile absent).
         self._tuning = tuning if tuning is not None else get_active_profile()
-        # Policy resolution mirrors the threshold order: explicit
-        # argument > profile field > shipped default (LRU).
-        if mv_cache_policy is None and self._tuning is not None:
-            mv_cache_policy = self._tuning.mv_cache_policy
-        if mv_cache_policy is None:
-            mv_cache_policy = DEFAULT_POLICY
-        if mv_cache is not None:
-            # An injected (typically shared, e.g. the serve daemon's
-            # warm registry) cache wins over size/policy construction.
-            # Sharing is sound for the same reason persistence is: a
-            # match column is a pure function of (MV, block table), so
-            # a warmer cache can only skip kernel work, never change a
-            # priced result.
-            self._mv_cache = mv_cache
-        else:
-            self._mv_cache = (
-                MVMatchCache(mv_cache_size, policy=mv_cache_policy)
-                if mv_cache_size
-                else None
-            )
-        self._mv_cache_persist = bool(mv_cache_persist) and self._mv_cache is not None
-        self._mv_cache_dir = mv_cache_dir
-        self._table_digest_memo: str | None = None
-        self._mv_feedback = self._build_feedback(mv_feedback)
-        self._mv_rows_total = 0
-        self._mv_rows_unique = 0
-        self._count_lut: np.ndarray | None = None  # built on first dedup pass
         # The kernel choice; "auto" resolves lazily on the first batch
         # (the heuristic wants the generation size C), concrete names
         # resolve and prepare the block table right away.
@@ -521,29 +141,6 @@ class BatchCompressionRateFitness:
         if kernel != AUTO_KERNEL:
             self._resolve_kernel(n_genomes=1)
         self.evaluations = 0
-
-    def _build_feedback(
-        self, mv_feedback: bool | MVCacheFeedback | None
-    ) -> MVCacheFeedback | None:
-        """The runtime engagement monitor (``None`` when switched off).
-
-        Without a cache there is nothing to monitor; with one, the
-        default (``None``/``True``) attaches a monitor parameterized
-        by the tuning profile's ``mv_feedback_*`` fields (or the
-        monitor's own defaults when no profile is active).
-        """
-        if self._mv_cache is None or mv_feedback is False:
-            return None
-        if isinstance(mv_feedback, MVCacheFeedback):
-            return mv_feedback
-        profile = self._tuning
-        if profile is None:
-            return MVCacheFeedback()
-        return MVCacheFeedback(
-            min_hit_rate=profile.mv_feedback_min_hit_rate,
-            patience=profile.mv_feedback_patience,
-            reprobe_period=profile.mv_feedback_reprobe_period,
-        )
 
     def _resolve_kernel(self, n_genomes: int) -> CoveringKernel:
         if self._kernel is None:
@@ -556,49 +153,7 @@ class BatchCompressionRateFitness:
                 profile=self._tuning,
             )
             self._prepared = self._kernel.prepare(self._blocks)
-            # The resolved kernel name is part of the persisted-cache
-            # key (columns must replay against the same kernel family's
-            # table layout assumptions), so warm-up can only happen
-            # here — after "auto" has collapsed to a concrete kernel.
-            if self._mv_cache_persist:
-                self._load_persisted_cache()
         return self._kernel
-
-    def _table_digest(self) -> str:
-        if self._table_digest_memo is None:
-            self._table_digest_memo = block_table_digest(self._blocks)
-        return self._table_digest_memo
-
-    def _load_persisted_cache(self) -> None:
-        """Warm the MV cache from disk; any invalid file is a cold start."""
-        load_mv_cache(
-            self._mv_cache,
-            self._table_digest(),
-            self._kernel.name,
-            self._block_length,
-            column_width=-(-self._blocks.n_distinct // 8),
-            directory=self._mv_cache_dir,
-            warn=lambda message: warnings.warn(message, stacklevel=3),
-        )
-
-    def persist_mv_cache(self) -> Path | None:
-        """Save the warm MV cache to disk; the path written, or ``None``.
-
-        A no-op (``None``) when persistence is off, the cache is
-        disabled or empty, or no batch was ever priced (an unresolved
-        ``auto`` kernel has no cache key to save under).  Safe under
-        concurrent callers — the atomic rename publishes one complete
-        file and the last writer wins.
-        """
-        if not self._mv_cache_persist or self._kernel is None:
-            return None
-        return save_mv_cache(
-            self._mv_cache,
-            self._table_digest(),
-            self._kernel.name,
-            self._block_length,
-            directory=self._mv_cache_dir,
-        )
 
     @property
     def blocks(self) -> BlockSet:
@@ -616,45 +171,14 @@ class BatchCompressionRateFitness:
         return self._n_vectors * self._block_length
 
     @property
-    def mv_cache(self) -> MVMatchCache | None:
-        """The persistent match-column cache (``None`` when disabled)."""
-        return self._mv_cache
-
-    @property
-    def mv_feedback(self) -> MVCacheFeedback | None:
-        """The runtime engagement monitor (``None`` when switched off)."""
-        return self._mv_feedback
-
-    @property
     def tuning(self) -> TuningProfile | None:
         """The tuning profile resolved at construction (``None`` = defaults)."""
         return self._tuning
 
     @property
-    def mv_cache_stats(self) -> MVCacheStats:
-        """Dedup and cache effectiveness counters (all zero if disabled)."""
-        # `is None` checks, not truthiness: an *empty* cache is falsy
-        # (``__len__`` == 0) but must still report its policy.
-        cache = self._mv_cache
-        feedback = self._mv_feedback
-        if cache is None:
-            return MVCacheStats(
-                rows_total=self._mv_rows_total,
-                rows_unique=self._mv_rows_unique,
-                feedback=feedback.stats if feedback else None,
-            )
-        return MVCacheStats(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            size=len(cache),
-            capacity=cache.capacity,
-            rows_total=self._mv_rows_total,
-            rows_unique=self._mv_rows_unique,
-            policy=cache.policy_name,
-            warm_loaded=cache.warm_loaded,
-            feedback=feedback.stats if feedback else None,
-        )
+    def mv_cache_stats(self) -> _DedupRowCounts:
+        """Constant zero row counts, kept because perfbench/ reads them."""
+        return _NO_DEDUP
 
     def genome_masks_batch(
         self, genomes: np.ndarray
@@ -686,161 +210,6 @@ class BatchCompressionRateFitness:
             )
         return matrix
 
-    def _dedup_rows(
-        self, grid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unique MV word rows of a generation, plus the row → unique map.
-
-        Returns ``(unique_ones, unique_zeros, keys, inverse)``:
-        ``(U, W)`` word masks of the unique rows, the ``(U, …)`` key
-        array whose per-row ``tobytes()`` addresses the match cache,
-        and the ``(C, L)`` index of each MV row into the unique set.
-        When the fused ``[ones|zeros]`` representation fits one uint64
-        (``2K ≤ 64`` — includes the paper's K = 12) the dedup is a
-        numeric ``np.unique`` over scalar keys, ~30× faster at
-        generation sizes than the void-dtype row sort a multi-word
-        ``np.unique(axis=0)`` would run; wider rows fall back to a
-        lexsort-based row dedup.
-        """
-        n_genomes, n_vectors = grid.shape[:2]
-        n_rows = n_genomes * n_vectors
-        if 2 * self._block_length <= 64:
-            # One packing pass builds the fused [ones|zeros] key
-            # directly; the word masks are recovered for the (few)
-            # cache misses by shift/mask.
-            fused_bits = np.concatenate([grid == ONE, grid == ZERO], axis=2)
-            fused = pack_bits_to_words(fused_bits)[..., 0].reshape(n_rows)
-            unique_fused, inverse = np.unique(fused, return_inverse=True)
-            shift = np.uint64(self._block_length)
-            mask = np.uint64((1 << self._block_length) - 1)
-            unique_ones = (unique_fused >> shift)[:, None]
-            unique_zeros = (unique_fused & mask)[:, None]
-            keys = unique_fused.tolist()  # plain ints: cheap dict keys
-        else:
-            ones_words = pack_bits_to_words(grid == ONE)  # (C, L, W)
-            zeros_words = pack_bits_to_words(grid == ZERO)
-            word_count = ones_words.shape[-1]
-            flat_ones = ones_words.reshape(n_rows, word_count)
-            flat_zeros = zeros_words.reshape(n_rows, word_count)
-            rows = np.concatenate([flat_ones, flat_zeros], axis=1)
-            order = np.lexsort(rows.T[::-1])
-            sorted_rows = rows[order]
-            new_group = np.empty(n_rows, dtype=bool)
-            new_group[0] = True
-            np.any(
-                sorted_rows[1:] != sorted_rows[:-1], axis=1, out=new_group[1:]
-            )
-            inverse = np.empty(n_rows, dtype=np.int64)
-            inverse[order] = np.cumsum(new_group) - 1
-            unique_rows = sorted_rows[new_group]  # (U, 2W)
-            unique_ones = unique_rows[:, :word_count]
-            unique_zeros = unique_rows[:, word_count:]
-            keys = [row.tobytes() for row in unique_rows]
-        return (
-            unique_ones,
-            unique_zeros,
-            keys,
-            inverse.reshape(n_genomes, n_vectors),
-        )
-
-    def _cover_deduped(
-        self,
-        grid: np.ndarray,
-        orders: np.ndarray,
-        kernel: CoveringKernel,
-        clock: _StageClock | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies and uncovered counts via the unique-MV path.
-
-        Reshapes the generation into ``C·L`` packed MV word rows,
-        dedups them, asks the kernel for match columns only on the
-        cache-miss set, and reassembles per-genome coverings from the
-        bit-packed columns (:func:`~repro.core.kernels.cover_packed_columns`).
-        Bit-identical to the fused ``cover_grid`` path because a match
-        column depends only on (MV, block table).
-        """
-        unique_ones, unique_zeros, keys, inverse = self._dedup_rows(grid)
-        n_unique = len(keys)
-        self._mv_rows_total += inverse.size
-        self._mv_rows_unique += n_unique
-        if clock:
-            clock.mark("pack")
-
-        cache = self._mv_cache
-        packed_width = -(-self._blocks.n_distinct // 8)
-        packed_columns = np.empty((n_unique, packed_width), dtype=np.uint8)
-        # fetch() is one atomic lookup + gather: safe when the cache is
-        # shared across threads (a concurrent insert can recycle slots
-        # between a split lookup/columns_at pair).
-        hit, hit_columns = cache.fetch(keys)
-        if hit_columns is not None:
-            packed_columns[hit] = hit_columns
-        if not hit.all():
-            miss = np.flatnonzero(~hit)
-            columns = kernel.match_columns(
-                self._prepared, unique_ones[miss], unique_zeros[miss]
-            )
-            fresh = pack_match_columns(columns)
-            packed_columns[miss] = fresh
-            cache.insert([keys[index] for index in miss], fresh)
-        if self._mv_feedback is not None:
-            # This batch's own hit/miss counts are the monitor's signal
-            # (counted from the fetch itself, not global counter deltas,
-            # which concurrent sharers would pollute).
-            n_hits = int(hit.sum())
-            self._mv_feedback.observe(n_hits, len(keys) - n_hits)
-        if clock:
-            clock.mark("match")
-
-        if self._count_lut is None:
-            self._count_lut = build_count_lut(self._blocks.counts)
-        ordered_mv_index = np.take_along_axis(inverse, orders, axis=1)
-        _, frequencies, uncovered = cover_packed_columns(
-            self._prepared,
-            packed_columns,
-            ordered_mv_index,
-            orders,
-            want_assignment=False,
-            count_lut=self._count_lut,
-        )
-        if clock:
-            clock.mark("cover")
-        return frequencies, uncovered
-
-    def _dedup_engages(self, n_genomes: int) -> bool:
-        """Whether this batch takes the unique-MV dedup path.
-
-        Two gates compose (both semantically inert — either path is
-        bit-identical): the *static* shape decision — the tuning
-        profile's ``mv_dedup_min_*`` thresholds, or the module-default
-        constants when no profile is active — and the *runtime*
-        feedback monitor, which can veto a shape-engaged batch after
-        observing sustained below-break-even hit rates and counts the
-        vetoed batch toward its next re-probe.
-        """
-        if self._mv_cache is None:
-            return False
-        profile = self._tuning
-        if profile is None:
-            min_genomes = _MV_DEDUP_MIN_GENOMES
-            min_table = _MV_DEDUP_MIN_TABLE
-            min_distinct = _MV_DEDUP_MIN_DISTINCT
-        else:
-            min_genomes = profile.mv_dedup_min_genomes
-            min_table = profile.mv_dedup_min_table
-            min_distinct = profile.mv_dedup_min_distinct
-        n_distinct = self._blocks.n_distinct
-        if not (
-            (n_genomes >= min_genomes and n_distinct >= min_table)
-            or n_distinct >= min_distinct
-        ):
-            return False
-        feedback = self._mv_feedback
-        if feedback is not None and not feedback.engaged:
-            feedback.tick_fused()
-            return False
-        return True
-
     def _cover_generation(
         self, matrix: np.ndarray, clock: _StageClock | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -856,26 +225,20 @@ class BatchCompressionRateFitness:
         n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
         orders = np.argsort(n_unspecified, axis=1, kind="stable")
         kernel = self._resolve_kernel(n_genomes)
-        if self._dedup_engages(n_genomes):
-            frequencies, uncovered = self._cover_deduped(
-                grid, orders, kernel, clock
-            )
-        else:
-            # The covering kernel consumes the trit grid with the L
-            # axis pre-permuted into covering order; each kernel
-            # converts to its native representation (float bit rows,
-            # uint64 word lanes).
-            ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
-            if clock:
-                clock.mark("pack")
-            _, frequencies, uncovered = kernel.cover_grid(
-                self._prepared,
-                ordered_grid,
-                orders,
-                want_assignment=False,
-            )
-            if clock:
-                clock.mark("cover")
+        # The covering kernel consumes the trit grid with the L axis
+        # pre-permuted into covering order; each kernel converts to its
+        # native representation (float bit rows, uint64 word lanes).
+        ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
+        if clock:
+            clock.mark("pack")
+        _, frequencies, uncovered = kernel.cover_grid(
+            self._prepared,
+            ordered_grid,
+            orders,
+            want_assignment=False,
+        )
+        if clock:
+            clock.mark("cover")
         return frequencies, uncovered, n_unspecified
 
     def evaluate_batch(
@@ -886,9 +249,8 @@ class BatchCompressionRateFitness:
         Rows whose MVs cannot cover every input block come back as
         ``invalid_fitness``.  Identical, element for element, to
         calling the single-genome path on each row.  ``timings``, if a
-        dict, accumulates per-stage wall seconds (``pack`` / ``match``
-        / ``cover`` / ``huffman``; the fused ``mv_cache_size=0`` path
-        reports its combined kernel pass under ``cover``).
+        dict, accumulates per-stage wall seconds (``pack`` / ``cover``
+        / ``huffman``).
         """
         matrix = self._genome_matrix(genomes)
         n_genomes = matrix.shape[0]
@@ -928,9 +290,9 @@ class BatchCompressionRateFitness:
 
         The multi-objective adapter: ONE covering pass (the same shared
         :meth:`_cover_generation` front half as :meth:`evaluate_batch`,
-        so the MV cache, dedup path and kernels amortize across
-        objectives), then vectorized decoder-model columns from the
-        batched Huffman length statistics.  Column order is
+        so the kernel pass amortizes across objectives), then vectorized
+        decoder-model columns from the batched Huffman length
+        statistics.  Column order is
         :data:`OBJECTIVE_COLUMNS`; the rate column is bit-identical to
         :meth:`evaluate_batch` on the same rows.  Rows whose MVs cannot
         cover every block come back as ``(invalid_fitness, inf, inf)``.
@@ -1015,13 +377,7 @@ class CompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        mv_cache_size: int | None = DEFAULT_MV_CACHE_SIZE,
         tuning: TuningProfile | None = None,
-        mv_feedback: bool | MVCacheFeedback | None = None,
-        mv_cache_policy: str | None = None,
-        mv_cache_persist: bool = False,
-        mv_cache_dir: Path | None = None,
-        mv_cache: MVMatchCache | None = None,
     ) -> None:
         self._batch = BatchCompressionRateFitness(
             blocks,
@@ -1030,13 +386,7 @@ class CompressionRateFitness:
             strategy,
             invalid_fitness,
             kernel,
-            mv_cache_size,
             tuning,
-            mv_feedback,
-            mv_cache_policy=mv_cache_policy,
-            mv_cache_persist=mv_cache_persist,
-            mv_cache_dir=mv_cache_dir,
-            mv_cache=mv_cache,
         )
         self._n_vectors = n_vectors
         self._block_length = block_length
@@ -1056,15 +406,6 @@ class CompressionRateFitness:
     def kernel_name(self) -> str:
         """The resolved covering kernel's name (``auto`` if unresolved)."""
         return self._batch.kernel_name
-
-    @property
-    def mv_cache_stats(self) -> MVCacheStats:
-        """The underlying batch engine's MV-cache counters."""
-        return self._batch.mv_cache_stats
-
-    def persist_mv_cache(self) -> Path | None:
-        """Save the batch engine's warm MV cache (see the batch API)."""
-        return self._batch.persist_mv_cache()
 
     def genome_masks(
         self, genome: np.ndarray

@@ -39,11 +39,7 @@ from .base import (
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
-    build_count_lut,
-    cover_from_match_columns,
-    cover_packed_columns,
     first_match_rank,
-    pack_match_columns,
     rank_word_bits,
 )
 from .bitpack import BitpackKernel
@@ -64,16 +60,12 @@ __all__ = [
     "ScalarKernel",
     "accumulate_complete_rows",
     "available_kernels",
-    "build_count_lut",
     "cover_bits_batch",
-    "cover_from_match_columns",
     "cover_masks",
-    "cover_packed_columns",
     "first_match_rank",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
-    "pack_match_columns",
     "rank_word_bits",
     "register_kernel",
     "resolve_kernel",

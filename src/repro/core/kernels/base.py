@@ -31,15 +31,9 @@ input encoding:
   from the EA genome matrix (the fitness hot path; kernels may
   override to skip the intermediate word packing).
 
-Beyond the fused entry points, every kernel also answers the *factored*
-question through :meth:`match_columns`: for ``M`` standalone MVs, which
-distinct blocks does each match?  The match column of an MV depends
-only on (MV, block table) — never on its neighbors or its priority
-position — so the batched fitness dedups a generation down to its
-unique MV rows, asks the kernel for the missing columns only, and
-reassembles per-genome coverings with :func:`cover_from_match_columns`
-(the shared gather + first-match helper).  Both decompositions return
-bit-identical results.
+:meth:`match_columns` answers a standalone question — for ``M``
+individual MVs, which distinct blocks does each match? — with the
+generic word-mask test.  The fitness never calls it.
 """
 
 from __future__ import annotations
@@ -61,31 +55,9 @@ __all__ = [
     "CoveringKernel",
     "PreparedBlocks",
     "accumulate_complete_rows",
-    "build_count_lut",
-    "cover_from_match_columns",
-    "cover_packed_columns",
     "first_match_rank",
-    "pack_match_columns",
     "rank_word_bits",
 ]
-
-# Per-chunk bound on the (chunk, D) match-column tensors computed by
-# `match_columns` implementations.
-_COLUMN_TENSOR_ELEMENTS = 1 << 20
-
-# Below this many MV rows, match_columns skips the backend's native
-# representation (lane packing / float unpacking fixed costs) and runs
-# the generic word-mask test.
-_SMALL_MATCH_ROWS = 16
-
-# Strategy cutover for cover_packed_columns: generations whose
-# (C, D, Lp) boolean match tensor fits under this many elements
-# reassemble by one unpack + gather + first-match (few numpy calls —
-# the EA's C=5 offspring batches live here); bigger generations run
-# the packed L-rank loop, which streams 8× less data but pays ~L
-# dispatch rounds.
-_GATHER_TENSOR_ELEMENTS = 1 << 22
-
 
 @dataclass(frozen=True)
 class PreparedBlocks:
@@ -149,221 +121,6 @@ def first_match_rank(matches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank = np.where(fresh, word_rank, rank)
         hit |= fresh
     return rank, hit
-
-
-def pack_match_columns(match_matrix: np.ndarray) -> np.ndarray:
-    """Bit-pack ``(M, D)`` bool match columns along D (little-endian).
-
-    The ⌈D/8⌉-byte rows are the storage format of the MV match cache
-    and the input format of :func:`cover_packed_columns` — 8× smaller
-    than bool columns, which is what keeps gathering a generation's
-    columns cheaper than recomputing them.
-    """
-    return np.packbits(match_matrix, axis=-1, bitorder="little")
-
-
-def build_count_lut(counts: np.ndarray) -> np.ndarray:
-    """Per-byte weighted-popcount table for packed match columns.
-
-    ``lut[p, v]`` is the total multiplicity of the blocks whose bits
-    are set in byte value ``v`` at byte slot ``p`` of a packed column
-    — so the covered weight of a ``(C, ⌈D/8⌉)`` packed row batch is
-    one fancy gather plus a row sum, no unpacking.  Exact: float64
-    sums of integer counts, far below 2**53.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    n_distinct = counts.shape[0]
-    packed_width = -(-n_distinct // 8)
-    padded = np.zeros(packed_width * 8, dtype=np.float64)
-    padded[:n_distinct] = counts
-    byte_bits = np.unpackbits(
-        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-    ).astype(np.float64)  # (256, 8)
-    return padded.reshape(packed_width, 8) @ byte_bits.T  # (P, 256)
-
-
-def cover_packed_columns(
-    prepared: PreparedBlocks,
-    packed_columns: np.ndarray,
-    ordered_mv_index: np.ndarray,
-    orders: np.ndarray,
-    want_assignment: bool = False,
-    count_lut: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reassemble per-genome coverings from bit-packed match columns.
-
-    The factored counterpart of the fused ``cover_*`` entry points:
-    ``packed_columns`` is ``(M, ⌈D/8⌉)`` uint8 — row ``m`` is MV
-    ``m``'s match column over the distinct-block table, packed by
-    :func:`pack_match_columns` (typically the *unique* MVs of a
-    generation, straight from :meth:`CoveringKernel.match_columns` or
-    an :class:`~repro.core.fitness.MVMatchCache`).  ``ordered_mv_index``
-    is ``(C, L)`` int — each genome's MVs as rows of
-    ``packed_columns``, already permuted into covering order — and
-    ``orders`` maps covering rank back to declaration-order MV
-    indices, exactly as in :meth:`CoveringKernel.cover_ordered_words`.
-
-    Two reassembly strategies share the contract, picked by tensor
-    size: small generations (the EA's C=5 offspring batches) unpack
-    the needed columns, gather a ``(C, D, Lp)`` boolean match tensor
-    and extract first matches with :func:`first_match_rank` — a
-    handful of numpy calls; large generations run ``L`` vectorized
-    rank steps over the packed D axis (``newly = column & remaining``
-    with claimed weight from the :func:`build_count_lut` table),
-    streaming 8× less data than boolean matches.  Because an MV's
-    match column cannot depend on its neighbors, both are
-    bit-identical to any fused kernel on the same inputs (pinned by
-    the factored-parity property suite), including the early-exit
-    convention for incomplete genomes.
-    """
-    n_genomes, n_vectors = ordered_mv_index.shape
-    n_distinct = prepared.n_distinct
-    assignment = np.full((n_genomes, n_distinct), -1, dtype=np.int64)
-    frequencies = np.zeros((n_genomes, n_vectors), dtype=np.int64)
-    uncovered = np.zeros(n_genomes, dtype=np.int64)
-    if n_distinct == 0 or n_genomes == 0:
-        return assignment, frequencies, uncovered
-    padded_vectors = rank_word_bits(n_vectors)
-    if n_genomes * n_distinct * padded_vectors <= _GATHER_TENSOR_ELEMENTS:
-        _cover_packed_gather(
-            prepared,
-            packed_columns,
-            ordered_mv_index,
-            orders,
-            want_assignment,
-            assignment,
-            frequencies,
-            uncovered,
-        )
-    else:
-        _cover_packed_rank_loop(
-            prepared,
-            packed_columns,
-            ordered_mv_index,
-            orders,
-            want_assignment,
-            count_lut,
-            assignment,
-            frequencies,
-            uncovered,
-        )
-    return assignment, frequencies, uncovered
-
-
-def _cover_packed_gather(
-    prepared: PreparedBlocks,
-    packed_columns: np.ndarray,
-    ordered_mv_index: np.ndarray,
-    orders: np.ndarray,
-    want_assignment: bool,
-    assignment: np.ndarray,
-    frequencies: np.ndarray,
-    uncovered: np.ndarray,
-) -> None:
-    """Small-generation strategy: unpack, gather, first-match."""
-    n_genomes, n_vectors = ordered_mv_index.shape
-    n_distinct = prepared.n_distinct
-    columns = np.unpackbits(
-        packed_columns, axis=1, count=n_distinct, bitorder="little"
-    ).view(bool)  # (U, D)
-    matches = np.zeros(
-        (n_genomes, n_distinct, rank_word_bits(n_vectors)), dtype=bool
-    )
-    # Gather each genome's L match columns; the padding columns stay
-    # False so packed rank words never see a phantom MV.
-    gathered = columns[ordered_mv_index]  # (C, L, D)
-    matches[:, :, :n_vectors] = gathered.transpose(0, 2, 1)
-    rank, hit = first_match_rank(matches)
-    covered_weight = hit @ prepared.counts_f  # exact integer float64
-    uncovered[:] = prepared.total_count - covered_weight.astype(np.int64)
-    complete = np.flatnonzero(uncovered == 0)
-    if complete.size:
-        accumulate_complete_rows(
-            assignment,
-            frequencies,
-            0,
-            complete,
-            rank[complete],
-            orders,
-            prepared.counts,
-            want_assignment,
-        )
-
-
-def _cover_packed_rank_loop(
-    prepared: PreparedBlocks,
-    packed_columns: np.ndarray,
-    ordered_mv_index: np.ndarray,
-    orders: np.ndarray,
-    want_assignment: bool,
-    count_lut: np.ndarray | None,
-    assignment: np.ndarray,
-    frequencies: np.ndarray,
-    uncovered: np.ndarray,
-) -> None:
-    """Large-generation strategy: L rank steps over the packed D axis."""
-    n_genomes, n_vectors = ordered_mv_index.shape
-    n_distinct = prepared.n_distinct
-    if count_lut is None:
-        count_lut = build_count_lut(prepared.counts)
-    packed_width = packed_columns.shape[1]
-    slot = np.arange(packed_width)
-    # Blocks not yet covered, packed along D; padding bits start clear
-    # so they can never contribute weight or phantom coverage.
-    full = np.packbits(np.ones(n_distinct, dtype=bool), bitorder="little")
-    remaining = np.broadcast_to(full, (n_genomes, packed_width)).copy()
-    rank_frequencies = np.zeros((n_genomes, n_vectors), dtype=np.float64)
-    rank_assignment = None
-    if want_assignment:
-        rank_assignment = np.full((n_genomes, n_distinct), -1, dtype=np.int64)
-    for rank in range(n_vectors):
-        gathered = packed_columns[ordered_mv_index[:, rank]]  # (C, P)
-        newly = gathered & remaining
-        rank_frequencies[:, rank] = count_lut[slot, newly].sum(axis=1)
-        if want_assignment:
-            claimed = np.unpackbits(
-                newly, axis=1, count=n_distinct, bitorder="little"
-            ).view(bool)
-            mv_of_rank = np.broadcast_to(
-                orders[:, rank, None], claimed.shape
-            )
-            rank_assignment[claimed] = mv_of_rank[claimed]
-        remaining &= ~newly
-        if not remaining.any():
-            break  # every block of every genome covered; rest claim 0
-    uncovered[:] = count_lut[slot, remaining].sum(axis=1).astype(np.int64)
-    complete_rows = np.flatnonzero(uncovered == 0)
-    if complete_rows.size:
-        # Map covering rank back to declaration-order MV indices; the
-        # early-exit contract leaves incomplete genomes all-zero/-1.
-        frequencies[complete_rows[:, None], orders[complete_rows]] = (
-            rank_frequencies[complete_rows].astype(np.int64)
-        )
-        if want_assignment:
-            assignment[complete_rows] = rank_assignment[complete_rows]
-
-
-def cover_from_match_columns(
-    prepared: PreparedBlocks,
-    match_matrix: np.ndarray,
-    ordered_mv_index: np.ndarray,
-    orders: np.ndarray,
-    want_assignment: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`cover_packed_columns` over plain ``(M, D)`` bool columns.
-
-    Convenience wrapper for callers holding unpacked match columns
-    (e.g. straight from :meth:`CoveringKernel.match_columns`); the hot
-    fitness path keeps its columns packed end to end and calls
-    :func:`cover_packed_columns` directly.
-    """
-    return cover_packed_columns(
-        prepared,
-        pack_match_columns(np.asarray(match_matrix, dtype=bool)),
-        ordered_mv_index,
-        orders,
-        want_assignment=want_assignment,
-    )
 
 
 def accumulate_complete_rows(
@@ -518,8 +275,9 @@ class CoveringKernel(abc.ABC):
             want_assignment=want_assignment,
         )
 
-    # -- factored entry point (unique-MV dedup path) ------------------
+    # -- standalone match test ----------------------------------------
 
+    # Inert in src/: kept because perfbench/ wraps this attribute.
     def match_columns(
         self,
         prepared: PreparedBlocks,
@@ -531,55 +289,17 @@ class CoveringKernel(abc.ABC):
         ``mv_ones``/``mv_zeros`` are ``(M,)`` flat or ``(M, W)`` word
         masks of ``M`` individual MVs — no genome structure, no
         covering order.  Row ``m`` says which distinct blocks MV ``m``
-        matches; it depends only on (MV, block table), which is what
-        lets the batched fitness dedup and cache columns across
-        genomes and generations.  Work is chunked over MVs so each
-        ``(chunk, D)`` conflict tensor stays cache-resident; tiny row
-        sets (a converged generation's few cache misses) skip the
-        backend's native representation — its conversion overhead
-        outweighs any throughput edge there — and run the generic
-        word-mask test directly.
+        matches, by the reference word-mask test
+        ``(b₁ & mvᴢ) | (b₀ & mv₁) == 0`` — correct for every kernel
+        because :class:`PreparedBlocks` always carries the canonical
+        word masks.
         """
         mv_ones = masks_as_words(mv_ones)
         mv_zeros = masks_as_words(mv_zeros)
-        n_rows = mv_ones.shape[0]
-        n_distinct = prepared.n_distinct
-        out = np.empty((n_rows, n_distinct), dtype=bool)
-        if n_rows == 0 or n_distinct == 0:
-            return out
-        if n_rows <= _SMALL_MATCH_ROWS:
-            out[:] = CoveringKernel._match_columns_chunk(
-                self, prepared, mv_ones, mv_zeros
-            )
-            return out
-        chunk = max(1, _COLUMN_TENSOR_ELEMENTS // n_distinct)
-        for start in range(0, n_rows, chunk):
-            stop = min(start + chunk, n_rows)
-            out[start:stop] = self._match_columns_chunk(
-                prepared, mv_ones[start:stop], mv_zeros[start:stop]
-            )
-        return out
-
-    def _match_columns_chunk(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-    ) -> np.ndarray:
-        """One ``(chunk, D)`` bool slab of :meth:`match_columns`.
-
-        The default runs the reference word-mask test
-        ``(b₁ & mvᴢ) | (b₀ & mv₁) == 0`` vectorized over the chunk —
-        correct for every kernel because :class:`PreparedBlocks`
-        always carries the canonical word masks; gemm and bitpack
-        override with their native representations.
-        """
         ones_words = prepared.ones_words
         zeros_words = prepared.zeros_words
-        conflict = (mv_zeros[:, None, 0] & ones_words[None, :, 0]) | (
-            mv_ones[:, None, 0] & zeros_words[None, :, 0]
-        )
-        for word in range(1, ones_words.shape[1]):
+        conflict = np.zeros((mv_ones.shape[0], prepared.n_distinct), np.uint64)
+        for word in range(ones_words.shape[1]):
             conflict |= (mv_zeros[:, None, word] & ones_words[None, :, word]) | (
                 mv_ones[:, None, word] & zeros_words[None, :, word]
             )

@@ -176,30 +176,6 @@ class BitpackKernel(CoveringKernel):
         )
         return _pack_lanes(bits)
 
-    # -- factored entry point -----------------------------------------
-
-    def _match_columns_chunk(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-    ) -> np.ndarray:
-        """Fused-lane match test for standalone MVs: one AND per pair."""
-        block_length = prepared.block_length
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(mv_zeros, block_length),
-                unpack_words_to_bits(mv_ones, block_length),
-            ],
-            axis=1,
-        )
-        mv_lanes = _pack_lanes(bits)  # (M, LW)
-        block_lanes = prepared.block_lanes
-        conflict = mv_lanes[:, None, 0] & block_lanes[None, :, 0]
-        for word in range(1, block_lanes.shape[-1]):
-            conflict |= mv_lanes[:, None, word] & block_lanes[None, :, word]
-        return conflict == 0
-
     # -- covering core ------------------------------------------------
 
     def _shard_slices(self, n_distinct, span, n_vectors, itemsize):

@@ -29,10 +29,10 @@ and warm-loads it — compile-once across any number of worker
 processes.  The compiled artifact is published with ``os.replace`` so
 a reader can never observe a half-written library.
 
-The failure contract mirrors the MV cache's: a missing compiler, a
-failed compile or an unloadable library raises
-:class:`NativeBuildError` (or, for a *cached* corrupt ``.so``,
-discards the file with a warning and rebuilds once) — the registry
+The failure contract: a missing compiler, a failed compile or an
+unloadable library raises :class:`NativeBuildError` (or, for a
+*cached* corrupt ``.so``, discards the file with a warning and
+rebuilds once) — the registry
 turns that into "``native`` unavailable" so ``auto`` never selects it.
 A missing toolchain can cost speed, never a run.
 """
@@ -289,9 +289,8 @@ def load_native_library(
     Every symbol in ``symbols`` must resolve.  A *cached* library that
     fails to load or lacks a symbol — truncated file, foreign
     architecture, stale ABI — is discarded with a ``warn`` message and
-    rebuilt once, mirroring the MV cache's failure contract: a corrupt
-    cache costs a cold start, never a wrong result.  A freshly built
-    library that fails the same checks raises
+    rebuilt once: a corrupt cache costs a cold start, never a wrong
+    result.  A freshly built library that fails the same checks raises
     :class:`NativeBuildError`.
     """
     if warn is None:

@@ -150,28 +150,6 @@ class GemmKernel(CoveringKernel):
         )
         return _GemmPrepared(**vars(base), block_bits=block_bits)
 
-    def _match_columns_chunk(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-    ) -> np.ndarray:
-        """Per-MV conflict counts from one BLAS product; zero ⇔ match."""
-        block_length = prepared.block_length
-        mv_bits = np.concatenate(
-            [
-                unpack_words_to_bits(mv_zeros, block_length).astype(
-                    np.float32
-                ),
-                unpack_words_to_bits(mv_ones, block_length).astype(
-                    np.float32
-                ),
-            ],
-            axis=1,
-        )  # (M, 2K) [mvᴢ|mv₁]
-        conflicts = mv_bits @ prepared.block_bits.T  # (M, D) GEMM
-        return conflicts == 0
-
     def cover_ordered_words(
         self,
         prepared: PreparedBlocks,

@@ -24,7 +24,11 @@ type; see ``docs/native-kernel.md`` for the full contract).  The
 optional OpenMP ``parallel for`` fans the D axis out across threads —
 the per-block results (rank, covered weight) are independent, and the
 weight reduction is an integer sum, so thread count can never move a
-result, only the wall clock.
+result, only the wall clock.  GNU libgomp is not fork-safe: once a
+parent has run a parallel region, a forked child's first region waits
+forever for pool threads the fork did not copy.  An at-fork hook
+therefore drops every forked child (e.g. a ``ProcessBackend`` worker)
+to one OpenMP thread.
 
 Results are assembled from the C core's ``(first_rank, covered)``
 through the same :func:`~repro.core.kernels.base.accumulate_complete_rows`
@@ -69,7 +73,7 @@ __all__ = [
 # core (same budget as the array kernels' chunking).
 _CHUNK_TENSOR_ELEMENTS = 1 << 20
 
-# The C ABI: one source, two entry points, one version probe.  Masks
+# The C ABI: one source, one entry point, one version probe.  Masks
 # are little-endian uint64 word lanes exactly as numpy packs them
 # (repro.core.blocks.pack_bits_to_words); all scalars are int64 so the
 # ctypes signatures cannot truncate a large table.  `first_rank`
@@ -80,7 +84,7 @@ _CHUNK_TENSOR_ELEMENTS = 1 << 20
 NATIVE_C_SOURCE = r"""
 #include <stdint.h>
 
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 
 int64_t repro_native_abi_version(void) { return REPRO_NATIVE_ABI; }
 
@@ -160,41 +164,10 @@ void repro_cover(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
         covered[c] = weight;
     }
 }
-
-void repro_match(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
-                 const uint64_t *mv_lanes,     /* M x W fused [mvZ|mv1] */
-                 int64_t n_rows,
-                 int64_t n_distinct,
-                 int64_t lane_words,
-                 uint8_t *out)                 /* M x D; 1 = match */
-{
-    if (lane_words == 1) {
-        #pragma omp parallel for schedule(static)
-        for (int64_t m = 0; m < n_rows; ++m) {
-            const uint64_t mv = mv_lanes[m];
-            uint8_t *row = out + m * n_distinct;
-            for (int64_t d = 0; d < n_distinct; ++d)
-                row[d] = (uint8_t)((block_lanes[d] & mv) == 0);
-        }
-        return;
-    }
-    #pragma omp parallel for schedule(static)
-    for (int64_t m = 0; m < n_rows; ++m) {
-        const uint64_t *mv = mv_lanes + m * lane_words;
-        uint8_t *row = out + m * n_distinct;
-        for (int64_t d = 0; d < n_distinct; ++d) {
-            const uint64_t *block = block_lanes + d * lane_words;
-            int conflict = 0;
-            for (int64_t w = 0; w < lane_words; ++w)
-                conflict += __builtin_popcountll(block[w] & mv[w]);
-            row[d] = (uint8_t)(conflict == 0);
-        }
-    }
-}
 """
 
-_SYMBOLS = ("repro_native_abi_version", "repro_cover", "repro_match")
-_ABI_VERSION = 1
+_SYMBOLS = ("repro_native_abi_version", "repro_cover")
+_ABI_VERSION = 2
 
 # Process-wide load state: (library or None, unavailability reason).
 # One attempt per process — a compile failure is not going to heal
@@ -225,7 +198,6 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                     f"ABI version {abi}, this build expects {_ABI_VERSION}"
                 )
             library.repro_cover.restype = None
-            library.repro_match.restype = None
             _LOADED = (library, None)
         except NativeBuildError as error:
             _LOADED = (None, str(error))
@@ -238,6 +210,17 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                     file=sys.stderr,
                 )
     return _LOADED
+
+
+def _single_thread_after_fork() -> None:
+    """Run a forked child's OpenMP regions on one thread (no hang)."""
+    library = _LOADED[0] if _LOADED is not None else None
+    set_threads = getattr(library, "omp_set_num_threads", None)
+    if set_threads is not None:
+        set_threads(1)
+
+
+os.register_at_fork(after_in_child=_single_thread_after_fork)
 
 
 def native_status() -> tuple[bool, str | None]:
@@ -463,35 +446,3 @@ class NativeKernel(CoveringKernel):
             np.atleast_2d(np.asarray(orders, dtype=np.int64)),
             want_assignment,
         )
-
-    # -- factored entry point -----------------------------------------
-
-    def _match_columns_chunk(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-    ) -> np.ndarray:
-        """Fused-lane match columns via the C loop: one call per chunk."""
-        block_length = prepared.block_length
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(mv_zeros, block_length),
-                unpack_words_to_bits(mv_ones, block_length),
-            ],
-            axis=1,
-        )
-        mv_lanes = np.ascontiguousarray(pack_bits_to_words(bits))
-        block_lanes = np.ascontiguousarray(prepared.block_lanes)
-        n_rows = mv_lanes.shape[0]
-        n_distinct = prepared.n_distinct
-        out = np.empty((n_rows, n_distinct), dtype=np.uint8)
-        self._library.repro_match(
-            _as_uint64_pointer(block_lanes),
-            _as_uint64_pointer(mv_lanes),
-            ctypes.c_int64(n_rows),
-            ctypes.c_int64(n_distinct),
-            ctypes.c_int64(block_lanes.shape[-1]),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        )
-        return out.view(bool)

@@ -63,11 +63,7 @@ class ScalarKernel(CoveringKernel):
 
     Matches the batched kernels' early-exit contract: genomes with
     uncovered blocks report an exact ``uncovered`` count but all
-    ``-1`` assignment rows and zero frequencies.  The factored
-    :meth:`~CoveringKernel.match_columns` entry is served by the base
-    class's vectorized word-mask test, which is this loop's own match
-    expression applied one MV at a time — so the deduped fitness path
-    stays bit-identical to the reference here too.
+    ``-1`` assignment rows and zero frequencies.
     """
 
     name = "scalar"

@@ -38,7 +38,7 @@ from ..parallel import (
 from .blocks import BlockSet
 from .compressor import CompressedTestSet, compress_blocks
 from .config import CompressionConfig
-from .fitness import BatchCompressionRateFitness, MVMatchCache
+from .fitness import BatchCompressionRateFitness
 from .matching import MVSet
 from .nine_c import nine_c_mv_set
 from .trits import DC
@@ -140,21 +140,12 @@ def _seed_genomes(
     return [genome]
 
 
-def execute_run_task(
-    task: RunTask, mv_cache: "MVMatchCache | None" = None
-) -> RunOutcome:
+def execute_run_task(task: RunTask) -> RunOutcome:
     """Run one independent EA search — the backend work unit.
 
     Module-level (hence picklable for :class:`ProcessBackend`) and
     deterministic: the outcome depends only on the task's fields,
     never on global state, worker identity, or completion order.
-
-    ``mv_cache`` optionally injects a shared (thread-safe) match-column
-    cache instead of the per-run one the config would build — the serve
-    daemon's warm-state path.  Semantically inert: a warmer cache can
-    only skip kernel work, so the outcome is byte-identical with or
-    without it (thread backends only; a lock-bearing cache cannot
-    cross a process boundary).
     """
     config = task.config
     rng = np.random.default_rng(task.seed_sequence)
@@ -164,17 +155,10 @@ def execute_run_task(
         block_length=config.block_length,
         strategy=config.strategy,
         kernel=config.kernel,
-        mv_cache_size=config.mv_cache_size,
-        mv_cache=mv_cache,
         # The profile rides in the config so process workers (which
         # never inherit the CLI's process-wide active profile) tune
-        # identically to the serial path; likewise the cache policy
-        # and persistence flag, so a ProcessBackend run warms from and
-        # refreshes the same persisted caches as a serial one.
+        # identically to the serial path.
         tuning=config.tuning,
-        mv_feedback=config.mv_feedback,
-        mv_cache_policy=config.mv_cache_policy,
-        mv_cache_persist=config.mv_cache_persist,
     )
     engine = EvolutionaryEngine(
         fitness=fitness,
@@ -185,11 +169,6 @@ def execute_run_task(
         initial_genomes=_seed_genomes(config, rng),
     )
     result = engine.run()
-    if config.mv_cache_persist:
-        # Refresh the persisted cache with this run's warm state; the
-        # atomic rename makes concurrent runs of one sweep race
-        # harmlessly (last complete file wins, results unaffected).
-        fitness.persist_mv_cache()
     return RunOutcome(
         run_index=task.run_index,
         mv_set=MVSet.from_genome(result.best_genome, config.block_length),

@@ -35,17 +35,9 @@ re-pricing of duplicate offspring (common under copy/reproduce and
 late-run convergence); hits still count toward ``evaluations`` — the
 paper's "generated legal solutions" budget — so cached and uncached
 runs terminate identically, and the hit rate is reported on
-:class:`EAResult`.  Below the genome memo sits a second cache level
-inside the batched fitness itself: per-MV match columns, deduplicated
-within a generation and persisted across generations
-(:class:`repro.core.fitness.MVMatchCache`) — a genome that misses the
-memo usually still shares most of its L matching vectors with its
-parent, so the covering kernel prices only the genuinely new rows.
-The engine stays agnostic to both levels; it merely snapshots the MV
-counters per run and reports them on :class:`EAResult`.  Adaptive
-operator scheduling needs each child's fitness before choosing the
-next operator, so that mode evaluates incrementally (still through
-the caches).
+:class:`EAResult`.  Adaptive operator scheduling needs each child's
+fitness before choosing the next operator, so that mode evaluates
+incrementally (still through the memo).
 """
 
 from __future__ import annotations
@@ -106,19 +98,8 @@ class EAResult:
     ``evaluations`` counts every priced individual (the paper's
     "generated legal solutions"); ``cache_hits`` says how many of
     those were served from the genome memo cache instead of being
-    re-priced, and ``cache_hit_rate`` is their ratio.
-
-    ``mv_cache_hits``/``mv_cache_misses`` report the second cache
-    level below the genome memo: unique MV rows served from (vs priced
-    into) the fitness's persistent match-column cache
-    (:class:`repro.core.fitness.MVMatchCache`), counted over this run
-    only.  All zero when the fitness has no MV cache (plain callables,
-    ``mv_cache_size=0``).  ``mv_cache_warm_loaded`` counts entries the
-    fitness hydrated from a persisted cache file before its first
-    batch (0 on a cold start or with persistence off).
-
-    Every rate here is well-defined at zero activity: a run with no
-    lookups reports 0.0, never NaN.
+    re-priced, and ``cache_hit_rate`` is their ratio (0.0, never
+    NaN, for a run with no evaluations).
     """
 
     best_genome: np.ndarray = field(repr=False)
@@ -129,10 +110,9 @@ class EAResult:
     history: tuple[GenerationStats, ...] = field(repr=False)
     cache_hits: int = 0
     cache_hit_rate: float = 0.0
-    mv_cache_hits: int = 0
-    mv_cache_misses: int = 0
-    mv_cache_hit_rate: float = 0.0
-    mv_cache_warm_loaded: int = 0
+    # Inert class constants, not fields: perfbench/ still reads them.
+    mv_cache_hits = 0
+    mv_cache_misses = 0
 
 
 class EvolutionaryEngine:
@@ -382,25 +362,6 @@ class EvolutionaryEngine:
                 self._scheduler.reward(operator, child.fitness - parent_fitness)
         return children
 
-    def _mv_cache_counters(self) -> tuple[int, int]:
-        """(hits, misses) of the fitness's MV match-column cache.
-
-        The engine is fitness-agnostic: objects without
-        ``mv_cache_stats`` (plain callables, caches disabled) simply
-        report zeros.
-        """
-        stats = getattr(self._fitness, "mv_cache_stats", None)
-        if stats is None:
-            return 0, 0
-        return stats.hits, stats.misses
-
-    def _mv_cache_warm_loaded(self) -> int:
-        """Entries the fitness warm-loaded from a persisted MV cache."""
-        stats = getattr(self._fitness, "mv_cache_stats", None)
-        if stats is None:
-            return 0
-        return getattr(stats, "warm_loaded", 0)
-
     # -- main loop ----------------------------------------------------
 
     def _termination(self) -> AnyOf:
@@ -419,10 +380,6 @@ class EvolutionaryEngine:
         self._birth_counter = 0
         self._cache = OrderedDict()
         self._cache_hits = 0
-        # The MV cache lives on the fitness (it outlives the engine's
-        # per-run genome memo by design); snapshot its counters so the
-        # result reports this run's delta even if the fitness is reused.
-        mv_hits_before, mv_misses_before = self._mv_cache_counters()
         if self._params.adaptive_operators:
             self._scheduler = AdaptiveOperatorScheduler(
                 self._operator_weights()
@@ -466,10 +423,6 @@ class EvolutionaryEngine:
                 )
             )
         fired = termination.fired
-        mv_hits_after, mv_misses_after = self._mv_cache_counters()
-        mv_hits = mv_hits_after - mv_hits_before
-        mv_misses = mv_misses_after - mv_misses_before
-        mv_lookups = mv_hits + mv_misses
         return EAResult(
             best_genome=best.genome,
             best_fitness=best.fitness,
@@ -481,8 +434,4 @@ class EvolutionaryEngine:
             cache_hit_rate=(
                 self._cache_hits / self._evaluations if self._evaluations else 0.0
             ),
-            mv_cache_hits=mv_hits,
-            mv_cache_misses=mv_misses,
-            mv_cache_hit_rate=mv_hits / mv_lookups if mv_lookups else 0.0,
-            mv_cache_warm_loaded=self._mv_cache_warm_loaded(),
         )

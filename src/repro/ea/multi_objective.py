@@ -12,7 +12,7 @@ The engine is a selection layer on top of the existing
 generate-then-batch-evaluate loop: operators, genome memoization and
 the batched fitness pipeline (one covering pass per generation through
 :meth:`repro.core.fitness.BatchCompressionRateFitness.evaluate_objectives`,
-MV cache and kernels included) are reused unchanged, while survivor
+kernels included) are reused unchanged, while survivor
 and parent selection follow NSGA-II (Deb et al. 2002):
 
 * **fast non-dominated sort** partitions a pool into fronts — front 0
@@ -304,10 +304,6 @@ class MultiObjectiveResult:
     history: tuple[MOGenerationStats, ...] = field(repr=False)
     cache_hits: int = 0
     cache_hit_rate: float = 0.0
-    mv_cache_hits: int = 0
-    mv_cache_misses: int = 0
-    mv_cache_hit_rate: float = 0.0
-    mv_cache_warm_loaded: int = 0
 
 
 # -- the engine -------------------------------------------------------
@@ -587,18 +583,6 @@ class MultiObjectiveEngine:
 
     # -- reporting ----------------------------------------------------
 
-    def _mv_cache_counters(self) -> tuple[int, int]:
-        stats = getattr(self._fitness, "mv_cache_stats", None)
-        if stats is None:
-            return 0, 0
-        return stats.hits, stats.misses
-
-    def _mv_cache_warm_loaded(self) -> int:
-        stats = getattr(self._fitness, "mv_cache_stats", None)
-        if stats is None:
-            return 0
-        return getattr(stats, "warm_loaded", 0)
-
     def _front(self) -> tuple[ParetoPoint, ...]:
         """The archive as natural-value points, deterministically sorted."""
         ordered = sorted(
@@ -635,7 +619,6 @@ class MultiObjectiveEngine:
         self._cache = OrderedDict()
         self._cache_hits = 0
         self._archive = []
-        mv_hits_before, mv_misses_before = self._mv_cache_counters()
         genomes = [genome.copy() for genome in self._initial_genomes]
         while len(genomes) < self._params.population_size:
             genomes.append(
@@ -678,10 +661,6 @@ class MultiObjectiveEngine:
                 )
             )
         fired = termination.fired
-        mv_hits_after, mv_misses_after = self._mv_cache_counters()
-        mv_hits = mv_hits_after - mv_hits_before
-        mv_misses = mv_misses_after - mv_misses_before
-        mv_lookups = mv_hits + mv_misses
         return MultiObjectiveResult(
             objectives=self._objectives,
             front=self._front(),
@@ -693,8 +672,4 @@ class MultiObjectiveEngine:
             cache_hit_rate=(
                 self._cache_hits / self._evaluations if self._evaluations else 0.0
             ),
-            mv_cache_hits=mv_hits,
-            mv_cache_misses=mv_misses,
-            mv_cache_hit_rate=mv_hits / mv_lookups if mv_lookups else 0.0,
-            mv_cache_warm_loaded=self._mv_cache_warm_loaded(),
         )

@@ -30,7 +30,6 @@ from ..core.blocks import BlockSet
 from ..core.compressor import compress_blocks
 from ..core.config import CompressionConfig, EAParameters
 from ..core.encoding import EncodingStrategy
-from ..core.fitness import DEFAULT_MV_CACHE_SIZE
 from ..core.nine_c import DEFAULT_NINE_C_BLOCK_LENGTH, compress_nine_c
 from ..core.optimizer import EAMVOptimizer, OptimizationResult, execute_run_task
 from ..parallel import (
@@ -138,11 +137,7 @@ def kl_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -157,11 +152,7 @@ def kl_sweep(
                 n_vectors=n_vectors,
                 runs=runs,
                 kernel=kernel,
-                mv_cache_size=mv_cache_size,
-                mv_cache_policy=mv_cache_policy,
-                mv_cache_persist=mv_cache_persist,
                 tuning=tuning,
-                mv_feedback=mv_feedback,
                 ea=ea,
             ),
         )
@@ -183,11 +174,7 @@ def operator_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -220,10 +207,7 @@ def operator_sweep(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, mv_cache_size=mv_cache_size,
-                mv_cache_policy=mv_cache_policy,
-                mv_cache_persist=mv_cache_persist,
-                tuning=tuning, mv_feedback=mv_feedback, ea=ea,
+                kernel=kernel, tuning=tuning, ea=ea,
             ),
         )
         for label, ea in variants.items()
@@ -244,11 +228,7 @@ def seeding_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -260,10 +240,7 @@ def seeding_ablation(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, mv_cache_size=mv_cache_size,
-                mv_cache_policy=mv_cache_policy,
-                mv_cache_persist=mv_cache_persist,
-                tuning=tuning, mv_feedback=mv_feedback, ea=ea,
+                kernel=kernel, tuning=tuning, ea=ea,
             ),
         )
         for label, ea in (
@@ -287,11 +264,7 @@ def subsumption_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> list[AblationPoint]:
@@ -303,10 +276,7 @@ def subsumption_ablation(
     ea = EAParameters(stagnation_limit=30, max_evaluations=1200)
     config = CompressionConfig(
         block_length=block_length, n_vectors=n_vectors, runs=runs,
-        kernel=kernel, mv_cache_size=mv_cache_size,
-        mv_cache_policy=mv_cache_policy,
-        mv_cache_persist=mv_cache_persist,
-        tuning=tuning, mv_feedback=mv_feedback, ea=ea,
+        kernel=kernel, tuning=tuning, ea=ea,
     )
     blocks = test_set.blocks(block_length)
     result = EAMVOptimizer(config, seed=seed, backend=backend).optimize(
@@ -345,11 +315,7 @@ def decoder_cost_study(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Payload vs code-table cost for 9C and the EA decoder.
 
@@ -364,11 +330,7 @@ def decoder_cost_study(
         n_vectors=n_vectors,
         runs=1,
         kernel=kernel,
-        mv_cache_size=mv_cache_size,
-        mv_cache_policy=mv_cache_policy,
-        mv_cache_persist=mv_cache_persist,
         tuning=tuning,
-        mv_feedback=mv_feedback,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     blocks = test_set.blocks(block_length)

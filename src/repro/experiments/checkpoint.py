@@ -14,8 +14,8 @@ result and *nothing else*:
 
 * the semantic configuration — ``K``, ``L``, strategy, fill, run
   count and every EA parameter.  Performance-only knobs (kernel
-  choice, MV-cache size, tuning profile, feedback mode) are excluded:
-  they never change results, so a resume may legally switch them;
+  choice, tuning profile) are excluded: they never change results, so
+  a resume may legally switch them;
 * the run index and the task's ``SeedSequence`` ``(entropy,
   spawn_key)`` — the spawn key encodes the task's position in the
   seed spawn tree, so reshaping a sweep cannot produce false hits;
@@ -79,10 +79,10 @@ def default_checkpoint_root() -> Path:
 def _semantic_config(config: CompressionConfig) -> dict[str, Any]:
     """The config fields that determine results — and nothing else.
 
-    ``kernel``, ``mv_cache_size``, ``tuning`` and ``mv_feedback`` are
-    deliberately absent: every kernel and cache setting produces
-    bit-identical rates (the repo's parity tests pin this), so a
-    resumed run may switch them freely without invalidating work.
+    ``kernel`` and ``tuning`` are deliberately absent: every kernel and
+    tuning profile produces bit-identical rates (the repo's parity
+    tests pin this), so a resumed run may switch them freely without
+    invalidating work.
     """
     ea = config.ea
     return {
@@ -169,10 +169,6 @@ def encode_outcome(outcome: RunOutcome) -> dict[str, Any]:
             "terminated_by": str(ea.terminated_by),
             "cache_hits": int(ea.cache_hits),
             "cache_hit_rate": float(ea.cache_hit_rate),
-            "mv_cache_hits": int(ea.mv_cache_hits),
-            "mv_cache_misses": int(ea.mv_cache_misses),
-            "mv_cache_hit_rate": float(ea.mv_cache_hit_rate),
-            "mv_cache_warm_loaded": int(ea.mv_cache_warm_loaded),
         },
     }
 
@@ -184,6 +180,8 @@ def decode_outcome(record: dict[str, Any], task: RunTask) -> RunOutcome:
     same ``MVSet.from_genome`` call :func:`execute_run_task` uses, so
     downstream re-pricing (the full-set Huffman pass in the runner)
     sees bit-identical inputs.  ``history`` is intentionally empty.
+    Journals written before the MV cache was removed also carry
+    ``mv_cache_*`` keys; they are ignored.
     """
     genome = np.asarray(record["genome"], dtype=np.int8)
     ea = record["ea"]
@@ -196,12 +194,6 @@ def decode_outcome(record: dict[str, Any], task: RunTask) -> RunOutcome:
         history=(),
         cache_hits=int(ea["cache_hits"]),
         cache_hit_rate=float(ea["cache_hit_rate"]),
-        mv_cache_hits=int(ea["mv_cache_hits"]),
-        mv_cache_misses=int(ea["mv_cache_misses"]),
-        mv_cache_hit_rate=float(ea["mv_cache_hit_rate"]),
-        # .get: journals written before the warm-start field existed
-        # decode as cold starts.
-        mv_cache_warm_loaded=int(ea.get("mv_cache_warm_loaded", 0)),
     )
     return RunOutcome(
         run_index=int(record["run_index"]),

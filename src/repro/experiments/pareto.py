@@ -141,11 +141,7 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
         block_length=config.block_length,
         strategy=config.strategy,
         kernel=config.kernel,
-        mv_cache_size=config.mv_cache_size,
         tuning=config.tuning,
-        mv_feedback=config.mv_feedback,
-        mv_cache_policy=config.mv_cache_policy,
-        mv_cache_persist=config.mv_cache_persist,
     )
     engine = MultiObjectiveEngine(
         fitness=fitness,
@@ -156,10 +152,7 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
         repair=_PinAllU(config.block_length) if config.ea.include_all_u else None,
         initial_genomes=_seed_genomes(config, rng),
     )
-    result = engine.run()
-    if config.mv_cache_persist:
-        fitness.persist_mv_cache()
-    return ParetoRunOutcome(run_index=task.run_index, result=result)
+    return ParetoRunOutcome(run_index=task.run_index, result=engine.run())
 
 
 # -- checkpointing -----------------------------------------------------
@@ -205,10 +198,6 @@ def encode_pareto_outcome(outcome: ParetoRunOutcome) -> dict[str, Any]:
             "terminated_by": str(result.terminated_by),
             "cache_hits": int(result.cache_hits),
             "cache_hit_rate": float(result.cache_hit_rate),
-            "mv_cache_hits": int(result.mv_cache_hits),
-            "mv_cache_misses": int(result.mv_cache_misses),
-            "mv_cache_hit_rate": float(result.mv_cache_hit_rate),
-            "mv_cache_warm_loaded": int(result.mv_cache_warm_loaded),
         },
     }
 
@@ -216,7 +205,11 @@ def encode_pareto_outcome(outcome: ParetoRunOutcome) -> dict[str, Any]:
 def decode_pareto_outcome(
     record: dict[str, Any], task: ParetoRunTask
 ) -> ParetoRunOutcome:
-    """Rebuild the exact outcome a worker once returned (empty history)."""
+    """Rebuild the exact outcome a worker once returned (empty history).
+
+    Journals written before the MV cache was removed also carry
+    ``mv_cache_*`` keys; they are ignored.
+    """
     front = tuple(
         ParetoPoint(
             genome=np.asarray(entry["genome"], dtype=np.int8),
@@ -235,10 +228,6 @@ def decode_pareto_outcome(
         history=history,
         cache_hits=int(mo["cache_hits"]),
         cache_hit_rate=float(mo["cache_hit_rate"]),
-        mv_cache_hits=int(mo["mv_cache_hits"]),
-        mv_cache_misses=int(mo["mv_cache_misses"]),
-        mv_cache_hit_rate=float(mo["mv_cache_hit_rate"]),
-        mv_cache_warm_loaded=int(mo.get("mv_cache_warm_loaded", 0)),
     )
     return ParetoRunOutcome(run_index=int(record["run_index"]), result=result)
 

@@ -44,7 +44,6 @@ from ..core.blocks import BlockSet
 from ..core.compressor import compress_blocks
 from ..core.config import CompressionConfig, EAParameters
 from ..core.encoding import EncodingStrategy
-from ..core.fitness import DEFAULT_MV_CACHE_SIZE
 from ..core.nine_c import DEFAULT_NINE_C_BLOCK_LENGTH, compress_nine_c
 from ..core.optimizer import (
     EAMVOptimizer,
@@ -184,11 +183,7 @@ def _config_jobs(
     budget: ExperimentBudget,
     seed: int,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
 ) -> list[_EAConfigJob]:
     """Build self-seeded run tasks for every (label, K, L) of a row.
 
@@ -209,11 +204,7 @@ def _config_jobs(
             n_vectors=n_vectors,
             runs=budget.runs,
             kernel=kernel,
-            mv_cache_size=mv_cache_size,
-            mv_cache_policy=mv_cache_policy,
-            mv_cache_persist=mv_cache_persist,
             tuning=tuning,
-            mv_feedback=mv_feedback,
             ea=budget.ea_parameters(),
         )
         optimizer = EAMVOptimizer(config, seed=child)
@@ -299,11 +290,7 @@ def run_row(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -315,14 +302,9 @@ def run_row(
     EA2).  All EA runs of the row (including the EA-Best grid) fan out
     through ``backend``; results are independent of the backend and
     job count.  ``kernel`` names the covering kernel pricing every EA
-    fitness call and ``mv_cache_size`` bounds the per-run MV
-    match-column cache (0 disables it).  ``tuning`` pins a
-    machine-measured :class:`repro.tuning.TuningProfile` inside every
-    run's config (so process workers tune identically) and
-    ``mv_feedback`` forces the runtime MV-cache engagement monitor on
-    or off.  ``mv_cache_policy`` selects the cache's eviction policy
-    and ``mv_cache_persist`` warms every run from (and refreshes) the
-    persisted on-disk cache.  All of these price bit-identically, so
+    fitness call and ``tuning`` pins a machine-measured
+    :class:`repro.tuning.TuningProfile` inside every run's config (so
+    process workers tune identically).  Both price bit-identically, so
     the table is byte-identical under any choice.
 
     ``retry`` and ``timeout`` make the row's EA fan-out fault
@@ -364,8 +346,7 @@ def run_row(
 
     search_set = _subsample(test_set, budget.search_bit_cap, seed)
     jobs = _config_jobs(
-        search_set, configurations, budget, seed, kernel, mv_cache_size,
-        tuning, mv_feedback, mv_cache_policy, mv_cache_persist,
+        search_set, configurations, budget, seed, kernel, tuning
     )
     stats = FaultToleranceStats()
     cache = (

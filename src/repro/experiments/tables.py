@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.fitness import DEFAULT_MV_CACHE_SIZE
 from ..parallel import (
     ExecutionBackend,
     FaultToleranceStats,
@@ -123,11 +122,7 @@ def _build(
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None,
     kernel: str,
-    mv_cache_size: int,
     tuning: TuningProfile | None,
-    mv_feedback: bool | None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -164,11 +159,7 @@ def _build(
                 budget=budget,
                 seed=seed,
                 kernel=kernel,
-                mv_cache_size=mv_cache_size,
                 tuning=tuning,
-                mv_feedback=mv_feedback,
-                mv_cache_policy=mv_cache_policy,
-                mv_cache_persist=mv_cache_persist,
                 retry=retry,
                 timeout=timeout,
                 checkpoint=checkpoint,
@@ -184,10 +175,7 @@ def _build(
         for row in selected:
             result = run_row(
                 row, kind, budget=budget, seed=seed, backend=backend,
-                kernel=kernel, mv_cache_size=mv_cache_size,
-                tuning=tuning, mv_feedback=mv_feedback,
-                mv_cache_policy=mv_cache_policy,
-                mv_cache_persist=mv_cache_persist,
+                kernel=kernel, tuning=tuning,
                 retry=retry, timeout=timeout, checkpoint=checkpoint,
             )
             results.append(result)
@@ -208,25 +196,23 @@ def build_table1(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
+    mv_cache_persist: bool = False,  # inert: perfbench/ still passes False
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
 ) -> TableResult:
     """Reproduce Table 1 (stuck-at).  ``circuits=None`` runs all 39.
 
-    ``kernel`` selects the covering kernel for every EA fitness call
-    and ``mv_cache_size`` bounds the per-run MV match-column cache
-    (0 disables it); both price bit-identically, so a seeded table is
+    ``kernel`` selects the covering kernel for every EA fitness call;
+    every kernel prices bit-identically, so a seeded table is
     byte-identical under any choice.  So are ``retry``/``timeout``
     (transient-fault absorption) and ``checkpoint`` (resume from a
     journal of completed runs) — the fault-tolerance layer can change
     wall clock, never values.
     """
+    if mv_cache_persist:
+        raise ValueError("MV cache persistence was removed")
     return _build(
         TABLE1_STUCK_AT,
         "stuck-at",
@@ -238,11 +224,7 @@ def build_table1(
         progress,
         backend,
         kernel,
-        mv_cache_size,
         tuning,
-        mv_feedback,
-        mv_cache_policy=mv_cache_policy,
-        mv_cache_persist=mv_cache_persist,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,
@@ -256,11 +238,7 @@ def build_table2(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
     tuning: TuningProfile | None = None,
-    mv_feedback: bool | None = None,
-    mv_cache_policy: str | None = None,
-    mv_cache_persist: bool = False,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -277,11 +255,7 @@ def build_table2(
         progress,
         backend,
         kernel,
-        mv_cache_size,
         tuning,
-        mv_feedback,
-        mv_cache_policy=mv_cache_policy,
-        mv_cache_persist=mv_cache_persist,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,

@@ -18,35 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
-
-
-def atomic_write_bytes(path: Path | str, data: bytes) -> Path:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The binary counterpart of :func:`atomic_write_text`, used for the
-    persisted MV match-column caches: two processes saving the same
-    cache key race harmlessly — each rename publishes one complete
-    file, the last rename wins, and readers never observe a prefix.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    return path
+__all__ = ["atomic_write_text", "atomic_write_json"]
 
 
 def atomic_write_text(path: Path | str, text: str) -> Path:

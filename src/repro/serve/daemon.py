@@ -20,8 +20,8 @@ Degradation ladder, in order of preference:
   ones are turned away.
 
 ``shutdown(drain=True)`` — the SIGTERM path — stops admission,
-flushes the coalescer, waits out the worker pool, persists warm
-caches when enabled, then stops the accept loop.
+flushes the coalescer, waits out the worker pool, then stops the
+accept loop.
 """
 
 from __future__ import annotations
@@ -189,13 +189,11 @@ class ServeDaemon:
 
         Order matters: mark draining (new requests → 503), flush the
         coalescer (fitness waiters resolve), wait out the compress
-        pool, persist warm caches, then stop the accept loop.
+        pool, then stop the accept loop.
         """
         self._draining = True
         self._coalescer.stop(drain=drain)
         self._pool.shutdown(wait=drain, cancel_futures=not drain)
-        if drain:
-            self._service.registry.persist_caches()
         self._httpd.shutdown()
         if self._serve_thread is not None:
             self._serve_thread.join()
@@ -274,9 +272,8 @@ class ServeDaemon:
     def stats(self) -> dict:
         """Operational counters — deliberately *not* part of parity.
 
-        Cache hits, batch occupancy and queue depth depend on what
-        other requests warmed, so they live here and never in a
-        response body.
+        Batch occupancy and queue depth depend on what other requests
+        did, so they live here and never in a response body.
         """
         available, reason = native_status()
         with self._lock:

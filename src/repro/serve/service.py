@@ -14,14 +14,12 @@ and every compress request derives its run seeds from its **own**
 interleaving of requests can leak into any response.
 
 Response payloads contain only *seed-pure* fields — rates, MV sets,
-evaluation and generation counts — never cache hit counters or
-timings, which depend on what other requests warmed and therefore
-belong in ``/stats``, not in parity-compared bodies.
+evaluation and generation counts — never counters or timings, which
+depend on what other requests did and therefore belong in ``/stats``,
+not in parity-compared bodies.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -212,8 +210,8 @@ class CompressionService:
 
         Seeds follow the optimizer's spawn discipline: the request's
         ``seed`` spawns one ``SeedSequence`` child per run, so the
-        response is a pure function of (table, config, seed) — shared
-        warm caches and request interleaving cannot reach it.
+        response is a pure function of (table, config, seed) — warm
+        engines and request interleaving cannot reach it.
         """
         entry = self._resolve_entry(require(body, "table", (str, dict)))
         seed = require(body, "seed", int)
@@ -221,14 +219,11 @@ class CompressionService:
         entry.compress_requests += 1
         optimizer = EAMVOptimizer(config, seed=seed)
         tasks = optimizer.build_run_tasks(entry.blocks)
-        # SerialBackend inside the daemon's worker thread: the shared
-        # MV cache is injected per run, and the PR-6 retry policy
-        # re-attempts crashed runs (self-seeded → identical retried
-        # results).
+        # SerialBackend inside the daemon's worker thread: the PR-6
+        # retry policy re-attempts crashed runs (self-seeded →
+        # identical retried results).
         outcomes = SerialBackend().map(
-            partial(execute_run_task, mv_cache=entry.mv_cache),
-            tasks,
-            retry=self._retry,
+            execute_run_task, tasks, retry=self._retry
         )
         result = OptimizationResult(config=config, runs=tuple(outcomes))
         return self._compress_payload(entry, seed, config, result)

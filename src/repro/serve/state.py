@@ -1,49 +1,55 @@
-"""Warm-state registry: block tables, shared MV caches, warm engines.
+"""Warm-state registry: block tables and warm fitness engines.
 
 The registry is the daemon's memory across requests.  Everything is
-keyed by the **block-table digest** (:func:`repro.core.cache.persist.
-block_table_digest` — SHA-256 over K and the distinct-block arrays),
-so two uploads of the same patterns land on the same warm state and
-two different tables can never cross-contaminate.
+keyed by the **block-table digest** (:func:`block_table_digest` —
+SHA-256 over K and the distinct-block arrays), so two uploads of the
+same patterns land on the same warm state and two different tables can
+never cross-contaminate.
 
 Per table the registry holds:
 
 * the prepared :class:`~repro.core.blocks.BlockSet` itself;
-* one shared, thread-safe :class:`~repro.core.fitness.MVMatchCache`
-  — injected into every fitness engine and every compress run that
-  touches this table, so a column priced for one request is a hit for
-  every later one.  Sharing is sound because a match column is a pure
-  function of (MV, block table): a warmer cache skips kernel work but
-  can never change a priced result;
 * warm :class:`~repro.core.fitness.BatchCompressionRateFitness`
   engines, one per ``(L, K, strategy, kernel)`` shape, with the block
   table already prepared in the kernel's native layout.  Engines are
   *not* thread-safe, so each is driven only by the coalescer's single
   dispatcher thread (or the offline runner's single thread).
-
-``mv_cache_persist`` hydrates a table's shared cache from the
-persisted on-disk form at registration and saves it back on drain —
-the daemon analog of the per-run warm-start flag.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
-from pathlib import Path
+
+import numpy as np
 
 from ..core.blocks import BlockSet
-from ..core.cache import DEFAULT_POLICY, block_table_digest
-from ..core.cache.persist import save_mv_cache
 from ..core.encoding import EncodingStrategy
-from ..core.fitness import (
-    DEFAULT_MV_CACHE_SIZE,
-    BatchCompressionRateFitness,
-    MVMatchCache,
-)
+from ..core.fitness import BatchCompressionRateFitness
 from ..tuning.profile import TuningProfile
 
-__all__ = ["FitnessKey", "TableEntry", "WarmRegistry"]
+__all__ = ["FitnessKey", "TableEntry", "WarmRegistry", "block_table_digest"]
+
+
+def block_table_digest(blocks) -> str:
+    """SHA-256 content digest of a block set (dtype/shape-qualified).
+
+    The same recipe the checkpoint journal uses for its run
+    fingerprints: K and original bit count, then every distinct-table
+    array with its dtype and shape, so two tables collide only if they
+    are byte-identical in every semantic respect.
+    """
+    digest = hashlib.sha256()
+    digest.update(
+        f"K={blocks.block_length};bits={blocks.original_bits};".encode()
+    )
+    for name in ("ones", "zeros", "counts", "sequence"):
+        array = np.ascontiguousarray(getattr(blocks, name))
+        digest.update(f"{name}:{array.dtype}:{array.shape}:".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
 
 
 @dataclass(frozen=True)
@@ -73,17 +79,10 @@ class TableEntry:
         blocks: BlockSet,
         digest: str,
         name: str,
-        mv_cache_size: int,
-        mv_cache_policy: str,
     ) -> None:
         self.blocks = blocks
         self.digest = digest
         self.name = name
-        self.mv_cache = (
-            MVMatchCache(mv_cache_size, policy=mv_cache_policy)
-            if mv_cache_size
-            else None
-        )
         self.engines: dict[FitnessKey, BatchCompressionRateFitness] = {}
         self.compress_requests = 0
         self.fitness_requests = 0
@@ -99,53 +98,19 @@ class TableEntry:
             "original_bits": int(self.blocks.original_bits),
         }
 
-    def cache_stats(self) -> dict:
-        """Shared-cache counters for `/stats` (not parity material)."""
-        cache = self.mv_cache
-        if cache is None:
-            return {"enabled": False}
-        lookups = cache.hits + cache.misses
-        return {
-            "enabled": True,
-            "policy": cache.policy_name,
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "evictions": cache.evictions,
-            "size": len(cache),
-            "capacity": cache.capacity,
-            "hit_rate": cache.hits / lookups if lookups else 0.0,
-            "warm_loaded": cache.warm_loaded,
-        }
-
 
 class WarmRegistry:
     """Digest-keyed warm state shared by every request of the daemon."""
 
-    def __init__(
-        self,
-        mv_cache_size: int = DEFAULT_MV_CACHE_SIZE,
-        mv_cache_policy: str | None = None,
-        mv_cache_persist: bool = False,
-        mv_cache_dir: Path | None = None,
-        tuning: TuningProfile | None = None,
-    ) -> None:
+    def __init__(self, tuning: TuningProfile | None = None) -> None:
         self._lock = threading.RLock()
         self._tables: dict[str, TableEntry] = {}
-        self._mv_cache_size = int(mv_cache_size or 0)
-        self._mv_cache_policy = mv_cache_policy or DEFAULT_POLICY
-        self._mv_cache_persist = bool(mv_cache_persist)
-        self._mv_cache_dir = mv_cache_dir
         self._tuning = tuning
 
     @property
     def tuning(self) -> TuningProfile | None:
         """The tuning profile every served engine runs with."""
         return self._tuning
-
-    @property
-    def mv_cache_persist(self) -> bool:
-        """Whether shared caches hydrate from / save to disk."""
-        return self._mv_cache_persist
 
     def register(self, blocks: BlockSet, name: str = "") -> TableEntry:
         """Register (or re-find) a block table; returns its entry.
@@ -157,13 +122,7 @@ class WarmRegistry:
         with self._lock:
             entry = self._tables.get(digest)
             if entry is None:
-                entry = TableEntry(
-                    blocks,
-                    digest,
-                    name,
-                    self._mv_cache_size,
-                    self._mv_cache_policy,
-                )
+                entry = TableEntry(blocks, digest, name)
                 self._tables[digest] = entry
             return entry
 
@@ -180,10 +139,9 @@ class WarmRegistry:
     def engine_for(self, key: FitnessKey) -> BatchCompressionRateFitness:
         """The warm fitness engine for ``key``, built on first use.
 
-        The returned engine shares the table's thread-safe MV cache
-        but is itself single-caller: the coalescer's dispatcher thread
-        is the only driver in the daemon (the offline runner has only
-        one thread to begin with).
+        The returned engine is single-caller: the coalescer's
+        dispatcher thread is the only driver in the daemon (the offline
+        runner has only one thread to begin with).
         """
         with self._lock:
             entry = self._tables.get(key.digest)
@@ -197,46 +155,10 @@ class WarmRegistry:
                     block_length=key.block_length,
                     strategy=key.strategy,
                     kernel=key.kernel,
-                    mv_cache_size=self._mv_cache_size,
                     tuning=self._tuning,
-                    mv_cache=entry.mv_cache,
-                    mv_cache_persist=self._mv_cache_persist,
-                    mv_cache_dir=self._mv_cache_dir,
                 )
                 entry.engines[key] = engine
             return engine
-
-    def persist_caches(self) -> list[Path]:
-        """Save every table's warm shared cache to disk (drain hook).
-
-        Returns the files written; a no-op list when persistence is
-        off.  The per-table cache is saved under every resolved kernel
-        its engines priced with, mirroring the per-run flag's keying.
-        """
-        written: list[Path] = []
-        if not self._mv_cache_persist:
-            return written
-        with self._lock:
-            entries = list(self._tables.values())
-        for entry in entries:
-            if entry.mv_cache is None or not len(entry.mv_cache):
-                continue
-            kernels = {
-                engine.kernel_name
-                for engine in entry.engines.values()
-                if engine.kernel_name != "auto"
-            }
-            for kernel_name in sorted(kernels):
-                path = save_mv_cache(
-                    entry.mv_cache,
-                    entry.digest,
-                    kernel_name,
-                    entry.blocks.block_length,
-                    directory=self._mv_cache_dir,
-                )
-                if path is not None:
-                    written.append(path)
-        return written
 
     def stats(self) -> dict:
         """Per-table warm-state counters for `/stats`."""
@@ -244,7 +166,6 @@ class WarmRegistry:
             return {
                 entry.digest: {
                     **entry.describe(),
-                    "mv_cache": entry.cache_stats(),
                     "engines": len(entry.engines),
                     "fitness_requests": entry.fitness_requests,
                     "compress_requests": entry.compress_requests,

@@ -1,17 +1,15 @@
 """Profile-guided autotuning: measure the machine, persist the thresholds.
 
-Three pieces (see ROADMAP "Tuning architecture"):
+Two pieces (see ROADMAP "Tuning architecture"):
 
 * :mod:`repro.tuning.profile` — the versioned, fingerprinted
   :class:`TuningProfile` JSON that carries every hot-path threshold
-  (kernel auto cutovers, MV-dedup engagement shapes, bitpack shard
-  size, Huffman lockstep cutover, feedback-engagement parameters);
+  (kernel auto cutovers, bitpack shard size, Huffman lockstep
+  cutover);
 * :mod:`repro.tuning.probes` — the microbenchmarks behind
   ``repro tune`` that measure those thresholds on the current machine
   (imported lazily: probes depend on the core modules, which in turn
-  import :mod:`repro.tuning.profile` — eager import here would cycle);
-* :mod:`repro.tuning.feedback` — the runtime hit-rate monitor that
-  can disengage the MV-dedup path mid-run and re-probe it later.
+  import :mod:`repro.tuning.profile` — eager import here would cycle).
 
 Every tuned threshold is semantically inert: profiles move the wall
 clock, never a result, so seeded runs are byte-identical with or
@@ -20,7 +18,6 @@ without one.
 
 from __future__ import annotations
 
-from .feedback import MVCacheFeedback, MVFeedbackStats
 from .profile import (
     PROFILE_FORMAT,
     PROFILE_VERSION,
@@ -42,8 +39,6 @@ from .profile import (
 __all__ = [
     "PROFILE_FORMAT",
     "PROFILE_VERSION",
-    "MVCacheFeedback",
-    "MVFeedbackStats",
     "MachineFingerprint",
     "ProfileLoadError",
     "TuningProfile",

@@ -15,10 +15,6 @@ curves cross (FFTW-style measure-then-dispatch):
   ``native_min_distinct`` / ``native_wide_min_distinct`` auto
   cutovers; skipped (shipped defaults kept) when this machine has no
   C toolchain;
-* :func:`probe_mv_dedup` — the fused kernels vs the unique-MV dedup
-  path on convergent (high-duplicate) batches across (C, D) → the
-  ``mv_dedup_min_*`` engagement shapes, plus the feedback monitor's
-  break-even hit rate from the measured fused / cold / warm timings;
 * :func:`probe_shard_size` — the bitpack kernel across candidate
   D-axis shard sizes → ``bitpack_shard_size`` (``None`` when the
   kernel's cache-budget autosizing wins);
@@ -45,7 +41,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ..core.blocks import BlockSet, pack_bits_to_words
-from ..core.fitness import DEFAULT_MV_CACHE_SIZE, BatchCompressionRateFitness
+from ..core.fitness import BatchCompressionRateFitness
 from ..core.kernels import BitpackKernel, NativeKernel, kernel_unavailable_reason
 from ..core.trits import DC
 from ..ea.genome import random_genome
@@ -55,7 +51,6 @@ __all__ = [
     "crossover_point",
     "probe_huffman_lockstep",
     "probe_kernel_crossover",
-    "probe_mv_dedup",
     "probe_native_crossover",
     "probe_shard_size",
     "run_probes",
@@ -64,11 +59,6 @@ __all__ = [
 
 Timer = Callable[[], float]
 
-# Forces the dedup path on for any shape (for timing it below its
-# default engagement floor); forces nothing semantically.
-_DEDUP_ALWAYS = TuningProfile(
-    mv_dedup_min_genomes=1, mv_dedup_min_table=1, mv_dedup_min_distinct=1
-)
 # Pins the shipped defaults regardless of any process-wide active
 # profile, so probing is not skewed by the profile being replaced.
 _BASELINE = TuningProfile()
@@ -131,8 +121,7 @@ def _convergent_genomes(
     mutated_genes: int = 3,
 ) -> np.ndarray:
     """Copy+mutate offspring of a few parents — the late-run EA regime
-    the MV dedup path is built for (mirrors the bench's convergent
-    workload)."""
+    (mirrors the bench's convergent workload)."""
     parents = _probe_genomes(n_parents, n_vectors, block_length, rng)
     rows = []
     for index in range(n_genomes):
@@ -205,7 +194,6 @@ def probe_kernel_crossover(
                     n_vectors=n_vectors,
                     block_length=block_length,
                     kernel=kernel,
-                    mv_cache_size=0,
                     tuning=_BASELINE,
                 )
                 seconds[kernel] = _best_seconds(
@@ -254,7 +242,6 @@ def probe_native_crossover(
                     n_vectors=n_vectors,
                     block_length=block_length,
                     kernel=kernel,
-                    mv_cache_size=0,
                     tuning=_BASELINE,
                 )
                 seconds[kernel] = _best_seconds(
@@ -272,125 +259,6 @@ def probe_native_crossover(
     narrow = sweep(12, 32, 32, narrow_ds, "native_narrow")
     wide = sweep(96, 16, 16, wide_ds, "native_wide")
     return narrow, wide, measurements
-
-
-def probe_mv_dedup(
-    quick: bool = False,
-    repeats: int = 3,
-    timer: Timer = time.perf_counter,
-) -> tuple[int, int, int, float, dict[str, float]]:
-    """(min_genomes, min_table, min_distinct, feedback_min_hit_rate,
-    measurements)."""
-    measurements: dict[str, float] = {}
-    block_length, n_vectors = 12, 32
-
-    def fitness(blocks, mv_cache_size, tuning):
-        return BatchCompressionRateFitness(
-            blocks,
-            n_vectors=n_vectors,
-            block_length=block_length,
-            mv_cache_size=mv_cache_size,
-            tuning=tuning,
-            mv_feedback=False,  # probe the paths, not the monitor
-        )
-
-    def contenders(n_distinct, batch, tag):
-        rng = np.random.default_rng(2000 + n_distinct + batch)
-        blocks = _probe_blocks(n_distinct, block_length, rng)
-        genomes = _convergent_genomes(batch, n_vectors, block_length, rng)
-        fused = fitness(blocks, 0, _BASELINE)
-        deduped = fitness(blocks, DEFAULT_MV_CACHE_SIZE, _DEDUP_ALWAYS)
-        deduped.evaluate_batch(genomes)  # warm the MV cache
-        fused_s = _best_seconds(
-            lambda: fused.evaluate_batch(genomes), repeats, timer
-        )
-        dedup_s = _best_seconds(
-            lambda: deduped.evaluate_batch(genomes), repeats, timer
-        )
-        measurements[f"{tag}/fused"] = fused_s
-        measurements[f"{tag}/dedup"] = dedup_s
-        return fused_s, dedup_s
-
-    # Table floor at generation scale (C = 32).
-    d_values = (128, 256, 512, 1024) if quick else (128, 256, 512, 1024, 2048)
-    table_points = []
-    for n_distinct in d_values:
-        fused_s, dedup_s = contenders(n_distinct, 32, f"dedup_table/d{n_distinct}")
-        table_points.append((n_distinct, fused_s, dedup_s))
-    min_table = crossover_point(table_points)
-    min_table = (
-        min_table if min_table is not None else _fallback_threshold(max(d_values))
-    )
-
-    # Generation floor at a mid-size table.
-    c_values = (2, 4, 8, 16, 32)
-    d_mid = 1024 if quick else 2048
-    genome_points = []
-    for batch in c_values:
-        fused_s, dedup_s = contenders(d_mid, batch, f"dedup_genomes/c{batch}")
-        genome_points.append((batch, fused_s, dedup_s))
-    min_genomes = crossover_point(genome_points)
-    min_genomes = (
-        min_genomes
-        if min_genomes is not None
-        else _fallback_threshold(max(c_values))
-    )
-
-    # Any-batch floor: tiny post-memo batches (C = 2) across tables.
-    tiny_points = []
-    for n_distinct in d_values:
-        fused_s, dedup_s = contenders(n_distinct, 2, f"dedup_tiny/d{n_distinct}")
-        tiny_points.append((n_distinct, fused_s, dedup_s))
-    min_distinct = crossover_point(tiny_points)
-    min_distinct = (
-        min_distinct
-        if min_distinct is not None
-        else _fallback_threshold(max(d_values))
-    )
-
-    # Feedback break-even: fused vs dedup at ~0% (cold) and at the
-    # measured warm hit rate; linear interpolation in the hit rate
-    # gives the rate at which dedup time equals fused time.
-    rng = np.random.default_rng(3000)
-    blocks = _probe_blocks(d_mid, block_length, rng)
-    warm_batch = _convergent_genomes(32, n_vectors, block_length, rng)
-    fused = fitness(blocks, 0, _BASELINE)
-    fused_s = _best_seconds(
-        lambda: fused.evaluate_batch(warm_batch), repeats, timer
-    )
-    warm = fitness(blocks, DEFAULT_MV_CACHE_SIZE, _DEDUP_ALWAYS)
-    warm.evaluate_batch(warm_batch)  # cold fill, outside the timing
-    hits_before, misses_before = warm.mv_cache.hits, warm.mv_cache.misses
-    warm_s = _best_seconds(
-        lambda: warm.evaluate_batch(warm_batch), repeats, timer
-    )
-    hits = warm.mv_cache.hits - hits_before
-    misses = warm.mv_cache.misses - misses_before
-    lookups = hits + misses
-    warm_hit_rate = hits / lookups if lookups else 1.0
-
-    cold = fitness(blocks, DEFAULT_MV_CACHE_SIZE, _DEDUP_ALWAYS)
-
-    def cold_batch():
-        cold.evaluate_batch(
-            _probe_genomes(32, n_vectors, block_length, rng)
-        )
-
-    cold_s = _best_seconds(cold_batch, repeats, timer)
-    measurements["dedup_feedback/fused"] = fused_s
-    measurements["dedup_feedback/warm"] = warm_s
-    measurements["dedup_feedback/cold"] = cold_s
-    measurements["dedup_feedback/warm_hit_rate"] = warm_hit_rate
-    if cold_s <= fused_s:
-        min_hit_rate = 0.05  # dedup wins even stone-cold: barely ever veto
-    elif warm_s >= fused_s:
-        min_hit_rate = 0.95  # dedup loses even warm: veto aggressively
-    else:
-        min_hit_rate = (
-            warm_hit_rate * (cold_s - fused_s) / (cold_s - warm_s)
-        )
-        min_hit_rate = float(min(0.95, max(0.05, min_hit_rate)))
-    return min_genomes, min_table, min_distinct, min_hit_rate, measurements
 
 
 def probe_shard_size(
@@ -413,7 +281,6 @@ def probe_shard_size(
             n_vectors=n_vectors,
             block_length=block_length,
             kernel=BitpackKernel(shard_size=shard_size),
-            mv_cache_size=0,
             tuning=_BASELINE,
         )
         seconds[shard_size] = _best_seconds(
@@ -488,8 +355,7 @@ def run_probes(
     Pure given the timer's readings and the fixed probe seeds: the
     same measurements produce the same profile (the determinism tests
     drive this with a scripted clock).  Unprobed thresholds
-    (``scalar_max_work``, the feedback patience/reprobe cadence) keep
-    the shipped defaults.
+    (``scalar_max_work``) keep the shipped defaults.
     """
     started = timer()
     measurements: dict[str, float] = {}
@@ -520,21 +386,6 @@ def run_probes(
         native_wide = defaults.native_wide_min_distinct
         note(f"skipping native-kernel probe: {native_reason}")
 
-    note("probing MV-dedup engagement break-even ...")
-    (
-        min_genomes,
-        min_table,
-        min_distinct,
-        min_hit_rate,
-        dedup_measured,
-    ) = probe_mv_dedup(quick, repeats, timer)
-    measurements.update(dedup_measured)
-    note(
-        f"  dedup from C>={min_genomes} at D>={min_table}, "
-        f"any batch at D>={min_distinct}; break-even hit rate "
-        f"{min_hit_rate:.2f}"
-    )
-
     note("probing bitpack shard size ...")
     shard_size, shard_measured = probe_shard_size(quick, repeats, timer)
     measurements.update(shard_measured)
@@ -555,14 +406,8 @@ def run_probes(
         native_min_distinct=native_narrow,
         native_wide_min_distinct=native_wide,
         scalar_max_work=defaults.scalar_max_work,
-        mv_dedup_min_genomes=min_genomes,
-        mv_dedup_min_table=min_table,
-        mv_dedup_min_distinct=min_distinct,
         bitpack_shard_size=shard_size,
         huffman_lockstep_min_rows=lockstep_rows,
-        mv_feedback_min_hit_rate=round(min_hit_rate, 3),
-        mv_feedback_patience=defaults.mv_feedback_patience,
-        mv_feedback_reprobe_period=defaults.mv_feedback_reprobe_period,
         source=f"repro tune ({'quick' if quick else 'full'}, repeats={repeats})",
         created=(
             created
@@ -585,7 +430,7 @@ def tuning_summary(
     """Before/after genomes/s of the full default pipeline.
 
     Prices one convergent generation batch end to end (``auto``
-    kernel, MV cache and feedback at their defaults) under the shipped
+    kernel) under the shipped
     defaults and under ``profile`` — the number ``repro tune`` prints
     after writing, so the operator sees what the profile actually buys
     on this machine.  Results are asserted identical: tuning moves
@@ -608,7 +453,7 @@ def tuning_summary(
                 block_length=block_length,
                 tuning=tuning,
             )
-            rates = fitness.evaluate_batch(genomes)  # warm cache + kernel
+            rates = fitness.evaluate_batch(genomes)  # warm the kernel
             seconds = _best_seconds(
                 lambda: fitness.evaluate_batch(genomes), repeats, timer
             )

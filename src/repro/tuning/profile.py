@@ -1,8 +1,8 @@
 """The persisted tuning profile: every hot-path threshold in one place.
 
 PRs 1–4 made the fitness inner loop fast through *heuristics* — the
-kernel auto-selection cutovers, the MV-dedup engagement shapes, the
-bitpack shard size, the Huffman lockstep cutover — all calibrated on
+kernel auto-selection cutovers, the bitpack shard size, the Huffman
+lockstep cutover — all calibrated on
 one single-core container.  :class:`TuningProfile` turns those numbers
 into data: a versioned JSON document under ``~/.cache/repro/`` (or an
 explicit ``--profile PATH``) carrying a machine fingerprint (cpu
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 PROFILE_FORMAT = "repro-tuning-profile"
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -104,25 +104,6 @@ class TuningProfile:
     * ``scalar_max_work`` — D·L ceiling under which a single uncached
       covering stays on the plain Python loop.
 
-    MV-dedup engagement (see ``repro.core.fitness``):
-
-    * ``mv_dedup_min_genomes`` / ``mv_dedup_min_table`` — the
-      generation-scale shape (C, D) at which the unique-MV dedup path
-      starts beating the fused kernels;
-    * ``mv_dedup_min_distinct`` — the table size at which even tiny
-      post-memo batches engage the dedup path.
-
-    Feedback engagement (see :mod:`repro.tuning.feedback`):
-
-    * ``mv_feedback_min_hit_rate`` — observed per-generation MV-cache
-      hit rate below which the dedup path is presumed to be losing to
-      the fused kernels (the probe derives it from the measured
-      cold/warm/fused timings);
-    * ``mv_feedback_patience`` — consecutive low-hit generations
-      before the monitor disengages the dedup path mid-run;
-    * ``mv_feedback_reprobe_period`` — fused generations between
-      re-probes of the dedup path once disengaged.
-
     Kernel internals:
 
     * ``bitpack_shard_size`` — distinct blocks per bitpack D-axis
@@ -130,15 +111,6 @@ class TuningProfile:
     * ``huffman_lockstep_min_rows`` — frequency-matrix row count at
       which the lockstep-vectorized two-queue merge overtakes the
       per-row scalar merge.
-
-    Cache retention (see :mod:`repro.core.cache`):
-
-    * ``mv_cache_policy`` — the MV match-column cache's eviction
-      policy (``lru``/``lfu``/``2q``/``segmented``; ``None`` keeps the
-      shipped default).  Like every other field it is semantically
-      inert — a policy decides which columns a full cache keeps, never
-      what a column contains — so the tuner may pick whichever policy
-      measured the best hit rate on this machine's workloads.
     """
 
     version: int = PROFILE_VERSION
@@ -148,15 +120,8 @@ class TuningProfile:
     native_min_distinct: int = 1
     native_wide_min_distinct: int = 1
     scalar_max_work: int = 512
-    mv_dedup_min_genomes: int = 16
-    mv_dedup_min_table: int = 512
-    mv_dedup_min_distinct: int = 2048
     bitpack_shard_size: int | None = None
     huffman_lockstep_min_rows: int = 96
-    mv_feedback_min_hit_rate: float = 0.25
-    mv_feedback_patience: int = 10
-    mv_feedback_reprobe_period: int = 50
-    mv_cache_policy: str | None = None
     source: str = "builtin-defaults"
     created: str = ""
     probe_seconds: float = 0.0
@@ -169,12 +134,7 @@ class TuningProfile:
             "native_min_distinct",
             "native_wide_min_distinct",
             "scalar_max_work",
-            "mv_dedup_min_genomes",
-            "mv_dedup_min_table",
-            "mv_dedup_min_distinct",
             "huffman_lockstep_min_rows",
-            "mv_feedback_patience",
-            "mv_feedback_reprobe_period",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -184,22 +144,6 @@ class TuningProfile:
                 f"bitpack_shard_size must be >= 1 or None, "
                 f"got {self.bitpack_shard_size}"
             )
-        if not 0.0 <= self.mv_feedback_min_hit_rate <= 1.0:
-            raise ValueError(
-                "mv_feedback_min_hit_rate must be within [0, 1], "
-                f"got {self.mv_feedback_min_hit_rate}"
-            )
-        if self.mv_cache_policy is not None:
-            # Imported lazily: the core package imports this module at
-            # load time, so a top-level import would be circular.
-            from ..core.cache.policies import POLICY_CHOICES
-
-            if self.mv_cache_policy not in POLICY_CHOICES:
-                raise ValueError(
-                    f"mv_cache_policy must be one of "
-                    f"{', '.join(POLICY_CHOICES)} or None, "
-                    f"got {self.mv_cache_policy!r}"
-                )
 
     def with_updates(self, **changes) -> "TuningProfile":
         """Return a copy with the given fields replaced."""
@@ -213,15 +157,8 @@ class TuningProfile:
         "native_min_distinct",
         "native_wide_min_distinct",
         "scalar_max_work",
-        "mv_dedup_min_genomes",
-        "mv_dedup_min_table",
-        "mv_dedup_min_distinct",
         "bitpack_shard_size",
         "huffman_lockstep_min_rows",
-        "mv_feedback_min_hit_rate",
-        "mv_feedback_patience",
-        "mv_feedback_reprobe_period",
-        "mv_cache_policy",
     )
 
     def to_dict(self) -> dict:

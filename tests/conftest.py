@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -27,6 +30,21 @@ def _reset_active_tuning_profile():
     from repro.tuning.profile import set_active_profile
 
     set_active_profile(None)
+
+
+def subprocess_environment(**overrides: str) -> dict[str, str]:
+    """This environment with ``src/`` first on ``PYTHONPATH``.
+
+    For tests that run ``repro`` in a child interpreter, which does
+    not see pytest's ``pythonpath`` setting.
+    """
+    environment = dict(os.environ, **overrides)
+    source_root = str(Path(__file__).resolve().parents[1] / "src")
+    existing = environment.get("PYTHONPATH")
+    environment["PYTHONPATH"] = (
+        os.pathsep.join((source_root, existing)) if existing else source_root
+    )
+    return environment
 
 
 def trit_strings(min_size: int = 1, max_size: int = 200) -> st.SearchStrategy[str]:

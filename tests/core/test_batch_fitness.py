@@ -279,3 +279,46 @@ class TestMaskWidthValidation:
         blocks = BlockSet.from_string("111", 3)
         with pytest.raises(ValueError):
             BatchCompressionRateFitness(blocks, n_vectors=0, block_length=3)
+
+
+class TestFusedPricingContract:
+    """What outside callers read from the one fused pricing path."""
+
+    def test_timings_record_exactly_pack_cover_huffman(self):
+        """Even a generation-scale batch over a D >= 2048 table takes
+        the fused pass: no ``match`` stage."""
+        rng = np.random.default_rng(6)
+        blocks = random_block_set(rng, 12 * 6000, 12, care_probability=0.6)
+        assert blocks.n_distinct >= 2048
+        genomes = random_genome_batch(rng, 24, 5 * 12)
+        fitness = BatchCompressionRateFitness(
+            blocks, n_vectors=5, block_length=12
+        )
+        timings: dict = {}
+        rates = fitness.evaluate_batch(genomes, timings=timings)
+        assert set(timings) == {"pack", "cover", "huffman"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert (rates == fitness.evaluate_batch(genomes)).all()
+
+    def test_inert_mv_counters_read_zero(self):
+        rng = np.random.default_rng(8)
+        blocks = random_block_set(rng, 8 * 40, 8)
+        fitness = BatchCompressionRateFitness(blocks, n_vectors=4, block_length=8)
+        result = EvolutionaryEngine(
+            fitness,
+            genome_length=4 * 8,
+            params=EAParameters(stagnation_limit=3, max_evaluations=40),
+            seed=3,
+        ).run()
+        stats = fitness.mv_cache_stats
+        assert (stats.rows_total, stats.rows_unique) == (0, 0)
+        assert (result.mv_cache_hits, result.mv_cache_misses) == (0, 0)
+
+    def test_removed_persistence_flag_is_rejected(self):
+        from repro.experiments.tables import build_table1
+
+        assert not CompressionConfig(mv_cache_persist=False).mv_cache_persist
+        with pytest.raises(ValueError, match="persistence was removed"):
+            CompressionConfig(mv_cache_persist=True)
+        with pytest.raises(ValueError, match="persistence was removed"):
+            build_table1(mv_cache_persist=True)

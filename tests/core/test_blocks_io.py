@@ -17,11 +17,9 @@ Three contracts:
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,8 @@ from repro.core.blocks_io import (
 )
 from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.kernels import get_kernel
-from repro.tuning.profile import TuningProfile
+
+from ..conftest import subprocess_environment
 
 
 def random_trits(rng, n):
@@ -134,11 +133,6 @@ class TestStreamingBuilder:
         assert_tables_identical(built, BlockSet.from_trit_array(trits, 8))
 
 
-ENGAGED = TuningProfile(
-    mv_dedup_min_genomes=1, mv_dedup_min_table=1, mv_dedup_min_distinct=1
-)
-
-
 class TestMemmapPricingParity:
     """np.memmap tables behave identically through prepare() and the
     kernels — the bitpack lane build spills to a disk-backed buffer
@@ -156,7 +150,7 @@ class TestMemmapPricingParity:
         for label, blocks in (("ram", ram), ("memmap", mapped)):
             fitness = BatchCompressionRateFitness(
                 blocks, n_vectors=5, block_length=8,
-                kernel=kernel_name, tuning=ENGAGED,
+                kernel=kernel_name,
             )
             rates[label] = fitness.evaluate_batch(genomes)
         assert (rates["ram"] == rates["memmap"]).all()
@@ -183,19 +177,10 @@ RSS_SCRIPT = textwrap.dedent(
     import numpy as np
     from repro.core.blocks_io import load_block_table
     from repro.core.fitness import BatchCompressionRateFitness
-    from repro.tuning.profile import TuningProfile
 
     blocks = load_block_table(sys.argv[1])
-    # mv_cache_size stays small: the cache store preallocates
-    # capacity x ceil(D/8) bytes, which at D=1e5 would otherwise
-    # dominate the very footprint this test bounds.
     fitness = BatchCompressionRateFitness(
         blocks, n_vectors=4, block_length=64, kernel="bitpack",
-        mv_cache_size=64,
-        tuning=TuningProfile(
-            mv_dedup_min_genomes=1, mv_dedup_min_table=1,
-            mv_dedup_min_distinct=1,
-        ),
     )
     rng = np.random.default_rng(0)
     genomes = rng.integers(0, 3, size=(8, 4 * 64), dtype=np.int8)
@@ -241,16 +226,10 @@ def test_large_table_prices_with_bounded_rss(tmp_path):
         file.stat().st_size for file in table_dir.iterdir()
     )
     assert table_bytes > 150 * 2**20  # the sequence alone is ~152 MiB
-    source_root = Path(__file__).resolve().parents[2] / "src"
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = os.pathsep.join(
-        part
-        for part in (str(source_root), environment.get("PYTHONPATH"))
-        if part
-    )
     result = subprocess.run(
         [sys.executable, "-c", RSS_SCRIPT, str(table_dir)],
-        capture_output=True, text=True, check=True, env=environment,
+        capture_output=True, text=True, check=True,
+        env=subprocess_environment(),
     )
     peak_rss = int(result.stdout.strip())
     # Well below the table: the child's working set (~90 MiB, mostly

@@ -225,6 +225,36 @@ class TestCrossKernelParity:
             assert (uncovered == 0).all()
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([4, 11, 64, 96]),
+    )
+    def test_match_columns_agree_with_reference(self, seed, block_length):
+        """Standalone match columns ≡ one reference covering per MV."""
+        rng = np.random.default_rng(seed)
+        block_ones, block_zeros, counts, mv_ones, mv_zeros, _ = (
+            random_workload(rng, block_length)
+        )
+        n_vectors = mv_ones.shape[1]
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            prepared = kernel.prepare_masks(
+                block_ones, block_zeros, counts, block_length
+            )
+            columns = kernel.match_columns(prepared, mv_ones[0], mv_zeros[0])
+            for index in range(n_vectors):
+                assignment, _, _ = cover_masks(
+                    block_ones,
+                    block_zeros,
+                    counts,
+                    mv_ones[0][index : index + 1],
+                    mv_zeros[0][index : index + 1],
+                    np.zeros(1, dtype=np.int64),
+                )
+                assert (columns[index] == (assignment >= 0)).all(), name
+
+
 class TestShardingKnobs:
     """Sharding and thread fan-out must never change results."""
 

@@ -14,6 +14,11 @@ The compile machinery's contract (``repro.core.kernels.build``):
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,8 @@ from repro.core.kernels.build import (
 )
 from repro.core.kernels.native import NATIVE_C_SOURCE, _SYMBOLS
 from repro.parallel import ProcessBackend
+
+from ..conftest import subprocess_environment
 
 NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
 requires_native = pytest.mark.skipif(
@@ -182,3 +189,54 @@ class TestNoCompilerFallback:
     def test_native_build_dir_follows_cache_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert native_build_dir() == tmp_path / "native"
+
+
+# Serial native runs (the parent runs OpenMP parallel regions), then
+# the same runs forked into a process pool.
+FORK_AFTER_OPENMP_SCRIPT = textwrap.dedent(
+    """
+    from repro.core.config import CompressionConfig, EAParameters
+    from repro.core.optimizer import EAMVOptimizer
+    from repro.parallel import ProcessBackend
+    from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
+
+    spec = SyntheticSpec(
+        "fork", n_patterns=60, pattern_bits=96, care_density=0.4, seed=3
+    )
+    blocks = synthetic_test_set(spec).blocks(12)
+    config = CompressionConfig(
+        block_length=12, n_vectors=8, runs=2, kernel="native",
+        ea=EAParameters(stagnation_limit=5, max_evaluations=60),
+    )
+    serial = EAMVOptimizer(config, seed=5).optimize(blocks)
+    pooled = EAMVOptimizer(
+        config, seed=5, backend=ProcessBackend(2)
+    ).optimize(blocks)
+    assert [run.rate for run in pooled.runs] == [run.rate for run in serial.runs]
+    print("ok")
+    """
+)
+
+
+@requires_native
+def test_process_pool_after_openmp_regions_does_not_hang():
+    """GNU libgomp is not fork-safe: without the at-fork hook, a forked
+    worker's first parallel region waits forever for threads the fork
+    did not copy.  Runs in its own session so a hang can be killed
+    with every pool worker it forked."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", FORK_AFTER_OPENMP_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=subprocess_environment(OMP_NUM_THREADS="2"),
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("process pool hung after the parent ran OpenMP regions")
+    assert child.returncode == 0, err
+    assert out.strip() == "ok"

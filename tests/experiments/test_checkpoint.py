@@ -18,6 +18,8 @@ from repro.experiments.checkpoint import (
     task_fingerprint,
 )
 from repro.parallel import FaultToleranceStats
+from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
+from repro.tuning.profile import TuningProfile
 
 TINY_EA = EAParameters(
     population_size=4,
@@ -69,10 +71,10 @@ class TestFingerprint:
         )
 
     def test_insensitive_to_performance_knobs(self):
-        """Kernel and cache settings never change results, so switching
+        """Kernel and tuning settings never change results, so switching
         them must not invalidate journaled work."""
         tuned = dataclasses.replace(
-            TINY_CONFIG, kernel="scalar", mv_cache_size=1
+            TINY_CONFIG, kernel="scalar", tuning=TuningProfile(scalar_max_work=1)
         )
         assert task_fingerprint(_tasks()[0]) == task_fingerprint(
             _tasks(config=tuned)[0]
@@ -99,24 +101,76 @@ class TestOutcomeRoundTrip:
         assert restored.mv_set == outcome.mv_set
         assert restored.ea_result.evaluations == outcome.ea_result.evaluations
         assert restored.ea_result.history == ()
-        assert (
-            restored.ea_result.mv_cache_warm_loaded
-            == outcome.ea_result.mv_cache_warm_loaded
+
+
+# A record journaled before the MV match-column cache was removed: the
+# dedup path was engaged (D >= 2048), so its ``mv_cache_*`` keys are
+# non-zero.  Fingerprint and record are that version's exact output.
+PINNED_FINGERPRINT = "6248ced18db37d670ba91cebf1676a07fab5340db27be77df57d022d00145aba"
+PINNED_RECORD = {
+    "ea": {
+        "best_fitness": 28.678977272727273,
+        "cache_hit_rate": 0.75,
+        "cache_hits": 33,
+        "evaluations": 44,
+        "generations": 8,
+        "mv_cache_hit_rate": 0.3673469387755102,
+        "mv_cache_hits": 18,
+        "mv_cache_misses": 31,
+        "mv_cache_warm_loaded": 0,
+        "terminated_by": "evaluations(40)",
+    },
+    "genome": [
+        2, 2, 0, 1, 1, 1, 0, 0, 1, 2, 1, 0, 1, 1, 1, 0, 0, 1, 2, 1, 0, 2, 0, 0,
+        1, 2, 0, 2, 0, 0, 2, 2, 2, 0, 1, 2, 2, 0, 0, 2, 1, 1, 1, 1, 1, 1, 2, 2,
+        0, 2, 2, 0, 2, 1, 2, 0, 0, 1, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    ],
+    "rate": 28.678977272727273,
+    "run_index": 0,
+}
+
+
+def _pinned_task():
+    spec = SyntheticSpec(
+        "journal-pin", n_patterns=220, pattern_bits=192, care_density=0.35, seed=11
+    )
+    ea = EAParameters(
+        population_size=4,
+        children_per_generation=5,
+        stagnation_limit=4,
+        max_evaluations=40,
+    )
+    config = CompressionConfig(block_length=12, n_vectors=6, runs=1, ea=ea)
+    blocks = synthetic_test_set(spec).blocks(12)
+    return EAMVOptimizer(config, seed=2005).build_run_tasks(blocks)[0]
+
+
+class TestJournalFromBeforeCacheRemoval:
+    def test_fingerprint_is_unchanged(self):
+        assert task_fingerprint(_pinned_task()) == PINNED_FINGERPRINT
+
+    def test_old_record_resumes_byte_identically(self, tmp_path):
+        task = _pinned_task()
+        journal = RunJournal.open(tmp_path / "j.jsonl")
+        journal.record(PINNED_FINGERPRINT, PINNED_RECORD)
+        restored = RunTaskCache(journal=RunJournal.open(tmp_path / "j.jsonl")).get(task)
+        fresh = execute_run_task(task)
+        assert restored is not None
+        assert restored.rate == fresh.rate
+        assert restored.mv_set == fresh.mv_set
+        assert np.array_equal(
+            restored.ea_result.best_genome, fresh.ea_result.best_genome
         )
 
-    def test_decodes_journal_written_before_warm_start_field(self, tmp_path):
-        """Journals predating ``mv_cache_warm_loaded`` decode as cold
-        starts instead of raising — old resume journals stay usable."""
-        task = _tasks()[0]
-        outcome = execute_run_task(task)
-        document = json.loads(json.dumps(encode_outcome(outcome)))
-        del document["ea"]["mv_cache_warm_loaded"]
-        journal = RunJournal.open(tmp_path / "j.jsonl")
-        journal.record(task_fingerprint(task), document)
-        restored = RunTaskCache(journal=journal).get(task)
-        assert restored is not None
-        assert restored.ea_result.mv_cache_warm_loaded == 0
-        assert restored.rate == outcome.rate
+    def test_encoder_drops_mv_cache_keys(self):
+        document = encode_outcome(execute_run_task(_pinned_task()))
+        expected = dict(PINNED_RECORD)
+        expected["ea"] = {
+            key: value
+            for key, value in PINNED_RECORD["ea"].items()
+            if not key.startswith("mv_cache_")
+        }
+        assert json.loads(json.dumps(document)) == expected
 
 
 class TestRunJournal:

@@ -175,7 +175,8 @@ class TestStats:
             assert field in stats
         assert set(stats["native"]) == {"available", "reason", "warned"}
         (digest,) = stats["tables"]
-        assert stats["tables"][digest]["mv_cache"]["enabled"] is True
+        assert stats["tables"][digest]["engines"] == 0
+        assert "mv_cache" not in stats["tables"][digest]
 
 
 class TestDegradation:

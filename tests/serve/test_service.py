@@ -49,9 +49,29 @@ class TestRegistry:
         second = service.register_table(dict(TABLE, name="other"))
         assert first["digest"] == second["digest"]
         assert service.registry.digests() == [first["digest"]]
-        # The warm entry (and its shared cache) survived re-registration.
+        # The warm entry survived re-registration.
         entry = service.registry.get(first["digest"])
         assert entry.name == "unit"
+
+    def test_tables_digest_is_pinned(self):
+        """The `/tables` digest clients hold across daemon restarts and
+        versions: pinned to the value this exact table always had."""
+        table = {
+            "patterns": ["01X10X110", "X10011X01", "111000XXX", "0X0X0X0X1"],
+            "block_length": 3,
+            "name": "small",
+        }
+        payload = make_service().register_table(table)
+        assert payload["digest"] == (
+            "a2364dee120d2a5ee4f41866aab88c2322334f6a518317935394139ce1b1b3b1"
+        )
+        assert canonical_json(payload) == (
+            b'{"block_length":3,"digest":"a2364dee120d2a5ee4f41866aab88c2322334f6a'
+            b'518317935394139ce1b1b3b1","n_blocks":12,"n_distinct":12,'
+            b'"name":"small","original_bits":36}\n'
+        )
+        other = dict(table, patterns=["01X10X111", *table["patterns"][1:]])
+        assert make_service().register_table(other)["digest"] != payload["digest"]
 
     def test_describe_payload(self):
         payload = make_service().register_table(TABLE)
@@ -60,7 +80,7 @@ class TestRegistry:
         assert payload["n_distinct"] <= payload["n_blocks"]
         assert len(payload["digest"]) == 64
 
-    def test_engine_reuse_and_shared_cache(self):
+    def test_engine_reuse(self):
         service = make_service()
         digest = service.register_table(TABLE)["digest"]
         entry = service.registry.get(digest)
@@ -73,7 +93,6 @@ class TestRegistry:
         )
         engine = service.registry.engine_for(key)
         assert service.registry.engine_for(key) is engine
-        assert engine.mv_cache is entry.mv_cache
         other = service.registry.engine_for(
             FitnessKey(
                 digest=digest,
@@ -84,7 +103,6 @@ class TestRegistry:
             )
         )
         assert other is not engine
-        assert other.mv_cache is entry.mv_cache
         assert len(entry.engines) == 2
 
     def test_engine_for_unknown_digest(self):
@@ -108,10 +126,7 @@ class TestRegistry:
         table_stats = stats[digest]
         assert table_stats["fitness_requests"] == 1
         assert table_stats["engines"] == 1
-        cache_stats = table_stats["mv_cache"]
-        assert cache_stats["enabled"] is True
-        for field in ("policy", "hits", "misses", "hit_rate", "capacity"):
-            assert field in cache_stats
+        assert "mv_cache" not in table_stats
 
 
 class TestValidation:

@@ -115,182 +115,64 @@ class TestKernelFlag:
         assert len(set(outputs.values())) == 1  # byte-identical output
 
 
-class TestMVCacheSizeFlag:
-    """Every command exposes --mv-cache-size (0 disables the cache)."""
+class TestRemovedCacheFlags:
+    """The MV match-column cache is gone, and so are its four flags."""
 
-    def test_defaults_to_package_default(self):
-        from repro.core.fitness import DEFAULT_MV_CACHE_SIZE
+    REMOVED = (
+        ["--mv-cache-size", "0"],
+        ["--mv-cache-policy", "lru"],
+        ["--mv-cache-persist"],
+        ["--no-mv-cache-persist"],
+        ["--mv-feedback", "off"],
+    )
 
-        for argv in (
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["table1"],
             ["table2"],
             ["compress", "file.txt"],
             ["atpg", "c17"],
             ["ablate", "kl"],
             ["report"],
-        ):
-            arguments = build_parser().parse_args(argv)
-            assert arguments.mv_cache_size == DEFAULT_MV_CACHE_SIZE
+            ["serve"],
+            ["request", "body.json"],
+        ],
+    )
+    def test_rejected_by_every_run_command(self, argv, capsys):
+        for flag in self.REMOVED:
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args([*argv, *flag])
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_value_parsed(self):
-        arguments = build_parser().parse_args(
-            ["table1", "--mv-cache-size", "0"]
-        )
-        assert arguments.mv_cache_size == 0
-
-    def test_documented_in_help(self, capsys):
+    def test_absent_from_help(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--mv-cache-size" in help_text
-        assert "match-column cache" in help_text
-
-    def test_compress_output_cache_invariant(self, tmp_path, capsys):
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        outputs = {}
-        for size in ("0", "4", "16384"):
-            assert main([*args, "--mv-cache-size", size]) == 0
-            outputs[size] = capsys.readouterr().out
-        assert len(set(outputs.values())) == 1  # byte-identical output
-
-
-class TestMVCachePolicyFlags:
-    """--mv-cache-policy / --mv-cache-persist on every command."""
-
-    def test_defaults(self):
-        for argv in (
-            ["table1"],
-            ["table2"],
-            ["compress", "file.txt"],
-            ["atpg", "c17"],
-            ["ablate", "kl"],
-            ["report"],
-        ):
-            arguments = build_parser().parse_args(argv)
-            assert arguments.mv_cache_policy is None
-            assert arguments.mv_cache_persist is False
-
-    def test_policy_choices_parsed(self):
-        from repro.core.cache import POLICY_CHOICES
-
-        for policy in POLICY_CHOICES:
-            arguments = build_parser().parse_args(
-                ["table1", "--mv-cache-policy", policy]
-            )
-            assert arguments.mv_cache_policy == policy
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--mv-cache-policy", "mru"])
-
-    def test_persist_negation(self):
-        arguments = build_parser().parse_args(
-            ["compress", "f", "--mv-cache-persist", "--no-mv-cache-persist"]
-        )
-        assert arguments.mv_cache_persist is False
-
-    def test_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--mv-cache-policy" in help_text
-        assert "--mv-cache-persist" in help_text
-
-    def test_compress_output_policy_invariant(self, tmp_path, capsys):
-        from repro.core.cache import POLICY_CHOICES
-
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3",
-                "--mv-cache-size", "4"]
-        outputs = set()
-        for policy in POLICY_CHOICES:
-            assert main([*args, "--mv-cache-policy", policy]) == 0
-            outputs.add(capsys.readouterr().out)
-        assert len(outputs) == 1  # byte-identical output
-
-    def test_compress_warm_start_reported_and_output_invariant(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The CI smoke contract: a --mv-cache-persist rerun reports a
-        warm start on stderr, with stdout byte-identical to cold."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        from repro.tuning.profile import (
-            TuningProfile,
-            current_fingerprint,
-            save_profile,
-        )
-
-        # Low dedup thresholds so the toy workload engages the cache.
-        profile_path = save_profile(
-            TuningProfile(
-                mv_dedup_min_genomes=1,
-                mv_dedup_min_table=1,
-                mv_dedup_min_distinct=1,
-                fingerprint=current_fingerprint(),
-            ),
-            tmp_path / "profile.json",
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3",
-                "--profile", str(profile_path), "--mv-cache-persist"]
-        assert main(args) == 0
-        cold = capsys.readouterr()
-        assert "mv cache: cold start" in cold.err
-        assert main(args) == 0
-        warm = capsys.readouterr()
-        assert "mv cache: warm start" in warm.err
-        assert warm.out == cold.out
+        assert "--mv-" not in capsys.readouterr().out
 
 
 class TestCacheCommand:
-    def test_list_info_clear_roundtrip(self, tmp_path, monkeypatch, capsys):
+    def test_empty_cache_lists_and_clears(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.core.cache import save_mv_cache
-        from repro.core.fitness import MVMatchCache
-
-        assert main(["cache", "list"]) == 0
-        assert "(empty)" in capsys.readouterr().out
-        cache = MVMatchCache(4)
-        import numpy as np
-
-        cache.put(7, np.array([1], dtype=np.uint8))
-        save_mv_cache(cache, "f" * 64, "gemm", 8)
-        assert main(["cache", "list"]) == 0
-        listing = capsys.readouterr().out
-        assert f"{'f' * 16}-gemm-K8-v1.npz" in listing
-        assert "1 file(s)" in listing
-        assert main(["cache", "info"]) == 0
-        info = capsys.readouterr().out
-        assert "policy: lru" in info
-        assert "entries: 1" in info
+        for action in ("list", "info"):
+            assert main(["cache", action]) == 0
+            assert "(empty)" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
-        assert "removed 1 file(s)" in capsys.readouterr().out
-        assert main(["cache", "list"]) == 0
-        assert "(empty)" in capsys.readouterr().out
+        assert "removed 0 file(s)" in capsys.readouterr().out
 
     def test_explicit_dir_flag(self, tmp_path, capsys):
         assert main(["cache", "list", "--dir", str(tmp_path / "none")]) == 0
         assert "(empty)" in capsys.readouterr().out
 
-    def test_default_mode_governs_both_cache_directories(
+    def test_default_mode_governs_the_native_directory(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["cache", "list"]) == 0
         listing = capsys.readouterr().out
-        assert str(tmp_path / "mv_cache") in listing
-        assert str(tmp_path / "native") in listing
+        assert f"cache directory: {tmp_path / 'native'}" in listing
+        assert "mv_cache" not in listing
 
     @pytest.mark.skipif(not NATIVE_OK, reason="no C compiler")
     def test_native_builds_listed_and_cleared(
@@ -398,6 +280,52 @@ class TestCompressCommand:
         assert "9C" in output and "EA" in output
 
 
+class TestBadInput:
+    """Bad input ends in one ``repro: error: …`` line and exit 2."""
+
+    def assert_one_line_error(self, argv, capsys, fragment):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert fragment in err
+
+    def test_nonpositive_block_length(self, tmp_path, capsys):
+        path = tmp_path / "patterns.txt"
+        path.write_text("0101XXXX\n01010101\n")
+        self.assert_one_line_error(
+            ["compress", str(path), "--k", "0"], capsys, "block_length must be >= 1"
+        )
+
+    def test_invalid_pattern_character(self, tmp_path, capsys):
+        path = tmp_path / "patterns.txt"
+        path.write_text("0101\n01Q1\n")
+        self.assert_one_line_error(
+            ["compress", str(path)], capsys, "invalid trit character 'Q'"
+        )
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        self.assert_one_line_error(["compress", str(missing)], capsys, str(missing))
+
+    def test_process_exit_status(self, tmp_path):
+        import subprocess
+        import sys
+
+        from .conftest import subprocess_environment
+
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "compress", str(tmp_path / "absent.txt")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=subprocess_environment(),
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("repro: error: ")
+        assert "Traceback" not in completed.stderr
+
+
 class TestAtpgCommand:
     def test_atpg_c17(self, capsys):
         code = main(["atpg", "c17", "--k", "4", "--l", "8"])
@@ -449,7 +377,7 @@ class TestJobsSmoke:
 
 
 class TestTuningFlags:
-    """--profile / --mv-feedback on every command, plus `repro tune`."""
+    """--profile on every command, plus `repro tune`."""
 
     EVERY_COMMAND = (
         ["table1"],
@@ -472,19 +400,6 @@ class TestTuningFlags:
         )
         assert arguments.profile == Path(tmp_path / "p.json")
 
-    def test_mv_feedback_defaults_to_auto(self):
-        for argv in self.EVERY_COMMAND:
-            assert build_parser().parse_args(argv).mv_feedback == "auto"
-
-    def test_mv_feedback_choices(self):
-        for choice in ("auto", "on", "off"):
-            arguments = build_parser().parse_args(
-                ["compress", "file.txt", "--mv-feedback", choice]
-            )
-            assert arguments.mv_feedback == choice
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--mv-feedback", "maybe"])
-
     def test_tune_parser_defaults(self):
         arguments = build_parser().parse_args(["tune"])
         assert arguments.command == "tune"
@@ -497,7 +412,6 @@ class TestTuningFlags:
             build_parser().parse_args(["compress", "--help"])
         help_text = capsys.readouterr().out
         assert "--profile" in help_text
-        assert "--mv-feedback" in help_text
         assert "repro tune" in help_text
 
     def test_tune_documented_in_top_level_help(self, capsys):
@@ -539,7 +453,7 @@ class TestTuningFlags:
         assert "ignoring tuning profile" in captured.err
 
     @pytest.mark.slow
-    def test_compress_profile_and_feedback_output_matches_default(
+    def test_compress_profile_output_matches_default(
         self, tmp_path, capsys
     ):
         from repro.tuning.probes import run_probes
@@ -558,11 +472,6 @@ class TestTuningFlags:
         for label, extra in {
             "default": [],
             "tuned": ["--profile", str(profile_path)],
-            "feedback-on": ["--mv-feedback", "on"],
-            "feedback-off": ["--mv-feedback", "off"],
-            "tuned-feedback-off": [
-                "--profile", str(profile_path), "--mv-feedback", "off"
-            ],
         }.items():
             assert main([*args, *extra]) == 0
             outputs[label] = capsys.readouterr().out
@@ -706,7 +615,7 @@ class TestServeParser:
         arguments = build_parser().parse_args(
             ["serve", "--port", "0", "--jobs", "4", "--batch-window-ms",
              "2.5", "--max-batch", "8", "--max-queue", "32",
-             "--kernel", "bitpack", "--mv-cache-persist"]
+             "--kernel", "bitpack"]
         )
         assert arguments.port == 0
         assert arguments.jobs == 4
@@ -714,7 +623,6 @@ class TestServeParser:
         assert arguments.max_batch == 8
         assert arguments.max_queue == 32
         assert arguments.kernel == "bitpack"
-        assert arguments.mv_cache_persist
 
     def test_request_defaults(self):
         arguments = build_parser().parse_args(["request", "body.json"])

@@ -33,7 +33,7 @@ class TestDocLinks:
         assert all(not broken for broken in problems.values()), problems
 
     def test_required_docs_exist(self):
-        for name in ("architecture.md", "multi-objective.md", "cache-format.md",
+        for name in ("architecture.md", "multi-objective.md",
                      "native-kernel.md", "serve.md"):
             assert (REPO_ROOT / "docs" / name).is_file(), name
 

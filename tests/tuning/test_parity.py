@@ -1,10 +1,9 @@
-"""Seeded byte-parity: tuning profiles and feedback never change results.
+"""Seeded byte-parity: tuning profiles never change results.
 
 The acceptance property of the whole subsystem — every threshold a
-profile can move, and every decision the feedback monitor can take, is
-semantically inert.  These tests pin it at three layers: one batched
-fitness call, a full seeded EA run, and the engagement bookkeeping
-itself.
+profile can move is semantically inert.  These tests pin it at two
+layers, one batched fitness call and a full seeded EA run, and check
+that the thresholds steer the decisions they claim to steer.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.core.kernels import (
 from repro.core.optimizer import EAMVOptimizer
 from repro.ea.genome import random_genome
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
-from repro.tuning.feedback import MVCacheFeedback
 from repro.tuning.profile import TuningProfile, use_profile
 
 NATIVE_OK = kernel_unavailable_reason("native") is None
@@ -34,14 +32,10 @@ EAGER_PROFILE = TuningProfile(
     bitpack_min_distinct=1,
     bitpack_wide_min_distinct=1,
     scalar_max_work=1,
-    mv_dedup_min_genomes=1,
-    mv_dedup_min_table=1,
-    mv_dedup_min_distinct=1,
     native_min_distinct=1 << 30,  # keep the array plumbing observable
     native_wide_min_distinct=1 << 30,
     bitpack_shard_size=16,
     huffman_lockstep_min_rows=1,
-    mv_feedback_min_hit_rate=0.05,
 )
 LAZY_PROFILE = TuningProfile(
     bitpack_min_distinct=1 << 30,
@@ -49,13 +43,7 @@ LAZY_PROFILE = TuningProfile(
     native_min_distinct=1 << 30,
     native_wide_min_distinct=1 << 30,
     scalar_max_work=1 << 30,
-    mv_dedup_min_genomes=1 << 30,
-    mv_dedup_min_table=1 << 30,
-    mv_dedup_min_distinct=1 << 30,
     huffman_lockstep_min_rows=1 << 30,
-    mv_feedback_min_hit_rate=0.95,
-    mv_feedback_patience=1,
-    mv_feedback_reprobe_period=2,
 )
 
 
@@ -77,7 +65,7 @@ class TestBatchParity:
     def test_profiles_never_move_rates(self, kernel, profile):
         blocks, genomes = small_workload()
         reference = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, mv_cache_size=0,
+            blocks, n_vectors=8, block_length=6,
         ).evaluate_batch(genomes)
         tuned = BatchCompressionRateFitness(
             blocks, n_vectors=8, block_length=6,
@@ -85,23 +73,10 @@ class TestBatchParity:
         ).evaluate_batch(genomes)
         assert (tuned == reference).all()
 
-    @pytest.mark.parametrize("mv_feedback", [None, True, False])
-    def test_feedback_modes_never_move_rates(self, mv_feedback):
-        blocks, genomes = small_workload()
-        reference = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, mv_cache_size=0,
-        ).evaluate_batch(genomes)
-        fitness = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6,
-            tuning=EAGER_PROFILE, mv_feedback=mv_feedback,
-        )
-        for _ in range(3):  # repeated generations: warm, maybe disengage
-            assert (fitness.evaluate_batch(genomes) == reference).all()
-
     def test_active_profile_is_parity_safe_too(self):
         blocks, genomes = small_workload()
         reference = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, mv_cache_size=0,
+            blocks, n_vectors=8, block_length=6,
         ).evaluate_batch(genomes)
         with use_profile(EAGER_PROFILE):
             ambient = BatchCompressionRateFitness(
@@ -136,15 +111,12 @@ class TestSeededRunParity:
         ]
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_profiles_and_feedback_do_not_move_seeded_runs(self, kernel):
+    def test_profiles_do_not_move_seeded_runs(self, kernel):
         reference = self.digest(self.run_result())
         variants = [
+            dict(kernel=kernel),
             dict(kernel=kernel, tuning=EAGER_PROFILE),
             dict(kernel=kernel, tuning=LAZY_PROFILE),
-            dict(kernel=kernel, mv_feedback=True),
-            dict(kernel=kernel, mv_feedback=False),
-            dict(kernel=kernel, tuning=EAGER_PROFILE, mv_feedback=True),
-            dict(kernel=kernel, tuning=LAZY_PROFILE, mv_feedback=False),
         ]
         for overrides in variants:
             assert self.digest(self.run_result(**overrides)) == reference, (
@@ -187,65 +159,9 @@ class TestThresholdPlumbing:
         untouched = resolve_kernel("bitpack", 32, 4096, 32, 12, profile=None)
         assert untouched._shard_size is None
 
-    def test_dedup_engagement_honors_profile(self):
-        blocks, genomes = small_workload()
-        eager = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, tuning=EAGER_PROFILE,
-        )
-        eager.evaluate_batch(genomes)
-        assert eager.mv_cache_stats.rows_total > 0  # dedup path ran
-        lazy = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, tuning=LAZY_PROFILE,
-        )
-        lazy.evaluate_batch(genomes)
-        assert lazy.mv_cache_stats.rows_total == 0  # static veto
-
-    def test_feedback_disengages_and_reprobes_in_the_fitness(self):
-        blocks, genomes = small_workload()
-        monitor = MVCacheFeedback(
-            min_hit_rate=1.0, patience=1, reprobe_period=2
-        )
-        fitness = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6,
-            tuning=EAGER_PROFILE, mv_feedback=monitor,
-        )
-        rng = np.random.default_rng(3)
-
-        def fresh_batch():
-            batch = np.stack([random_genome(8 * 6, rng) for _ in range(24)])
-            batch[:, -6:] = 2
-            return batch
-
-        fitness.evaluate_batch(fresh_batch())  # cold: hit rate < 1.0
-        assert not monitor.engaged
-        fitness.evaluate_batch(fresh_batch())  # fused (vetoed)
-        fitness.evaluate_batch(fresh_batch())  # fused; reprobe window opens
-        assert monitor.engaged
-        stats = fitness.mv_cache_stats.feedback
-        assert stats.batches_fused == 2
-        assert stats.reprobes == 1
-        assert stats.disengagements == 1
-
-    def test_feedback_off_means_no_monitor(self):
-        blocks, _ = small_workload()
-        fitness = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, mv_feedback=False,
-        )
-        assert fitness.mv_feedback is None
-        assert fitness.mv_cache_stats.feedback is None
-
-    def test_monitor_parameters_come_from_the_profile(self):
-        blocks, _ = small_workload()
-        fitness = BatchCompressionRateFitness(
-            blocks, n_vectors=8, block_length=6, tuning=LAZY_PROFILE,
-        )
-        assert fitness.mv_feedback._min_hit_rate == 0.95
-        assert fitness.mv_feedback._patience == 1
-
     def test_config_carries_profile_to_run_tasks(self):
         config = CompressionConfig(
             block_length=6, n_vectors=8, runs=1, tuning=EAGER_PROFILE,
-            mv_feedback=False,
         )
         assert config.tuning is EAGER_PROFILE
         assert config.with_updates(runs=2).tuning is EAGER_PROFILE

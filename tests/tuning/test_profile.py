@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import fitness as fitness_module
 from repro.core import kernels as kernels_module
 from repro.coding import huffman as huffman_module
 from repro.tuning.profile import (
@@ -31,12 +30,8 @@ def tuned_profile(**overrides) -> TuningProfile:
         fingerprint=current_fingerprint(gemm_us=12.5, bitand_us=3.25),
         bitpack_min_distinct=192,
         bitpack_wide_min_distinct=1536,
-        mv_dedup_min_genomes=8,
-        mv_dedup_min_table=384,
-        mv_dedup_min_distinct=1024,
         bitpack_shard_size=512,
         huffman_lockstep_min_rows=128,
-        mv_feedback_min_hit_rate=0.4,
         source="test",
         created="2026-07-29T00:00:00+00:00",
         probe_seconds=1.5,
@@ -97,6 +92,26 @@ class TestLoadFallback:
         path.write_text(json.dumps(document))
         with pytest.raises(ProfileLoadError, match="version"):
             load_profile(path)
+
+    def test_profile_from_before_cache_removal_asks_for_retune(self, tmp_path):
+        """A version-1 profile still carries the removed MV-cache fields;
+        it is turned away with the one-line re-tune reason."""
+        document = tuned_profile().to_dict()
+        document["version"] = 1
+        document["thresholds"].update(
+            mv_dedup_min_genomes=16,
+            mv_dedup_min_table=512,
+            mv_dedup_min_distinct=2048,
+            mv_feedback_min_hit_rate=0.25,
+            mv_feedback_patience=10,
+            mv_feedback_reprobe_period=50,
+            mv_cache_policy=None,
+        )
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(document))
+        reasons = []
+        assert load_profile_or_none(path, warn=reasons.append) is None
+        assert len(reasons) == 1 and "re-run `repro tune`" in reasons[0]
 
     def test_unknown_threshold_field_rejected(self, tmp_path):
         document = tuned_profile().to_dict()
@@ -184,15 +199,6 @@ class TestDefaultsStayInSync:
         )
         assert profile.scalar_max_work == kernels_module.SCALAR_MAX_WORK
 
-    def test_dedup_thresholds(self):
-        profile = TuningProfile()
-        assert profile.mv_dedup_min_genomes == fitness_module._MV_DEDUP_MIN_GENOMES
-        assert profile.mv_dedup_min_table == fitness_module._MV_DEDUP_MIN_TABLE
-        assert (
-            profile.mv_dedup_min_distinct
-            == fitness_module._MV_DEDUP_MIN_DISTINCT
-        )
-
     def test_huffman_threshold(self):
         assert (
             TuningProfile().huffman_lockstep_min_rows
@@ -202,12 +208,8 @@ class TestDefaultsStayInSync:
 
 class TestValidation:
     def test_rejects_nonpositive_thresholds(self):
-        with pytest.raises(ValueError, match="mv_dedup_min_table"):
-            TuningProfile(mv_dedup_min_table=0)
-
-    def test_rejects_bad_hit_rate(self):
-        with pytest.raises(ValueError, match="mv_feedback_min_hit_rate"):
-            TuningProfile(mv_feedback_min_hit_rate=1.5)
+        with pytest.raises(ValueError, match="scalar_max_work"):
+            TuningProfile(scalar_max_work=0)
 
     def test_rejects_bad_shard_size(self):
         with pytest.raises(ValueError, match="bitpack_shard_size"):
@@ -216,7 +218,7 @@ class TestValidation:
     def test_with_updates(self):
         profile = TuningProfile().with_updates(bitpack_min_distinct=64)
         assert profile.bitpack_min_distinct == 64
-        assert profile.mv_dedup_min_table == TuningProfile().mv_dedup_min_table
+        assert profile.scalar_max_work == TuningProfile().scalar_max_work
 
 
 class TestActiveProfile:
