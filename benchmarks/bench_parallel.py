@@ -137,76 +137,3 @@ def scaling_report(repeats: int = 3, kinds: tuple[str, ...] = ("thread", "proces
         "cpu_count": os.cpu_count(),
         "results": results,
     }
-
-
-def bitpack_shard_report(repeats: int = 3) -> dict:
-    """Shard-level thread scaling of the bitpack covering kernel.
-
-    Times ``BitpackKernel(shard_backend=ThreadBackend(jobs))`` on the
-    bandwidth-bound ``large`` batch workload at jobs ∈ {1, 2, 4}, with
-    ``shard_size`` forced small enough that every job count has shards
-    to fan out.  The integer ufuncs release the GIL, so on multi-core
-    hardware threads are an honest parallel axis *inside* one fitness
-    call; on a single-core container the artifact records the ~1×
-    ceiling (judge against ``cpu_count``).  Every contender's rates
-    are checked against the serial kernel before timing is recorded.
-    """
-    from bench_batch import build_kernel_workload
-
-    from repro.core.fitness import BatchCompressionRateFitness
-    from repro.core.kernels import BitpackKernel
-
-    blocks, block_length, n_vectors, genomes = build_kernel_workload("large")
-    shard_size = 512  # D≈3.3k → 7 shards: enough fan-out for 4 workers
-    batch_size = len(genomes)
-
-    def contender(jobs: int) -> BatchCompressionRateFitness:
-        backend = None if jobs == 1 else ThreadBackend(jobs)
-        kernel = BitpackKernel(shard_size=shard_size, shard_backend=backend)
-        return BatchCompressionRateFitness(
-            blocks,
-            n_vectors=n_vectors,
-            block_length=block_length,
-            kernel=kernel,
-        )
-
-    def best_seconds(fitness) -> tuple[float, list[float]]:
-        rates = fitness.evaluate_batch(genomes)  # warm caches
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            rates = fitness.evaluate_batch(genomes)
-            best = min(best, time.perf_counter() - start)
-        return best, [float(rate) for rate in rates]
-
-    serial_seconds, serial_rates = best_seconds(contender(1))
-    results = [
-        {
-            "jobs": 1,
-            "seconds": round(serial_seconds, 3),
-            "genomes_per_second": round(batch_size / serial_seconds, 1),
-            "speedup_vs_serial": 1.0,
-        }
-    ]
-    for jobs in (2, 4):
-        seconds, rates = best_seconds(contender(jobs))
-        assert rates == serial_rates, (
-            f"thread-{jobs} shards diverged from serial; refusing to benchmark"
-        )
-        results.append(
-            {
-                "jobs": jobs,
-                "seconds": round(seconds, 3),
-                "genomes_per_second": round(batch_size / seconds, 1),
-                "speedup_vs_serial": round(serial_seconds / seconds, 2),
-            }
-        )
-    return {
-        "benchmark": "bitpack kernel shard fan-out (ThreadBackend)",
-        "workload": "large",
-        "batch_size": batch_size,
-        "n_distinct_blocks": blocks.n_distinct,
-        "shard_size": shard_size,
-        "cpu_count": os.cpu_count(),
-        "results": results,
-    }

@@ -10,9 +10,9 @@ script and catch regressions:
   small/medium/large synthetic workloads: genomes/second plus
   batched-over-reference and batched-over-scalar speedups.  A
   ``kernel_comparison`` section times the batched pipeline under
-  every registered covering kernel (gemm, bitpack, scalar) on the
+  every usable covering kernel (bitpack, native, scalar) on the
   same workloads plus the ``wide`` K = 96 one, recording the
-  bitpack-over-gemm speedup and what ``auto`` would pick.  A
+  native-over-bitpack speedup and what ``auto`` would pick.  A
   ``stage_breakdown`` section splits one batched call into its
   pack / cover / huffman stages (so a future regression can be
   localized, not just detected).  ``cpu_count`` is recorded as
@@ -20,9 +20,7 @@ script and catch regressions:
 * ``BENCH_parallel.json`` — runs/second of the multi-run EA fan-out
   through the serial, thread, and process backends at jobs ∈
   {1, 2, 4, 8} (``bench_parallel.scaling_report``), with ``cpu_count``
-  recorded so scaling is judged against the machine's ceiling, plus a
-  ``bitpack_shard_scaling`` section timing
-  ``BitpackKernel(shard_backend=ThreadBackend)`` at jobs ∈ {1, 2, 4}.
+  recorded so scaling is judged against the machine's ceiling.
 
 ::
 
@@ -38,11 +36,7 @@ against the committed ``BENCH_fitness.json``, exiting nonzero if any
 workload's speedup fell by more than ``--check-tolerance`` (default
 30%).  Both paths run in the same process, so the gate is meaningful
 on any machine — including CI's bench lane, which runs it on every
-push; raw genomes/second are printed for context only.  ``--profile
-PATH`` applies a ``repro tune`` profile to every in-process fitness
-(CI tunes first, then gates against the tuned profile, so the gate
-and the tuner agree on kernel decisions); the artifacts record which
-profile governed the run.
+push; raw genomes/second are printed for context only.
 
 The artifacts intentionally avoid pytest-benchmark's statistics; use
 ``pytest benchmarks/bench_batch.py --benchmark-only`` (or
@@ -80,11 +74,6 @@ from repro.core.kernels import select_kernel_name  # noqa: E402
 from repro.ea.genome import random_genome  # noqa: E402
 from repro.io_utils import atomic_write_json  # noqa: E402
 from repro.testdata.synthetic import synthetic_test_set  # noqa: E402
-from repro.tuning.profile import (  # noqa: E402
-    get_active_profile,
-    load_profile_or_none,
-    set_active_profile,
-)
 
 def best_seconds(function, repeats: int) -> float:
     """Best-of-N wall time — robust to noisy shared machines."""
@@ -189,9 +178,6 @@ def bench_kernels(name: str, repeats: int) -> dict:
         "genomes_per_second": {
             kernel: round(value, 1) for kernel, value in throughput.items()
         },
-        "speedup_bitpack_vs_gemm": round(
-            throughput["bitpack"] / throughput["gemm"], 2
-        ),
         "auto_selects": select_kernel_name(
             batch_size, blocks.n_distinct, n_vectors, block_length
         ),
@@ -227,14 +213,6 @@ def bench_stages(name: str, repeats: int, kernel: str = "auto") -> dict:
     }
 
 
-def _profile_note() -> dict | None:
-    """What tuning profile governed this run (None = shipped defaults)."""
-    profile = get_active_profile()
-    if profile is None:
-        return None
-    return {"source": profile.source, "created": profile.created}
-
-
 def emit_fitness_artifact(output: Path, repeats: int) -> None:
     document = {
         "benchmark": "batched fitness engine (cover + Huffman + price)",
@@ -242,7 +220,6 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
         "numpy": np.__version__,
         # Provenance: throughput scales with the machine.
         "cpu_count": os.cpu_count(),
-        "tuning_profile": _profile_note(),
         "workloads": [
             bench_workload(name, repeats) for name in sorted(WORKLOADS)
         ],
@@ -271,7 +248,6 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
         print(
             f"{row['workload']:>7} kernels: "
             + "  ".join(f"{kernel}={rates[kernel]}/s" for kernel in sorted(rates))
-            + f"  bitpack/gemm ×{row['speedup_bitpack_vs_gemm']}"
             + (
                 f"  native/bitpack ×{row['speedup_native_vs_bitpack']}"
                 if "speedup_native_vs_bitpack" in row
@@ -311,11 +287,9 @@ def check_against_committed(
     """
     committed = json.loads(committed_path.read_text())
     failures = []
-    profile = _profile_note()
     print(
         f"checking against {committed_path} (tolerance {tolerance:.0%}, "
-        "metric: batched-vs-reference speedup, tuning: "
-        f"{profile['source'] if profile else 'shipped defaults'})"
+        "metric: batched-vs-reference speedup)"
     )
     for row in committed["workloads"]:
         name = row["workload"]
@@ -345,26 +319,18 @@ def check_against_committed(
 
 
 def emit_parallel_artifact(output: Path, repeats: int) -> None:
-    from bench_parallel import bitpack_shard_report, scaling_report
+    from bench_parallel import scaling_report
 
     document = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "tuning_profile": _profile_note(),
         **scaling_report(repeats=repeats),
-        "bitpack_shard_scaling": bitpack_shard_report(repeats=repeats),
     }
     atomic_write_json(output, document)
     for row in document["results"]:
         print(
             f"{row['backend']:>8} jobs={row['jobs']}: "
             f"{row['runs_per_second']:>6}/s  ×{row['speedup_vs_serial']} vs serial"
-        )
-    for row in document["bitpack_shard_scaling"]["results"]:
-        print(
-            f"bitpack shards jobs={row['jobs']}: "
-            f"{row['genomes_per_second']:>8}/s  "
-            f"×{row['speedup_vs_serial']} vs serial"
         )
     print(
         f"wrote {output} (cpu_count={document['cpu_count']}; speedups are "
@@ -383,7 +349,6 @@ def emit_serve_artifact(output: Path) -> None:
         # cpu_count — on a single core the win is warm state and
         # fewer kernel passes, not parallelism.
         "cpu_count": os.cpu_count(),
-        "tuning_profile": _profile_note(),
         **serve_report(),
     }
     atomic_write_json(output, document)
@@ -461,29 +426,7 @@ def main() -> None:
         default=0.30,
         help="allowed fractional slowdown before --check fails (default 0.30)",
     )
-    parser.add_argument(
-        "--profile",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "tuning profile written by `repro tune`; applied to every "
-            "in-process fitness so the regression gate and the tuner "
-            "agree on kernel decisions (the gated metric stays "
-            "hardware-normalized; a mismatched profile is ignored with "
-            "a warning)"
-        ),
-    )
     args = parser.parse_args()
-
-    if args.profile is not None:
-        profile = load_profile_or_none(
-            args.profile,
-            warn=lambda reason: print(
-                f"warning: ignoring tuning profile: {reason}", file=sys.stderr
-            ),
-        )
-        set_active_profile(profile)
 
     if args.check:
         raise SystemExit(

@@ -43,12 +43,6 @@ from .core import (
     optimize_mv_set,
     verify_roundtrip,
 )
-from .tuning import (
-    TuningProfile,
-    load_profile,
-    save_profile,
-    use_profile,
-)
 
 __version__ = "1.1.0"
 
@@ -73,11 +67,7 @@ __all__ = [
     "cover",
     "decompress",
     "nine_c_mv_set",
-    "TuningProfile",
-    "load_profile",
     "optimize_mv_set",
-    "save_profile",
-    "use_profile",
     "verify_roundtrip",
     "__version__",
 ]

@@ -8,8 +8,6 @@ Commands
 ``atpg``        Generate a stuck-at test set for a library circuit and
                 compress it with all methods.
 ``ablate``      Run one of the ablation studies on a calibrated test set.
-``tune``        Probe this machine's kernel crossovers and write a
-                tuning profile for the other commands' ``--profile``.
 ``kernels``     List the covering-kernel backends with availability
                 (e.g. ``native: unavailable — no C compiler found``)
                 and, with ``--shape C,D,L,K``, the ``auto`` pick.
@@ -32,15 +30,11 @@ Examples
     python -m repro compress my_tests.txt --k 12 --l 64
     python -m repro atpg c17
     python -m repro ablate kl --circuit s349 --jobs 4
-    python -m repro tune --quick           # then:
-    python -m repro table1 --seed 1 --profile ~/.cache/repro/tuning_profile.json
 
-Every command takes ``--jobs N`` (1 = serial, 0 = all CPU cores) and
-``--backend {process,thread}``; results are independent of both — the
-same seed gives the same table at any job count.  ``--profile PATH``
-applies a machine-measured tuning profile (written by ``repro tune``)
-to every hot-path threshold; like ``--kernel``, it only moves the
-wall clock — seeded output is byte-identical with or without it.
+Every command takes ``--jobs N`` (1 = serial, 0 = all CPU cores),
+``--backend {process,thread}`` and ``--kernel``; results are
+independent of all three — the same seed gives the same table at any
+job count and under any covering kernel.
 
 Fault tolerance: ``--retries N`` re-attempts transient failures
 (worker crashes, hangs cut short by ``--task-timeout SECONDS``) with
@@ -68,12 +62,6 @@ from .testdata.calibration import calibrate_spec
 from .testdata.registry import TABLE1_STUCK_AT, row_by_name
 from .testdata.synthetic import SyntheticSpec
 from .testdata.test_set import TestSet
-from .tuning.profile import (
-    TuningProfile,
-    default_profile_path,
-    load_profile_or_none,
-    set_active_profile,
-)
 
 __all__ = ["main"]
 
@@ -99,20 +87,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "covering kernel pricing the EA fitness (auto picks per "
             "workload shape; all kernels give bit-identical results)"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "tuning profile written by `repro tune`; its "
-            "machine-measured thresholds replace the shipped defaults "
-            "for kernel auto-selection, bitpack shard sizing and "
-            "Huffman batching (ignored with a "
-            "warning on version/fingerprint mismatch; results are "
-            "byte-identical with or without it)"
         ),
     )
     parser.add_argument(
@@ -142,31 +116,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_backend(arguments: argparse.Namespace) -> ExecutionBackend:
     return resolve_backend(arguments.jobs, arguments.backend)
-
-
-def _resolve_tuning(arguments: argparse.Namespace) -> TuningProfile | None:
-    """Load ``--profile`` (if any) and install it process-wide.
-
-    A missing, malformed, version-mismatched or wrong-machine profile
-    falls back to the shipped defaults with a warning on stderr — a
-    stale profile must never break a run.  The returned profile is
-    also threaded into every ``CompressionConfig`` so process-pool
-    workers (which don't inherit this process's active profile) tune
-    identically.
-    """
-    if arguments.profile is None:
-        # Clear any profile a previous main() call installed in this
-        # process — a profile-less invocation means shipped defaults.
-        set_active_profile(None)
-        return None
-    profile = load_profile_or_none(
-        arguments.profile,
-        warn=lambda reason: print(
-            f"warning: ignoring tuning profile: {reason}", file=sys.stderr
-        ),
-    )
-    set_active_profile(profile)
-    return profile
 
 
 def _resolve_fault_tolerance(
@@ -232,7 +181,6 @@ def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _table_command(arguments: argparse.Namespace, which: int) -> int:
-    tuning = _resolve_tuning(arguments)
     from .experiments import (
         PAPER,
         QUICK,
@@ -260,7 +208,6 @@ def _table_command(arguments: argparse.Namespace, which: int) -> int:
         progress=print,
         backend=_resolve_backend(arguments),
         kernel=arguments.kernel,
-        tuning=tuning,
         retry=retry,
         timeout=timeout,
         checkpoint=_resolve_checkpoint(arguments),
@@ -296,7 +243,6 @@ def _print_pareto_front(blocks, config, arguments: argparse.Namespace) -> int:
 
 
 def _compress_command(arguments: argparse.Namespace) -> int:
-    tuning = _resolve_tuning(arguments)
     lines = [
         line.strip()
         for line in Path(arguments.file).read_text().splitlines()
@@ -314,7 +260,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
         n_vectors=arguments.l,
         runs=arguments.runs,
         kernel=arguments.kernel,
-        tuning=tuning,
         ea=EAParameters(
             stagnation_limit=arguments.stagnation,
             max_evaluations=arguments.max_evaluations,
@@ -343,7 +288,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
 
 
 def _atpg_command(arguments: argparse.Namespace) -> int:
-    tuning = _resolve_tuning(arguments)
     from .atpg.stuck_at import generate_stuck_at_tests
     from .circuits.library import load_circuit
 
@@ -366,7 +310,6 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
         n_vectors=arguments.l,
         runs=3,
         kernel=arguments.kernel,
-        tuning=tuning,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     if arguments.objectives != "rate":
@@ -397,7 +340,6 @@ def _calibrated_test_set(circuit: str, seed: int) -> TestSet:
 
 
 def _ablate_command(arguments: argparse.Namespace) -> int:
-    tuning = _resolve_tuning(arguments)
     from .experiments import (
         ablation_markdown,
         decoder_cost_study,
@@ -415,7 +357,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"K/L sweep on {arguments.circuit}"))
@@ -423,7 +364,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(
@@ -435,7 +375,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"9C seeding on {arguments.circuit}"))
@@ -443,7 +382,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         points = subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout,
         )
         print(
@@ -455,7 +393,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         costs = decoder_cost_study(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
         )
         for method, values in costs.items():
             print(
@@ -467,7 +404,6 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
 
 
 def _report_command(arguments: argparse.Namespace) -> int:
-    tuning = _resolve_tuning(arguments)
     from .experiments import (
         PAPER,
         QUICK,
@@ -496,7 +432,6 @@ def _report_command(arguments: argparse.Namespace) -> int:
         progress=print,
         backend=backend,
         kernel=arguments.kernel,
-        tuning=tuning,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("building Table 2 ...")
@@ -507,7 +442,6 @@ def _report_command(arguments: argparse.Namespace) -> int:
         progress=print,
         backend=backend,
         kernel=arguments.kernel,
-        tuning=tuning,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("running ablations on s349 ...")
@@ -516,25 +450,21 @@ def _report_command(arguments: argparse.Namespace) -> int:
         "K/L sweep (s349, source of EA-Best)": kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Operator probabilities (s349)": operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "9C seeding of the initial population (s349)": seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Subsumption-aware encoding (s349, Section 3.3)": subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
             kernel=arguments.kernel,
-            tuning=tuning,
             retry=retry, timeout=timeout,
         ),
     }
@@ -550,44 +480,6 @@ def _report_command(arguments: argparse.Namespace) -> int:
     )
     Path(arguments.output).write_text(document)
     print(f"wrote {arguments.output}")
-    return 0
-
-
-def _tune_command(arguments: argparse.Namespace) -> int:
-    from .tuning.probes import run_probes, tuning_summary
-    from .tuning.profile import save_profile
-
-    print(
-        "probing kernel crossovers, shard size and Huffman cutover "
-        f" ({'quick' if arguments.quick else 'full'} "
-        f"mode, best of {arguments.repeats}) ..."
-    )
-    profile = run_probes(
-        quick=arguments.quick, repeats=arguments.repeats, progress=print
-    )
-    path = save_profile(profile, arguments.profile)
-    print(f"wrote {path}")
-    print(
-        "thresholds: "
-        f"bitpack_min_distinct={profile.bitpack_min_distinct}  "
-        f"bitpack_wide_min_distinct={profile.bitpack_wide_min_distinct}  "
-        f"native_min_distinct={profile.native_min_distinct}  "
-        f"native_wide_min_distinct={profile.native_wide_min_distinct}  "
-        f"bitpack_shard_size={profile.bitpack_shard_size}  "
-        f"huffman_lockstep_min_rows={profile.huffman_lockstep_min_rows}"
-    )
-    if not arguments.no_summary:
-        summary = tuning_summary(profile, quick=arguments.quick)
-        for row in summary:
-            print(
-                f"{row['workload']:>7}: default {row['default_genomes_per_second']:>9.1f}"
-                f" genomes/s  tuned {row['tuned_genomes_per_second']:>9.1f}"
-                f" genomes/s  (×{row['speedup_tuned_vs_default']:.2f})"
-            )
-        print(
-            "(seeded results are byte-identical with or without the "
-            "profile — only the wall clock moves)"
-        )
     return 0
 
 
@@ -644,13 +536,9 @@ def _build_service(arguments: argparse.Namespace):
     """
     from .serve import CompressionService, WarmRegistry
 
-    tuning = _resolve_tuning(arguments)
     retry, timeout = _resolve_fault_tolerance(arguments)
-    registry = WarmRegistry(
-        tuning=tuning,
-    )
     service = CompressionService(
-        registry, kernel=arguments.kernel, retry=retry
+        WarmRegistry(), kernel=arguments.kernel, retry=retry
     )
     return service, timeout
 
@@ -736,23 +624,31 @@ def _request_command(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_shape(text: str) -> tuple[int, int, int, int]:
+    """``C,D,L,K`` → four positive ints, else ``ValueError``."""
+    try:
+        shape = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != 4 or min(shape) < 1:
+        raise ValueError(
+            f"invalid --shape {text!r}; expected C,D,L,K as four "
+            "positive integers"
+        )
+    return shape
+
+
 def _kernels_command(arguments: argparse.Namespace) -> int:
     from .core.kernels import kernel_availability, select_kernel_name
 
+    shape = None if arguments.shape is None else _parse_shape(arguments.shape)
     for name, reason in sorted(kernel_availability().items()):
         if reason is None:
             print(f"{name}: available")
         else:
             print(f"{name}: unavailable — {reason}")
-    if arguments.shape is not None:
-        try:
-            c, d, l, k = (int(part) for part in arguments.shape.split(","))
-        except ValueError:
-            print(
-                f"invalid --shape {arguments.shape!r}; expected C,D,L,K",
-                file=sys.stderr,
-            )
-            return 2
+    if shape is not None:
+        c, d, l, k = shape
         pick = select_kernel_name(c, d, l, k)
         print(f"auto pick for shape C={c}, D={d}, L={l}, K={k}: {pick}")
     return 0
@@ -834,40 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal completed EA runs and skip already-journaled work",
     )
     _add_execution_arguments(report)
-
-    tune = commands.add_parser(
-        "tune",
-        help=(
-            "probe this machine's kernel crossovers and write a "
-            "tuning profile for --profile"
-        ),
-    )
-    tune.add_argument(
-        "--profile",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "where to write the profile "
-            f"(default {default_profile_path()})"
-        ),
-    )
-    tune.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller probe shapes and fewer points (seconds, not minutes)",
-    )
-    tune.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N timing repeats per probe point (default 3)",
-    )
-    tune.add_argument(
-        "--no-summary",
-        action="store_true",
-        help="skip the before/after genomes/s summary after writing",
-    )
 
     kernels = commands.add_parser(
         "kernels",
@@ -1011,8 +873,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         return _ablate_command(arguments)
     if arguments.command == "report":
         return _report_command(arguments)
-    if arguments.command == "tune":
-        return _tune_command(arguments)
     if arguments.command == "kernels":
         return _kernels_command(arguments)
     if arguments.command == "cache":

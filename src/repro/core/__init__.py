@@ -28,14 +28,12 @@ from .kernels import (
     KERNEL_CHOICES,
     BitpackKernel,
     CoveringKernel,
-    GemmKernel,
     NativeKernel,
     ScalarKernel,
     available_kernels,
     get_kernel,
     kernel_availability,
     kernel_unavailable_reason,
-    register_kernel,
     resolve_kernel,
     select_kernel_name,
     usable_kernels,
@@ -90,14 +88,12 @@ __all__ = [
     "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
-    "GemmKernel",
     "NativeKernel",
     "ScalarKernel",
     "available_kernels",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
-    "register_kernel",
     "resolve_kernel",
     "select_kernel_name",
     "usable_kernels",

@@ -32,6 +32,7 @@ coverings per run) works on the distinct table only.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .trits import DC, ONE, ZERO, format_trits, parse_trits, trits_to_array
 __all__ = [
     "WORD_BITS",
     "BlockSet",
+    "block_table_digest",
     "int_to_words",
     "mask_word_count",
     "masks_as_words",
@@ -344,3 +346,20 @@ class BlockSet:
         """Yield every block of the test set, in order, as a string."""
         for distinct_index in self.sequence:
             yield self.block_string(int(distinct_index))
+
+
+def block_table_digest(blocks: BlockSet) -> str:
+    """SHA-256 content digest of a block set (dtype/shape-qualified).
+
+    K and the original bit count, then every distinct-table array with
+    its dtype and shape, so two tables collide only if they are
+    byte-identical in every semantic respect.  Checkpoint and Pareto
+    run fingerprints and the serve registry's table keys all use it.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"K={blocks.block_length};bits={blocks.original_bits};".encode())
+    for name in ("ones", "zeros", "counts", "sequence"):
+        array = np.ascontiguousarray(getattr(blocks, name))
+        digest.update(f"{name}:{array.dtype}:{array.shape}:".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..tuning.profile import TuningProfile
 from .encoding import EncodingStrategy
 from .kernels import AUTO_KERNEL, CoveringKernel, available_kernels
 
@@ -114,17 +113,9 @@ class CompressionConfig:
     works — wide blocks (K > 64) pack into multi-word masks.
 
     ``kernel`` names the covering kernel pricing the EA's fitness
-    (``auto``, ``gemm``, ``bitpack``, ``scalar`` — see
+    (``auto``, ``bitpack``, ``native``, ``scalar`` — see
     :mod:`repro.core.kernels`); every kernel produces bit-identical
     results, so this knob only moves the wall clock.
-
-    ``tuning`` pins a machine-measured
-    :class:`repro.tuning.TuningProfile` for every run of this
-    configuration (kernel auto cutovers, bitpack shard size, Huffman
-    lockstep cutover).  The profile travels *inside* the config, so
-    process-pool workers — which never see the CLI's process-wide
-    active profile — tune identically to the serial path.  It is
-    semantically inert — wall clock only, results byte-identical.
     """
 
     block_length: int = 12
@@ -134,7 +125,6 @@ class CompressionConfig:
     runs: int = 5
     kernel: str | CoveringKernel = "auto"
     mv_cache_persist: bool = False  # inert: perfbench/ still passes False
-    tuning: TuningProfile | None = None
     ea: EAParameters = field(default_factory=EAParameters)
 
     def __post_init__(self) -> None:
@@ -153,10 +143,6 @@ class CompressionConfig:
             raise ValueError("n_vectors must be >= 1")
         if self.mv_cache_persist:
             raise ValueError("MV cache persistence was removed")
-        if self.tuning is not None and not isinstance(self.tuning, TuningProfile):
-            raise ValueError(
-                f"tuning must be a TuningProfile or None, got {self.tuning!r}"
-            )
         if self.fill_default not in (0, 1):
             raise ValueError("fill_default must be 0 or 1")
         if self.runs < 1:

@@ -9,20 +9,18 @@ which drives the Huffman codeword assignment.
 Covering runs on the distinct-block table of a :class:`BlockSet`, so
 its cost is O(L × distinct blocks) vectorized numpy work — this is the
 inner loop of the EA fitness evaluation.  The heavy lifting lives in
-the pluggable kernel subsystem (:mod:`repro.core.kernels`): a float32
-GEMM kernel, a bit-packed uint64 word-lane kernel with block-table
-sharding, and the scalar reference loop, all returning bit-identical
-results.  This module is the thin dispatcher over that registry:
+the pluggable kernel subsystem (:mod:`repro.core.kernels`): a
+compiled native kernel, a bit-packed integer-lane kernel with
+block-table sharding, and the scalar reference loop, all returning
+bit-identical results.  This module is the thin dispatcher over that
+registry:
 
 * :func:`cover` covers one :class:`MVSet` (the compressor path) with
   the scalar reference kernel;
 * :func:`cover_masks` is the single-genome mask-level primitive
   (re-exported from :mod:`repro.core.kernels.scalar`);
 * :func:`cover_masks_batch` covers a whole *generation* at once,
-  resolving ``kernel`` (``"auto"`` by default) through the registry;
-* :func:`cover_bits_batch`/:func:`unpack_mask_bits` remain the GEMM
-  kernel's bit-matrix core, re-exported for callers that manage their
-  own unpacked representation.
+  resolving ``kernel`` (``"auto"`` by default) through the registry.
 """
 
 from __future__ import annotations
@@ -32,22 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import WORD_BITS, BlockSet
-from .kernels import (
-    cover_bits_batch,
-    cover_masks,
-    resolve_kernel,
-    unpack_mask_bits,
-)
+from .kernels import cover_masks, resolve_kernel
 from .matching import MVSet
 
 __all__ = [
     "CoveringResult",
     "UncoverableError",
     "cover",
-    "cover_bits_batch",
     "cover_masks",
     "cover_masks_batch",
-    "unpack_mask_bits",
 ]
 
 

@@ -8,8 +8,8 @@ generation of ``C`` genomes in a handful of numpy kernel calls:
    trit grid and each genome's MVs are ordered by increasing ``U``
    count (the paper's covering priority) in one vectorized pass;
 2. a pluggable covering kernel (:mod:`repro.core.kernels` — compiled
-   native lanes, float32 GEMM, bit-packed uint64 lanes, or the scalar
-   reference; ``"auto"`` picks per workload shape) covers the whole
+   native lanes, bit-packed integer lanes, or the scalar reference;
+   ``"auto"`` picks per workload shape) covers the whole
    generation in ONE fused ``cover_grid`` pass, early-exiting genomes
    whose MVs cannot cover every block;
 3. :func:`repro.coding.huffman.huffman_total_bits_batch` prices all
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coding.huffman import huffman_length_stats_batch, huffman_total_bits_batch
-from ..tuning.profile import TuningProfile, get_active_profile
 from .blocks import BlockSet, mask_word_count, pack_bits_to_words
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
@@ -83,19 +82,12 @@ class BatchCompressionRateFitness:
     """Price a whole generation of genomes against a fixed block set.
 
     ``kernel`` selects the covering kernel by registry name
-    (``"auto"``, ``"gemm"``, ``"bitpack"``, ``"native"``, ``"scalar"``)
-    or passes a :class:`~repro.core.kernels.CoveringKernel` instance
-    directly; ``"auto"`` resolves from the workload shape (C, D, L, K)
-    when the first batch arrives.  Every generation prices through the
-    kernel's one fused ``cover_grid`` pass.
-
-    ``tuning`` pins a :class:`repro.tuning.TuningProfile` whose
-    machine-measured thresholds replace the shipped defaults for
-    kernel auto-selection, bitpack shard sizing and the Huffman
-    lockstep cutover; when ``None``, the process-wide active profile
-    applies, and without one the module constants do.  Every
-    configuration prices bit-identically, so these knobs only move
-    the wall clock.
+    (``"auto"``, ``"bitpack"``, ``"native"``, ``"scalar"``) or passes a
+    :class:`~repro.core.kernels.CoveringKernel` instance directly;
+    ``"auto"`` resolves from the workload shape (C, D, L, K) when the
+    first batch arrives.  Every generation prices through the kernel's
+    one fused ``cover_grid`` pass, and every kernel prices
+    bit-identically, so the choice only moves the wall clock.
 
     >>> blocks = BlockSet.from_string("111 000 111 111", 3)
     >>> fit = BatchCompressionRateFitness(blocks, n_vectors=2, block_length=3)
@@ -112,7 +104,6 @@ class BatchCompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        tuning: TuningProfile | None = None,
     ) -> None:
         if blocks.block_length != block_length:
             raise ValueError(
@@ -129,9 +120,6 @@ class BatchCompressionRateFitness:
         self._block_length = block_length
         self._strategy = strategy
         self._invalid_fitness = invalid_fitness
-        # Threshold resolution order: explicit profile > process-wide
-        # active profile > shipped module defaults (profile absent).
-        self._tuning = tuning if tuning is not None else get_active_profile()
         # The kernel choice; "auto" resolves lazily on the first batch
         # (the heuristic wants the generation size C), concrete names
         # resolve and prepare the block table right away.
@@ -150,7 +138,6 @@ class BatchCompressionRateFitness:
                 n_distinct=self._blocks.n_distinct,
                 n_vectors=self._n_vectors,
                 block_length=self._block_length,
-                profile=self._tuning,
             )
             self._prepared = self._kernel.prepare(self._blocks)
         return self._kernel
@@ -169,11 +156,6 @@ class BatchCompressionRateFitness:
     def genome_length(self) -> int:
         """L·K — expected gene count per genome."""
         return self._n_vectors * self._block_length
-
-    @property
-    def tuning(self) -> TuningProfile | None:
-        """The tuning profile resolved at construction (``None`` = defaults)."""
-        return self._tuning
 
     @property
     def mv_cache_stats(self) -> _DedupRowCounts:
@@ -227,7 +209,7 @@ class BatchCompressionRateFitness:
         kernel = self._resolve_kernel(n_genomes)
         # The covering kernel consumes the trit grid with the L axis
         # pre-permuted into covering order; each kernel converts to its
-        # native representation (float bit rows, uint64 word lanes).
+        # own representation (integer conflict lanes, uint64 words).
         ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
         if clock:
             clock.mark("pack")
@@ -269,14 +251,7 @@ class BatchCompressionRateFitness:
         rates = np.full(n_genomes, self._invalid_fitness, dtype=np.float64)
         valid = uncovered == 0
         if valid.any():
-            codeword_bits = huffman_total_bits_batch(
-                frequencies[valid],
-                lockstep_min_rows=(
-                    None
-                    if self._tuning is None
-                    else self._tuning.huffman_lockstep_min_rows
-                ),
-            )
+            codeword_bits = huffman_total_bits_batch(frequencies[valid])
             fill_bits = (frequencies[valid] * n_unspecified[valid]).sum(axis=1)
             compressed = codeword_bits + fill_bits
             original = self._blocks.original_bits
@@ -377,16 +352,9 @@ class CompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        tuning: TuningProfile | None = None,
     ) -> None:
         self._batch = BatchCompressionRateFitness(
-            blocks,
-            n_vectors,
-            block_length,
-            strategy,
-            invalid_fitness,
-            kernel,
-            tuning,
+            blocks, n_vectors, block_length, strategy, invalid_fitness, kernel
         )
         self._n_vectors = n_vectors
         self._block_length = block_length

@@ -1,15 +1,10 @@
 """Pluggable covering kernels and their selection registry.
 
-Four interchangeable backends price the covering inner loop (see
+Three interchangeable backends price the covering inner loop (see
 :mod:`repro.core.kernels.base` for the shared contract):
 
-* ``gemm``    — float32 bit matrices, one BLAS matrix product per
-  genome chunk; strongest where BLAS compute density pays — wide
-  blocks (multi-word lanes) over modest distinct-block tables;
 * ``bitpack`` — fused integer conflict lanes with D-axis sharding;
-  the fastest *array* kernel whenever the 2K-bit lane fits two uint64
-  words and the block table is large enough to make the GEMM operands
-  memory-bandwidth bound;
+  the numpy kernel every machine can run;
 * ``native``  — the same fused-lane match test as a cc-compiled C
   loop (:mod:`repro.core.kernels.native`): no numpy temporaries,
   branch-free single-word matching, first-match early exit, optional
@@ -20,9 +15,9 @@ Four interchangeable backends price the covering inner loop (see
 * ``scalar``  — the original per-genome Python loop; the semantic
   reference and the cheapest option for tiny one-off coverings.
 
-``auto`` picks per workload shape via :func:`select_kernel_name`,
-keyed on ``(C, D, L, K)`` — consulting availability first, so a
-missing compiler silently narrows the choice to the array kernels.
+``auto`` picks per workload shape via :func:`select_kernel_name`:
+scalar for tiny one-genome coverings, else native, else bitpack — so
+a missing compiler silently falls back to the numpy kernel.
 An *explicitly requested* kernel that is unavailable fails loudly in
 :func:`resolve_kernel` instead: the caller asked for something this
 machine cannot do, and silently substituting a different backend
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ...tuning.profile import TuningProfile, get_active_profile
 from .base import (
     CoveringKernel,
     PreparedBlocks,
@@ -44,7 +38,6 @@ from .base import (
 )
 from .bitpack import BitpackKernel
 from .build import NativeBuildError
-from .gemm import GemmKernel, cover_bits_batch, unpack_mask_bits
 from .native import NativeKernel, native_status
 from .scalar import ScalarKernel, cover_masks
 
@@ -53,43 +46,29 @@ __all__ = [
     "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
-    "GemmKernel",
     "NativeBuildError",
     "NativeKernel",
     "PreparedBlocks",
     "ScalarKernel",
     "accumulate_complete_rows",
     "available_kernels",
-    "cover_bits_batch",
     "cover_masks",
     "first_match_rank",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
     "rank_word_bits",
-    "register_kernel",
     "resolve_kernel",
     "select_kernel_name",
-    "unpack_mask_bits",
     "usable_kernels",
 ]
 
 AUTO_KERNEL = "auto"
 
 _REGISTRY: dict[str, Callable[[], CoveringKernel]] = {
-    GemmKernel.name: GemmKernel,
     BitpackKernel.name: BitpackKernel,
     ScalarKernel.name: ScalarKernel,
     NativeKernel.name: NativeKernel,
-}
-
-# Per-kernel availability probes: absent = always available.  A probe
-# returns None (usable) or a human-readable unavailability reason.
-# The native probe triggers the compile-on-first-use machinery, so
-# availability is never asked at import time — only when a selection
-# or listing actually needs the answer.
-_AVAILABILITY: dict[str, Callable[[], str | None]] = {
-    NativeKernel.name: lambda: native_status()[1],
 }
 
 # The names the CLI/config layer accepts, `auto` first.  Unavailable
@@ -97,71 +76,13 @@ _AVAILABILITY: dict[str, Callable[[], str | None]] = {
 # with the reason at resolution time, not at parse time.
 KERNEL_CHOICES = (AUTO_KERNEL, *sorted(_REGISTRY))
 
-# Auto-selection thresholds: the no-profile defaults, calibrated on
-# the workloads of ``benchmarks/bench_batch.py`` and re-confirmed by
-# the ``repro tune`` prober (single-core CI-class container; see
-# ROADMAP "Tuning architecture").  Bitpack's fused conflict lane holds
-# 2K bits; while it fits in at most two uint64 words (K <= 64) the
-# integer kernel measured 1.3–1.4× faster once the distinct table
-# outgrows BLAS's cache-resident sweet spot (medium D≈860, large
-# D≈3330), while tiny tables (small D≈150) stay GEMM territory.  Past
-# two lane words the per-element AND loop grows with K while BLAS
-# keeps its compute density — gemm wins there until the table is
-# large enough that its 4-bytes-per-bit operands go bandwidth-bound.
-# A :class:`repro.tuning.TuningProfile` (explicit argument, or the
-# process-wide active profile set by ``--profile``) overrides the
-# distinct-table cutovers per machine; these module constants remain
-# the fallback so behavior without a profile is unchanged.
-# Recalibration (PR 5, `repro tune` full mode on the single-core
-# CI-class container): the narrow crossover measured D>=512 at the
-# probe shape (C=32, L=32) vs the 256 shipped from the L=64 bench
-# workloads — the crossover moves with L because GEMM amortizes its
-# operand streaming over more MV rows.  The shipped default keeps the
-# bench-shape value (the EA's real shape); shape sensitivity is what
-# `--profile` is for.  The wide crossover never arrived within the
-# probed range (D<=4096) on this container — BLAS keeps multi-word
-# lanes ahead longer than the PR-3 estimate — so 2048 stands as a
-# conservative bench-derived default there too.
-BITPACK_MAX_LANE_WORDS = 2
-BITPACK_MIN_DISTINCT = 256
-BITPACK_WIDE_MIN_DISTINCT = 2048
-# Native-kernel cutovers (PR 8): on the probed container the compiled
-# AND+popcount loop beat BOTH array kernels at every batched shape —
-# narrow from D=64 and wide from D=256, the smallest points probed —
-# growing to ~3.6× over bitpack on the bandwidth-bound large table.
-# A floor of 1 therefore means "whenever the batch leaves the scalar
-# corner"; the tuning prober raises these per machine if an exotic
-# BLAS ever wins a region back.  Only consulted when the native
-# kernel is actually available.
-NATIVE_MIN_DISTINCT = 1
-NATIVE_WIDE_MIN_DISTINCT = 1
-# Below this many match tests (distinct blocks × MVs) a single
-# uncached covering is cheaper as the plain Python loop than as
-# batched tensor setup.  (Not probed by ``repro tune``: the scalar
-# corner is interactive-only and off the EA hot path.)
+# At or below this many match tests (distinct blocks × MVs) a
+# single-genome covering runs the plain Python loop.  Measured one-off
+# coverings (prepare + cover, K = 12, 2-vCPU x86 container): scalar
+# ~145 µs at L = 8 for D up to 128, vs ~190–230 µs for native and
+# bitpack, whose fixed setup cost dominates tiny tables; scalar's
+# per-MV loop (~18 µs per MV) loses from L = 16 on.
 SCALAR_MAX_WORK = 512
-
-
-def register_kernel(
-    name: str,
-    factory: Callable[[], CoveringKernel],
-    availability: Callable[[], str | None] | None = None,
-) -> None:
-    """Register a covering-kernel factory under ``name``.
-
-    Extension hook for out-of-tree kernels; ``auto`` never selects a
-    registered-late kernel, but explicit configuration can.
-    ``availability``, when given, is called lazily and returns ``None``
-    (usable) or a human-readable unavailability reason — see
-    :func:`kernel_unavailable_reason`.
-    """
-    if not name or name == AUTO_KERNEL:
-        raise ValueError(f"invalid kernel name {name!r}")
-    _REGISTRY[name] = factory
-    if availability is not None:
-        _AVAILABILITY[name] = availability
-    else:
-        _AVAILABILITY.pop(name, None)
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -187,18 +108,17 @@ def usable_kernels() -> tuple[str, ...]:
 def kernel_unavailable_reason(name: str) -> str | None:
     """Why ``name`` cannot run here, or ``None`` when it can.
 
-    Unknown names raise ``ValueError`` (matching :func:`get_kernel`);
-    kernels without an availability probe are always usable.  For
-    ``native`` this triggers the compile-on-first-use machinery, so
-    the first call may take a moment (and warms the build cache).
+    Unknown names raise ``ValueError`` (matching :func:`get_kernel`).
+    Only ``native`` can be unavailable; asking about it triggers the
+    compile-on-first-use machinery, so the first call may take a
+    moment (and warms the build cache).  Nothing asks at import time.
     """
     if name not in _REGISTRY:
         known = ", ".join((AUTO_KERNEL, *available_kernels()))
         raise ValueError(
             f"unknown covering kernel {name!r}; choose one of: {known}"
         )
-    probe = _AVAILABILITY.get(name)
-    return None if probe is None else probe()
+    return native_status()[1] if name == NativeKernel.name else None
 
 
 def kernel_availability() -> dict[str, str | None]:
@@ -206,7 +126,7 @@ def kernel_availability() -> dict[str, str | None]:
     return {name: kernel_unavailable_reason(name) for name in sorted(_REGISTRY)}
 
 
-def get_kernel(name: str, **options) -> CoveringKernel:
+def get_kernel(name: str) -> CoveringKernel:
     """Instantiate the kernel registered under ``name``.
 
     >>> get_kernel("bitpack").name
@@ -219,7 +139,7 @@ def get_kernel(name: str, **options) -> CoveringKernel:
         raise ValueError(
             f"unknown covering kernel {name!r}; choose one of: {known}"
         ) from None
-    return factory(**options)
+    return factory()
 
 
 def select_kernel_name(
@@ -227,62 +147,24 @@ def select_kernel_name(
     n_distinct: int,
     n_vectors: int,
     block_length: int,
-    profile: TuningProfile | None = None,
 ) -> str:
-    """The ``auto`` heuristic, keyed on the workload shape (C, D, L, K).
+    """The ``auto`` rule, keyed on the workload shape (C, D, L, K).
 
-    * The single-genome, tiny-covering corner (``D·L`` match tests
-      under ``SCALAR_MAX_WORK``; interactive ``cover`` calls) goes to
-      ``scalar``: batched tensor setup costs more than the loop.
-    * When the compiled ``native`` kernel is available, batched shapes
-      past its (per-lane-width) distinct-table floor go to it — on the
-      shipped defaults that is every batched shape, matching the
-      measurement that the C loop beat both array kernels everywhere
-      probed.  Unavailable (no compiler) means this rule silently
-      vanishes and the array heuristics below decide alone.
-    * Narrow fused lanes (2K bits in at most two uint64 words) over a
-      distinct table past ``BITPACK_MIN_DISTINCT`` go to ``bitpack``
-      — measured 1.3–1.4× over GEMM there, growing with the table as
-      GEMM goes memory-bandwidth bound.
-    * Wider lanes (K > 64) go to ``gemm`` while the table is modest —
-      BLAS keeps its compute density where the word loop cannot — and
-      back to ``bitpack`` once the table is large enough that GEMM's
-      4-bytes-per-bit operands dominate.
-    * Everything else (tiny tables) stays with ``gemm``.
+    1. ``scalar`` for a single genome whose covering is tiny
+       (``D·L <= SCALAR_MAX_WORK``): batched setup costs more than the
+       Python loop;
+    2. otherwise ``native`` when the compiled kernel is available — it
+       measured fastest at every batched shape probed;
+    3. otherwise ``bitpack``, the array kernel that needs no compiler.
 
-    ``profile`` (or, when omitted, the process-wide active profile)
-    replaces the distinct-table cutovers with machine-measured ones;
-    without either, the module constants above apply unchanged.
+    ``block_length`` does not enter the rule; it stays in the signature
+    so the shape reads the same everywhere a kernel is resolved.
     """
-    if profile is None:
-        profile = get_active_profile()
-    if profile is None:
-        min_distinct = BITPACK_MIN_DISTINCT
-        wide_min_distinct = BITPACK_WIDE_MIN_DISTINCT
-        scalar_max_work = SCALAR_MAX_WORK
-        native_min_distinct = NATIVE_MIN_DISTINCT
-        native_wide_min_distinct = NATIVE_WIDE_MIN_DISTINCT
-    else:
-        min_distinct = profile.bitpack_min_distinct
-        wide_min_distinct = profile.bitpack_wide_min_distinct
-        scalar_max_work = profile.scalar_max_work
-        native_min_distinct = profile.native_min_distinct
-        native_wide_min_distinct = profile.native_wide_min_distinct
-    if n_genomes <= 1 and n_distinct * n_vectors <= scalar_max_work:
+    if n_genomes <= 1 and n_distinct * n_vectors <= SCALAR_MAX_WORK:
         return ScalarKernel.name
-    lane_words = -(-2 * block_length // 64)
-    narrow = lane_words <= BITPACK_MAX_LANE_WORDS
-    native_floor = native_min_distinct if narrow else native_wide_min_distinct
-    if (
-        n_distinct >= native_floor
-        and kernel_unavailable_reason(NativeKernel.name) is None
-    ):
+    if kernel_unavailable_reason(NativeKernel.name) is None:
         return NativeKernel.name
-    if narrow and n_distinct >= min_distinct:
-        return BitpackKernel.name
-    if n_distinct >= wide_min_distinct:
-        return BitpackKernel.name
-    return GemmKernel.name
+    return BitpackKernel.name
 
 
 def resolve_kernel(
@@ -291,14 +173,8 @@ def resolve_kernel(
     n_distinct: int,
     n_vectors: int,
     block_length: int,
-    profile: TuningProfile | None = None,
 ) -> CoveringKernel:
     """Turn a kernel choice (name, ``auto`` or instance) into a kernel.
-
-    ``profile`` tunes both halves of the decision: ``auto`` selects
-    with the profile's cutovers, and a bitpack instance is built with
-    the profile's ``bitpack_shard_size`` (when set) instead of the
-    kernel's cache-budget autosizing.
 
     Availability is threaded through both paths asymmetrically:
     ``auto`` only ever selects usable kernels (an unavailable
@@ -309,11 +185,9 @@ def resolve_kernel(
     """
     if isinstance(choice, CoveringKernel):
         return choice
-    if profile is None:
-        profile = get_active_profile()
     if choice == AUTO_KERNEL:
         choice = select_kernel_name(
-            n_genomes, n_distinct, n_vectors, block_length, profile=profile
+            n_genomes, n_distinct, n_vectors, block_length
         )
     elif choice in _REGISTRY:
         reason = kernel_unavailable_reason(choice)
@@ -322,10 +196,4 @@ def resolve_kernel(
                 f"covering kernel {choice!r} is unavailable on this "
                 f"machine: {reason}"
             )
-    if (
-        choice == BitpackKernel.name
-        and profile is not None
-        and profile.bitpack_shard_size is not None
-    ):
-        return get_kernel(choice, shard_size=profile.bitpack_shard_size)
     return get_kernel(choice)

@@ -6,8 +6,9 @@ generation of ``C`` genomes — each an ordered list of ``L`` matching
 vectors — which MV covers each block first, how often is each MV used,
 and how many blocks stay uncovered?  Everything above this layer
 (fitness pricing, the EA engine, the experiment protocol) is kernel
-agnostic; everything below it (float32 GEMM, bit-packed integer lanes,
-the scalar reference loop) is swappable per workload shape.
+agnostic; everything below it (compiled native lanes, bit-packed
+integer lanes, the scalar reference loop) is swappable per workload
+shape.
 
 All kernels share one contract, pinned by the cross-kernel parity
 suite: for identical inputs they return **bit-identical**
@@ -19,9 +20,9 @@ byte-identical no matter which kernel priced them.
 
 Kernels are stateless objects configured at construction; per-block-set
 state lives in the *prepared* value returned by :meth:`prepare` (each
-kernel chooses its own representation: float bit matrices for GEMM,
-uint64 word lanes for bitpack).  The three entry points differ only in
-input encoding:
+kernel chooses its own representation: fused integer conflict lanes
+for bitpack and native, word masks for scalar).  The three entry
+points differ only in input encoding:
 
 * :meth:`cover_ordered_words` — MV masks as ``(C, L, W)`` uint64 word
   lanes *already permuted* into covering order (the abstract core);
@@ -139,8 +140,8 @@ def accumulate_complete_rows(
     global row ``start``; ``sub_rank`` is their ``(len(sub), D)``
     first-match covering ranks.  Block multiplicities are scatter-added
     per rank, then mapped from rank space back to MV index space
-    through the genomes' ``order`` rows — shared verbatim by the GEMM
-    and bitpack kernels so their results cannot drift apart.
+    through the genomes' ``order`` rows — shared verbatim by the
+    bitpack and native kernels so their results cannot drift apart.
     """
     n_vectors = frequencies.shape[1]
     flat = np.arange(sub.size)[:, None] * n_vectors + sub_rank

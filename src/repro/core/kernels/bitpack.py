@@ -6,25 +6,20 @@ zeros bits into a single 2K-bit word ``[b₁|b₀]`` and each MV's zeros
 and ones bits into ``[mvᴢ|mv₁]`` — the lanes AND to zero exactly when
 the MV matches the block.  Lanes are stored at the narrowest integer
 width that holds 2K bits (uint8/16/32/64, multi-word above 64), so at
-the paper's K = 12 a block costs 4 bytes instead of the 96 bytes of
-float32 bit matrix the GEMM kernel streams — and the whole match
-reduces to one integer AND plus an ``argmin`` (the first zero in
-covering order *is* the first minimum when a zero exists; when none
-exists the gathered value is nonzero, which is exactly the
-uncovered test).  No floats, no popcounts, no BLAS.
+the paper's K = 12 a block costs 4 bytes, and the whole match reduces
+to one integer AND per (genome, MV, block).  Match booleans pack
+along the MV axis and the first match in covering order falls out of
+lowest-set-bit arithmetic
+(:func:`~repro.core.kernels.base.first_match_rank`).
 
 Two axes of blocking keep every temporary cache-resident:
 
-* **Genome chunking** (the same scheme the GEMM kernel uses) bounds
-  the per-chunk rank matrices;
+* **Genome chunking** bounds the per-chunk rank matrices;
 * **Block-table sharding** splits the D axis so each
   ``(chunk, L, shard)`` conflict tensor fits in cache no matter how
   large the distinct table grows.  Shards are independent — covering
   rank and covered weight per shard — and only tiny per-genome
-  reductions cross shard boundaries, so shards can also fan out
-  across threads (``shard_backend``): the integer ufuncs release the
-  GIL, making a :class:`~repro.parallel.ThreadBackend` an honest
-  parallel axis inside one fitness call.
+  reductions cross shard boundaries.
 """
 
 from __future__ import annotations
@@ -92,20 +87,14 @@ class BitpackKernel(CoveringKernel):
     shard_size:
         Distinct blocks per shard; ``None`` picks a size that keeps
         each shard's conflict tensor at ``_SHARD_TENSOR_BYTES``.
-    shard_backend:
-        Optional :class:`repro.parallel.ExecutionBackend` used to fan
-        the independent shards of each genome chunk out across
-        threads.  Workers fill disjoint result slices, so the backend
-        never changes the outcome, only the wall clock.
     """
 
     name = "bitpack"
 
-    def __init__(self, shard_size: int | None = None, shard_backend=None) -> None:
+    def __init__(self, shard_size: int | None = None) -> None:
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self._shard_size = shard_size
-        self._shard_backend = shard_backend
 
     def prepare_masks(
         self,
@@ -237,12 +226,8 @@ class BitpackKernel(CoveringKernel):
             match_buf = np.zeros(
                 (span, shard_cap, padded_vectors), dtype=bool
             )
-
-            def cover_shard(
-                shard: slice,
-                conflict_buf=conflict_buf,
-                match_buf=match_buf,
-            ) -> np.ndarray:
+            covered_weight = np.zeros(span, dtype=np.float64)
+            for shard in shards:
                 size = shard.stop - shard.start
                 conflict = conflict_buf[:, :size]
                 matches = match_buf[:, :size]
@@ -261,35 +246,10 @@ class BitpackKernel(CoveringKernel):
                     )
                 np.equal(conflict, 0, out=matches[:, :, :n_vectors])
                 rank, hit = first_match_rank(matches)
-                first_rank[:, shard] = rank  # disjoint slice per shard
+                first_rank[:, shard] = rank
                 # Covered weight (exact: integer-valued float64 sums).
-                return hit @ prepared.counts_f[shard]
+                covered_weight += hit @ prepared.counts_f[shard]
 
-            backend = self._shard_backend
-            if backend is None or len(shards) == 1:
-                partials = [cover_shard(shard) for shard in shards]
-            else:
-                # Workers fill disjoint `first_rank` slices and hand
-                # their weight vectors back through the ordered map, so
-                # the reduction below is single-threaded and the result
-                # is independent of worker scheduling.  Each worker
-                # gets private scratch buffers — the shared ones would
-                # race.
-                def cover_shard_private(shard: slice) -> np.ndarray:
-                    size = shard.stop - shard.start
-                    return cover_shard(
-                        shard,
-                        conflict_buf=np.empty(
-                            (span, size, n_vectors), dtype=block_lanes.dtype
-                        ),
-                        match_buf=np.zeros(
-                            (span, size, padded_vectors), dtype=bool
-                        ),
-                    )
-
-                partials = backend.map(cover_shard_private, shards)
-
-            covered_weight = np.sum(partials, axis=0)
             uncovered[start:stop] = total_count - covered_weight.astype(
                 np.int64
             )

@@ -32,11 +32,11 @@ to one OpenMP thread.
 
 Results are assembled from the C core's ``(first_rank, covered)``
 through the same :func:`~repro.core.kernels.base.accumulate_complete_rows`
-helper the GEMM and bitpack kernels share, so the backends cannot
-drift apart; the cross-kernel property suite pins bit-identity on top.
-When the toolchain is missing the registry reports this kernel
-unavailable and ``auto`` falls back to the array kernels — a missing
-compiler can cost speed, never a run.
+helper the bitpack kernel uses, so the backends cannot drift apart;
+the cross-kernel property suite pins bit-identity on top.  When the
+toolchain is missing the registry reports this kernel unavailable and
+``auto`` falls back to bitpack — a missing compiler can cost speed,
+never a run.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 # Genome chunks bound the (chunk, D) rank matrix handed back by the C
-# core (same budget as the array kernels' chunking).
+# core (same budget as the bitpack kernel's chunking).
 _CHUNK_TENSOR_ELEMENTS = 1 << 20
 
 # The C ABI: one source, one entry point, one version probe.  Masks
@@ -206,7 +206,7 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                 os.environ[_WARNED_MARKER_ENV] = "1"
                 print(
                     f"warning: native kernel unavailable ({error}); "
-                    "auto kernel selection falls back to the array kernels",
+                    "auto kernel selection falls back to bitpack",
                     file=sys.stderr,
                 )
     return _LOADED
@@ -226,9 +226,9 @@ os.register_at_fork(after_in_child=_single_thread_after_fork)
 def native_status() -> tuple[bool, str | None]:
     """(available, unavailability reason) — compiles on first call.
 
-    The registry's availability hook: ``auto`` selection, the tuning
-    prober and ``repro kernels`` all ask this instead of trying (and
-    failing) to construct the kernel.
+    The registry's availability hook: ``auto`` selection and ``repro
+    kernels`` both ask this instead of trying (and failing) to
+    construct the kernel.
     """
     library, reason = _load_library()
     return library is not None, reason

@@ -155,10 +155,6 @@ def execute_run_task(task: RunTask) -> RunOutcome:
         block_length=config.block_length,
         strategy=config.strategy,
         kernel=config.kernel,
-        # The profile rides in the config so process workers (which
-        # never inherit the CLI's process-wide active profile) tune
-        # identically to the serial path.
-        tuning=config.tuning,
     )
     engine = EvolutionaryEngine(
         fitness=fitness,

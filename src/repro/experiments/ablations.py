@@ -40,7 +40,6 @@ from ..parallel import (
     grouped_map,
 )
 from ..testdata.test_set import TestSet
-from ..tuning.profile import TuningProfile
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -137,7 +136,6 @@ def kl_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -152,7 +150,6 @@ def kl_sweep(
                 n_vectors=n_vectors,
                 runs=runs,
                 kernel=kernel,
-                tuning=tuning,
                 ea=ea,
             ),
         )
@@ -174,7 +171,6 @@ def operator_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -207,7 +203,7 @@ def operator_sweep(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, tuning=tuning, ea=ea,
+                kernel=kernel, ea=ea,
             ),
         )
         for label, ea in variants.items()
@@ -228,7 +224,6 @@ def seeding_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -240,7 +235,7 @@ def seeding_ablation(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, tuning=tuning, ea=ea,
+                kernel=kernel, ea=ea,
             ),
         )
         for label, ea in (
@@ -264,7 +259,6 @@ def subsumption_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> list[AblationPoint]:
@@ -276,7 +270,7 @@ def subsumption_ablation(
     ea = EAParameters(stagnation_limit=30, max_evaluations=1200)
     config = CompressionConfig(
         block_length=block_length, n_vectors=n_vectors, runs=runs,
-        kernel=kernel, tuning=tuning, ea=ea,
+        kernel=kernel, ea=ea,
     )
     blocks = test_set.blocks(block_length)
     result = EAMVOptimizer(config, seed=seed, backend=backend).optimize(
@@ -315,7 +309,6 @@ def decoder_cost_study(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
 ) -> dict[str, dict[str, float]]:
     """Payload vs code-table cost for 9C and the EA decoder.
 
@@ -330,7 +323,6 @@ def decoder_cost_study(
         n_vectors=n_vectors,
         runs=1,
         kernel=kernel,
-        tuning=tuning,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     blocks = test_set.blocks(block_length)

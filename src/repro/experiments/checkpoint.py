@@ -13,9 +13,8 @@ The fingerprint is a SHA-256 over everything that determines a run's
 result and *nothing else*:
 
 * the semantic configuration — ``K``, ``L``, strategy, fill, run
-  count and every EA parameter.  Performance-only knobs (kernel
-  choice, tuning profile) are excluded: they never change results, so
-  a resume may legally switch them;
+  count and every EA parameter.  The kernel choice is excluded: it
+  never changes results, so a resume may legally switch it;
 * the run index and the task's ``SeedSequence`` ``(entropy,
   spawn_key)`` — the spawn key encodes the task's position in the
   seed spawn tree, so reshaping a sweep cannot produce false hits;
@@ -43,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.blocks import BlockSet
+from ..core.blocks import block_table_digest
 from ..core.config import CompressionConfig
 from ..core.matching import MVSet
 from ..core.optimizer import RunOutcome, RunTask
@@ -79,10 +78,9 @@ def default_checkpoint_root() -> Path:
 def _semantic_config(config: CompressionConfig) -> dict[str, Any]:
     """The config fields that determine results — and nothing else.
 
-    ``kernel`` and ``tuning`` are deliberately absent: every kernel and
-    tuning profile produces bit-identical rates (the repo's parity
-    tests pin this), so a resumed run may switch them freely without
-    invalidating work.
+    ``kernel`` is deliberately absent: every kernel produces
+    bit-identical rates (the repo's parity tests pin this), so a
+    resumed run may switch it freely without invalidating work.
     """
     ea = config.ea
     return {
@@ -113,17 +111,6 @@ def _semantic_config(config: CompressionConfig) -> dict[str, Any]:
     }
 
 
-def _blocks_digest(blocks: BlockSet) -> str:
-    """Content digest of a block set (dtype/shape-qualified)."""
-    digest = hashlib.sha256()
-    digest.update(f"K={blocks.block_length};bits={blocks.original_bits};".encode())
-    for name in ("ones", "zeros", "counts", "sequence"):
-        array = np.ascontiguousarray(getattr(blocks, name))
-        digest.update(f"{name}:{array.dtype}:{array.shape}:".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 def _seed_identity(sequence: np.random.SeedSequence) -> dict[str, Any]:
     entropy = sequence.entropy
     if entropy is None:
@@ -146,7 +133,7 @@ def task_fingerprint(task: RunTask) -> str:
         "run_index": int(task.run_index),
         "config": _semantic_config(task.config),
         "seed": _seed_identity(task.seed_sequence),
-        "blocks": _blocks_digest(task.blocks),
+        "blocks": block_table_digest(task.blocks),
     }
     serialized = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(serialized.encode()).hexdigest()

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.blocks import BlockSet
+from ..core.blocks import BlockSet, block_table_digest
 from ..core.config import CompressionConfig
 from ..core.fitness import BatchCompressionRateFitness
 from ..core.optimizer import _PinAllU, _seed_genomes
@@ -58,7 +58,6 @@ from ..parallel import (
 from .checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
-    _blocks_digest,
     _seed_identity,
     _semantic_config,
 )
@@ -141,7 +140,6 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
         block_length=config.block_length,
         strategy=config.strategy,
         kernel=config.kernel,
-        tuning=config.tuning,
     )
     engine = MultiObjectiveEngine(
         fitness=fitness,
@@ -173,7 +171,7 @@ def pareto_task_fingerprint(task: ParetoRunTask) -> str:
         "run_index": int(task.run_index),
         "config": _semantic_config(task.config),
         "seed": _seed_identity(task.seed_sequence),
-        "blocks": _blocks_digest(task.blocks),
+        "blocks": block_table_digest(task.blocks),
     }
     serialized = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(serialized.encode()).hexdigest()

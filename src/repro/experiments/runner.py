@@ -63,7 +63,6 @@ from ..testdata.calibration import calibrate_spec
 from ..testdata.registry import PaperRow
 from ..testdata.synthetic import SyntheticSpec
 from ..testdata.test_set import TestSet
-from ..tuning.profile import TuningProfile
 from .checkpoint import CheckpointStore
 
 __all__ = ["ExperimentBudget", "QUICK", "PAPER", "RowResult", "run_row"]
@@ -183,7 +182,6 @@ def _config_jobs(
     budget: ExperimentBudget,
     seed: int,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
 ) -> list[_EAConfigJob]:
     """Build self-seeded run tasks for every (label, K, L) of a row.
 
@@ -204,7 +202,6 @@ def _config_jobs(
             n_vectors=n_vectors,
             runs=budget.runs,
             kernel=kernel,
-            tuning=tuning,
             ea=budget.ea_parameters(),
         )
         optimizer = EAMVOptimizer(config, seed=child)
@@ -290,7 +287,6 @@ def run_row(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -302,10 +298,8 @@ def run_row(
     EA2).  All EA runs of the row (including the EA-Best grid) fan out
     through ``backend``; results are independent of the backend and
     job count.  ``kernel`` names the covering kernel pricing every EA
-    fitness call and ``tuning`` pins a machine-measured
-    :class:`repro.tuning.TuningProfile` inside every run's config (so
-    process workers tune identically).  Both price bit-identically, so
-    the table is byte-identical under any choice.
+    fitness call; every kernel prices bit-identically, so the table is
+    byte-identical under any choice.
 
     ``retry`` and ``timeout`` make the row's EA fan-out fault
     tolerant (see :class:`repro.parallel.RetryPolicy`); ``checkpoint``
@@ -346,7 +340,7 @@ def run_row(
 
     search_set = _subsample(test_set, budget.search_bit_cap, seed)
     jobs = _config_jobs(
-        search_set, configurations, budget, seed, kernel, tuning
+        search_set, configurations, budget, seed, kernel
     )
     stats = FaultToleranceStats()
     cache = (

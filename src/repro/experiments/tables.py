@@ -34,7 +34,6 @@ from ..testdata.registry import (
     TABLE2_PATH_DELAY,
     PaperRow,
 )
-from ..tuning.profile import TuningProfile
 from .checkpoint import CheckpointStore
 from .runner import QUICK, ExperimentBudget, RowResult, run_row
 
@@ -122,7 +121,6 @@ def _build(
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None,
     kernel: str,
-    tuning: TuningProfile | None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -159,7 +157,6 @@ def _build(
                 budget=budget,
                 seed=seed,
                 kernel=kernel,
-                tuning=tuning,
                 retry=retry,
                 timeout=timeout,
                 checkpoint=checkpoint,
@@ -175,7 +172,7 @@ def _build(
         for row in selected:
             result = run_row(
                 row, kind, budget=budget, seed=seed, backend=backend,
-                kernel=kernel, tuning=tuning,
+                kernel=kernel,
                 retry=retry, timeout=timeout, checkpoint=checkpoint,
             )
             results.append(result)
@@ -196,7 +193,6 @@ def build_table1(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     mv_cache_persist: bool = False,  # inert: perfbench/ still passes False
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
@@ -224,7 +220,6 @@ def build_table1(
         progress,
         backend,
         kernel,
-        tuning,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,
@@ -238,7 +233,6 @@ def build_table2(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -255,7 +249,6 @@ def build_table2(
         progress,
         backend,
         kernel,
-        tuning,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,

@@ -1,14 +1,14 @@
 """Crash-safe artifact writes shared by every JSON-emitting layer.
 
-Tuning profiles, bench artifacts (``BENCH_*.json``) and checkpoint
-journals are all small JSON documents that other runs *read back* —
-a process killed mid-``write_text`` must never leave a truncated
-document that poisons the next run.  :func:`atomic_write_text` is the
-one write path they all share: the content goes to a temporary file in
-the destination directory, is flushed and fsynced, and then replaces
-the destination via :func:`os.replace` — atomic on POSIX and Windows
-alike, so readers observe either the old complete document or the new
-complete document, never a prefix.
+Bench artifacts (``BENCH_*.json``) and checkpoint journals are all
+small JSON documents that other runs *read back* — a process killed
+mid-``write_text`` must never leave a truncated document that poisons
+the next run.  :func:`atomic_write_text` is the one write path they
+all share: the content goes to a temporary file in the destination
+directory, is flushed and fsynced, and then replaces the destination
+via :func:`os.replace` — atomic on POSIX and Windows alike, so readers
+observe either the old complete document or the new complete
+document, never a prefix.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ of *work units* submitted through an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — plain in-process loop (the default; zero
   overhead, exact historical behavior);
-* :class:`ThreadBackend` — a thread pool.  NumPy releases the GIL
-  inside the GEMM covering kernel, so threads help when fitness
-  pricing dominates and work units share large read-only inputs;
+* :class:`ThreadBackend` — a thread pool.  The native covering
+  kernel (a ctypes call) and NumPy's integer ufuncs release the GIL,
+  so threads help when fitness pricing dominates and work units share
+  large read-only inputs;
 * :class:`ProcessBackend` — a process pool for full-run fan-out.
   Work units must be picklable module-level callables; every unit
   carries its own :class:`numpy.random.SeedSequence`-derived stream,

@@ -42,9 +42,9 @@ downgrades can never change results — only the wall clock.
 Backend choice
 --------------
 ``SerialBackend`` is the default and the reference semantics.
-``ThreadBackend`` suits GEMM-bound fitness work: NumPy releases the
-GIL inside the covering kernel's matrix products, and threads share
-the block table without copying.  ``ProcessBackend`` is for full-run
+``ThreadBackend`` suits kernel-bound fitness work: the covering
+kernels release the GIL inside their C loops and integer ufuncs, and
+threads share the block table without copying.  ``ProcessBackend`` is for full-run
 fan-out (whole EA runs, table rows): work units and their results must
 be picklable, and each worker is marked via a pool initializer so any
 *nested* backend inside a worker degrades to serial execution instead
@@ -633,7 +633,7 @@ def resolve_backend(
 
     ``kind`` selects the pool flavor used when ``jobs`` asks for
     parallelism: ``"process"`` (default; full-run fan-out) or
-    ``"thread"`` (GEMM-bound work, or platforms where fork is
+    ``"thread"`` (kernel-bound work, or platforms where fork is
     expensive).
     """
     if kind not in ("process", "thread"):

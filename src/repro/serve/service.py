@@ -256,7 +256,6 @@ class CompressionService:
                 fill_default=int(spec.get("fill_default", 0)),
                 runs=int(spec.get("runs", 5)),
                 kernel=spec.get("kernel", self._kernel),
-                tuning=self._registry.tuning,
                 ea=ea,
             )
         except (TypeError, ValueError) as error:

@@ -1,10 +1,11 @@
 """Warm-state registry: block tables and warm fitness engines.
 
 The registry is the daemon's memory across requests.  Everything is
-keyed by the **block-table digest** (:func:`block_table_digest` —
-SHA-256 over K and the distinct-block arrays), so two uploads of the
-same patterns land on the same warm state and two different tables can
-never cross-contaminate.
+keyed by the **block-table digest**
+(:func:`repro.core.blocks.block_table_digest` — SHA-256 over K and
+the distinct-block arrays), so two uploads of the same patterns land
+on the same warm state and two different tables can never
+cross-contaminate.
 
 Per table the registry holds:
 
@@ -18,38 +19,14 @@ Per table the registry holds:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.blocks import BlockSet
+from ..core.blocks import BlockSet, block_table_digest
 from ..core.encoding import EncodingStrategy
 from ..core.fitness import BatchCompressionRateFitness
-from ..tuning.profile import TuningProfile
 
-__all__ = ["FitnessKey", "TableEntry", "WarmRegistry", "block_table_digest"]
-
-
-def block_table_digest(blocks) -> str:
-    """SHA-256 content digest of a block set (dtype/shape-qualified).
-
-    The same recipe the checkpoint journal uses for its run
-    fingerprints: K and original bit count, then every distinct-table
-    array with its dtype and shape, so two tables collide only if they
-    are byte-identical in every semantic respect.
-    """
-    digest = hashlib.sha256()
-    digest.update(
-        f"K={blocks.block_length};bits={blocks.original_bits};".encode()
-    )
-    for name in ("ones", "zeros", "counts", "sequence"):
-        array = np.ascontiguousarray(getattr(blocks, name))
-        digest.update(f"{name}:{array.dtype}:{array.shape}:".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
+__all__ = ["FitnessKey", "TableEntry", "WarmRegistry"]
 
 
 @dataclass(frozen=True)
@@ -102,15 +79,9 @@ class TableEntry:
 class WarmRegistry:
     """Digest-keyed warm state shared by every request of the daemon."""
 
-    def __init__(self, tuning: TuningProfile | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._tables: dict[str, TableEntry] = {}
-        self._tuning = tuning
-
-    @property
-    def tuning(self) -> TuningProfile | None:
-        """The tuning profile every served engine runs with."""
-        return self._tuning
 
     def register(self, blocks: BlockSet, name: str = "") -> TableEntry:
         """Register (or re-find) a block table; returns its entry.
@@ -155,7 +126,6 @@ class WarmRegistry:
                     block_length=key.block_length,
                     strategy=key.strategy,
                     kernel=key.kernel,
-                    tuning=self._tuning,
                 )
                 entry.engines[key] = engine
             return engine

@@ -18,20 +18,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(autouse=True)
-def _reset_active_tuning_profile():
-    """Keep the process-wide tuning profile from leaking across tests.
-
-    CLI `--profile` (and tests exercising it) install an active
-    profile; thresholds are semantically inert, but a leaked profile
-    would silently change which code paths later tests exercise.
-    """
-    yield
-    from repro.tuning.profile import set_active_profile
-
-    set_active_profile(None)
-
-
 def subprocess_environment(**overrides: str) -> dict[str, str]:
     """This environment with ``src/`` first on ``PYTHONPATH``.
 

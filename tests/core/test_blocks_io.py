@@ -138,7 +138,7 @@ class TestMemmapPricingParity:
     kernels — the bitpack lane build spills to a disk-backed buffer
     but the lanes themselves are bit-identical."""
 
-    @pytest.mark.parametrize("kernel_name", ("gemm", "bitpack", "scalar"))
+    @pytest.mark.parametrize("kernel_name", ("auto", "bitpack", "scalar"))
     def test_prepare_and_price_from_memmap(self, tmp_path, kernel_name):
         rng = np.random.default_rng(29)
         trits = random_trits(rng, 24_000)

@@ -1,7 +1,7 @@
 """Cross-kernel parity and registry tests for ``repro.core.kernels``.
 
 The subsystem's contract is bit-identical results from every kernel:
-``gemm`` ≡ ``bitpack`` ≡ the scalar reference ``cover_masks`` loop,
+``bitpack`` ≡ ``native`` ≡ the scalar reference ``cover_masks`` loop,
 including the batch early-exit convention (uncoverable genomes report
 exact ``uncovered`` counts but all ``-1`` assignment rows and zero
 frequencies) and multi-word masks (K > 64).  Seeded experiments stay
@@ -23,22 +23,21 @@ from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.kernels import (
     BitpackKernel,
     CoveringKernel,
-    GemmKernel,
     NativeKernel,
     ScalarKernel,
     available_kernels,
     get_kernel,
     kernel_unavailable_reason,
-    register_kernel,
     resolve_kernel,
     select_kernel_name,
     usable_kernels,
 )
 from repro.core.optimizer import EAMVOptimizer
-from repro.parallel import ThreadBackend
 from repro.testdata.synthetic import (
     WIDE_BLOCK_LENGTH,
     WIDE_BLOCK_SPEC,
+    SyntheticSpec,
+    synthetic_test_set,
     wide_block_test_set,
 )
 
@@ -46,7 +45,7 @@ from repro.testdata.synthetic import (
 # asking availability here compiles on first use (warming the build
 # cache for the whole session) and yields the skip reason otherwise.
 NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
-KERNEL_NAMES = ("gemm", "bitpack", "scalar") + (
+KERNEL_NAMES = ("bitpack", "scalar") + (
     ("native",) if NATIVE_UNAVAILABLE is None else ()
 )
 requires_native = pytest.mark.skipif(
@@ -99,7 +98,7 @@ def random_workload(rng, block_length):
 
 
 class TestCrossKernelParity:
-    """gemm ≡ bitpack ≡ scalar, against the reference loop per row."""
+    """bitpack ≡ native ≡ scalar, against the reference loop per row."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -256,7 +255,7 @@ class TestCrossKernelParity:
 
 
 class TestShardingKnobs:
-    """Sharding and thread fan-out must never change results."""
+    """Sharding must never change results."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -272,21 +271,6 @@ class TestShardingKnobs:
         results = []
         for kern in (baseline, sharded):
             prepared = kern.prepare_masks(block_ones, block_zeros, counts, 11)
-            results.append(
-                kern.cover_masks(prepared, mv_ones, mv_zeros, orders)
-            )
-        for ours, theirs in zip(results[0], results[1]):
-            assert (ours == theirs).all()
-
-    def test_thread_backend_shards_match_serial(self):
-        rng = np.random.default_rng(5)
-        workload = random_workload(rng, 24)
-        block_ones, block_zeros, counts, mv_ones, mv_zeros, orders = workload
-        serial = BitpackKernel(shard_size=3)
-        threaded = BitpackKernel(shard_size=3, shard_backend=ThreadBackend(2))
-        results = []
-        for kern in (serial, threaded):
-            prepared = kern.prepare_masks(block_ones, block_zeros, counts, 24)
             results.append(
                 kern.cover_masks(prepared, mv_ones, mv_zeros, orders)
             )
@@ -312,7 +296,7 @@ class TestRegistry:
             get_kernel("auto")
 
     def test_resolve_passes_instances_through(self):
-        kern = GemmKernel()
+        kern = BitpackKernel()
         assert (
             resolve_kernel(
                 kern, n_genomes=4, n_distinct=10, n_vectors=4, block_length=8
@@ -320,32 +304,28 @@ class TestRegistry:
             is kern
         )
 
-    def test_register_rejects_reserved_names(self):
-        with pytest.raises(ValueError):
-            register_kernel("auto", GemmKernel)
-        with pytest.raises(ValueError):
-            register_kernel("", GemmKernel)
-
     def test_auto_heuristic_shapes(self, no_native):
-        # The array-kernel heuristic, exactly as before the native
-        # kernel existed (pinned by forcing the no-compiler path).
-        # Tiny one-off covering → scalar.
+        # The no-compiler rule: the scalar corner is unchanged and
+        # every batched shape — narrow, wide (K = 96) or a tiny table —
+        # goes to bitpack.
         assert select_kernel_name(1, 8, 4, 8) == ScalarKernel.name
-        # Narrow lanes over a tiny table → gemm (cache-resident BLAS).
-        assert select_kernel_name(256, 100, 64, 12) == GemmKernel.name
-        # Narrow lanes past the table threshold → bitpack.
-        assert select_kernel_name(256, 900, 64, 12) == BitpackKernel.name
-        assert select_kernel_name(256, 5000, 64, 64) == BitpackKernel.name
-        # Wide lanes over a modest table → gemm.
-        assert select_kernel_name(256, 400, 64, 96) == GemmKernel.name
-        # Wide lanes over a huge table → back to bitpack.
-        assert select_kernel_name(256, 4096, 64, 96) == BitpackKernel.name
+        assert select_kernel_name(1, 8, 64, 12) == ScalarKernel.name
+        for shape in (
+            (256, 100, 64, 12),
+            (256, 900, 64, 12),
+            (256, 5000, 64, 64),
+            (256, 400, 64, 96),
+            (256, 4096, 64, 96),
+            (5, 3, 64, 12),
+            (5, 3, 64, 96),
+            (1, 900, 64, 12),
+        ):
+            assert select_kernel_name(*shape) == BitpackKernel.name, shape
 
     @requires_native
     def test_auto_prefers_native_when_available(self):
-        # The compiled loop measured fastest on every batched shape on
-        # this container class, so with a toolchain present the
-        # default floors hand every non-scalar shape to it.
+        # The compiled loop measured fastest on every batched shape,
+        # so with a toolchain present every non-scalar shape goes to it.
         assert select_kernel_name(1, 8, 4, 8) == ScalarKernel.name
         for shape in (
             (256, 100, 64, 12),
@@ -353,24 +333,9 @@ class TestRegistry:
             (256, 5000, 64, 64),
             (256, 400, 64, 96),
             (256, 4096, 64, 96),
+            (5, 3, 64, 12),
         ):
             assert select_kernel_name(*shape) == NativeKernel.name, shape
-
-    @requires_native
-    def test_profile_can_raise_native_floors(self):
-        from repro.tuning import TuningProfile
-
-        profile = TuningProfile(
-            native_min_distinct=10_000, native_wide_min_distinct=10_000
-        )
-        assert (
-            select_kernel_name(256, 900, 64, 12, profile=profile)
-            == BitpackKernel.name
-        )
-        assert (
-            select_kernel_name(256, 400, 64, 96, profile=profile)
-            == GemmKernel.name
-        )
 
     def test_kernels_repr_names(self):
         for name in KERNEL_NAMES:
@@ -440,8 +405,8 @@ class TestFitnessKernelChoice:
             )
             rates[name] = fitness.evaluate_batch(genomes)
             assert fitness.kernel_name == name
-        for name in KERNEL_NAMES[1:]:
-            assert (rates["gemm"] == rates[name]).all(), name
+        for name in KERNEL_NAMES:
+            assert (rates["scalar"] == rates[name]).all(), name
 
     def test_auto_resolves_on_first_batch(self):
         rng = np.random.default_rng(3)
@@ -492,6 +457,42 @@ class TestSeededRunsAcrossKernels:
             assert result.best_rate == reference.best_rate
             for ours, theirs in zip(result.runs, reference.runs):
                 assert ours.mv_set == theirs.mv_set
+
+
+class TestSeededRunParity:
+    """Seeded EA runs are byte-identical under every kernel choice,
+    including ``auto`` with and without the compiled kernel."""
+
+    CONFIG = dict(
+        block_length=6, n_vectors=8, runs=2,
+        ea=EAParameters(
+            population_size=6, children_per_generation=4,
+            stagnation_limit=8, max_evaluations=250,
+        ),
+    )
+
+    def digest(self, kernel):
+        spec = SyntheticSpec(
+            name="kernel-run-parity", n_patterns=30, pattern_bits=30,
+            care_density=0.5, seed=5,
+        )
+        blocks = synthetic_test_set(spec).blocks(6)
+        config = CompressionConfig(**self.CONFIG, kernel=kernel)
+        result = EAMVOptimizer(config, seed=99).optimize(blocks)
+        return [
+            (run.rate, run.mv_set.to_genome().tobytes())
+            for run in result.runs
+        ]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        ["auto", "bitpack", pytest.param("native", marks=requires_native), "scalar"],
+    )
+    def test_seeded_runs_byte_identical(self, kernel):
+        assert self.digest(kernel) == self.digest("scalar")
+
+    def test_auto_without_compiler_matches(self, no_native):
+        assert self.digest("auto") == self.digest("scalar")
 
 
 class TestWideBlockEndToEnd:

@@ -8,7 +8,7 @@ The compile machinery's contract (``repro.core.kernels.build``):
   a bad cache costs a cold start, never a wrong result or a crash;
 * no compiler (or a disabled toolchain) surfaces as ONE stderr
   warning and an unavailable ``native`` kernel, while every ``auto``
-  path keeps running on the array kernels;
+  path keeps running on bitpack;
 * concurrent builders — ProcessBackend workers racing on a fresh
   cache — compile exactly once via the exclusive-create lock file.
 """

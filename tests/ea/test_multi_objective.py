@@ -233,9 +233,9 @@ class TestBuildParetoFront:
                     blocks, fast_config(kernel=kernel), seed=13
                 )
             )
-            for kernel in ("bitpack", "gemm")
+            for kernel in ("bitpack", "scalar")
         }
-        assert outputs["bitpack"] == outputs["gemm"]
+        assert outputs["bitpack"] == outputs["scalar"]
 
     def test_objective_subset_columns(self, blocks):
         result = build_pareto_front(

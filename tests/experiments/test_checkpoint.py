@@ -19,7 +19,6 @@ from repro.experiments.checkpoint import (
 )
 from repro.parallel import FaultToleranceStats
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
-from repro.tuning.profile import TuningProfile
 
 TINY_EA = EAParameters(
     population_size=4,
@@ -71,13 +70,11 @@ class TestFingerprint:
         )
 
     def test_insensitive_to_performance_knobs(self):
-        """Kernel and tuning settings never change results, so switching
-        them must not invalidate journaled work."""
-        tuned = dataclasses.replace(
-            TINY_CONFIG, kernel="scalar", tuning=TuningProfile(scalar_max_work=1)
-        )
+        """The kernel choice never changes results, so switching it must
+        not invalidate journaled work."""
+        switched = dataclasses.replace(TINY_CONFIG, kernel="scalar")
         assert task_fingerprint(_tasks()[0]) == task_fingerprint(
-            _tasks(config=tuned)[0]
+            _tasks(config=switched)[0]
         )
 
 

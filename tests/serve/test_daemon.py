@@ -174,9 +174,29 @@ class TestStats:
         for field in ("requests", "batch", "tables", "native", "kernels"):
             assert field in stats
         assert set(stats["native"]) == {"available", "reason", "warned"}
+        assert sorted(stats["kernels"]) == ["bitpack", "native", "scalar"]
         (digest,) = stats["tables"]
         assert stats["tables"][digest]["engines"] == 0
         assert "mv_cache" not in stats["tables"][digest]
+
+
+class TestRemovedKernel:
+    def test_gemm_is_400_naming_the_remaining_kernels(self):
+        daemon = ServeDaemon(make_service(), port=0, batch_window_ms=1.0)
+        daemon.start()
+        try:
+            config = dict(COMPRESS_BODY["config"], kernel="gemm")
+            for path, body in (
+                ("/fitness", dict(FITNESS_BODIES[0], kernel="gemm")),
+                ("/compress", dict(COMPRESS_BODY, config=config)),
+            ):
+                status, raw = http(daemon.address, path, body)
+                assert status == 400, path
+                error = json.loads(raw)["error"]
+                assert "unknown covering kernel 'gemm'" in error
+                assert "auto, bitpack, native, scalar" in error
+        finally:
+            daemon.shutdown(drain=True)
 
 
 class TestDegradation:

@@ -64,7 +64,7 @@ class TestParser:
 
 
 class TestKernelFlag:
-    """Every command exposes --kernel {auto,bitpack,gemm,scalar}."""
+    """Every command exposes --kernel {auto,bitpack,native,scalar}."""
 
     def test_kernel_defaults_to_auto(self):
         for argv in (
@@ -78,7 +78,7 @@ class TestKernelFlag:
             assert build_parser().parse_args(argv).kernel == "auto"
 
     def test_kernel_choices_parsed(self):
-        for kernel in ("auto", "gemm", "bitpack", "scalar"):
+        for kernel in ("auto", "bitpack", "native", "scalar"):
             arguments = build_parser().parse_args(
                 ["compress", "file.txt", "--kernel", kernel]
             )
@@ -106,7 +106,7 @@ class TestKernelFlag:
         args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
                 "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
         outputs = {}
-        kernels = ("auto", "gemm", "bitpack", "scalar") + (
+        kernels = ("auto", "bitpack", "scalar") + (
             ("native",) if NATIVE_OK else ()
         )
         for kernel in kernels:
@@ -116,14 +116,17 @@ class TestKernelFlag:
 
 
 class TestRemovedCacheFlags:
-    """The MV match-column cache is gone, and so are its four flags."""
+    """The MV match-column cache, the tuning profile and the gemm
+    kernel are gone, and so are their flags and the `tune` command."""
 
     REMOVED = (
-        ["--mv-cache-size", "0"],
-        ["--mv-cache-policy", "lru"],
-        ["--mv-cache-persist"],
-        ["--no-mv-cache-persist"],
-        ["--mv-feedback", "off"],
+        (["--mv-cache-size", "0"], "unrecognized arguments"),
+        (["--mv-cache-policy", "lru"], "unrecognized arguments"),
+        (["--mv-cache-persist"], "unrecognized arguments"),
+        (["--no-mv-cache-persist"], "unrecognized arguments"),
+        (["--mv-feedback", "off"], "unrecognized arguments"),
+        (["--profile", "profile.json"], "unrecognized arguments"),
+        (["--kernel", "gemm"], "invalid choice: 'gemm'"),
     )
 
     @pytest.mark.parametrize(
@@ -140,16 +143,28 @@ class TestRemovedCacheFlags:
         ],
     )
     def test_rejected_by_every_run_command(self, argv, capsys):
-        for flag in self.REMOVED:
+        for flag, message in self.REMOVED:
             with pytest.raises(SystemExit) as info:
                 build_parser().parse_args([*argv, *flag])
             assert info.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    def test_tune_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["tune", "--quick"])
+        assert info.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
 
     def test_absent_from_help(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compress", "--help"])
-        assert "--mv-" not in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert "--mv-" not in help_text
+        assert "--profile" not in help_text
+        assert "gemm" not in help_text
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "tune" not in capsys.readouterr().out
 
 
 class TestCacheCommand:
@@ -200,8 +215,9 @@ class TestKernelsCommand:
     def test_lists_every_backend_with_availability(self, capsys):
         assert main(["kernels"]) == 0
         output = capsys.readouterr().out
-        for name in ("gemm", "bitpack", "scalar"):
+        for name in ("bitpack", "scalar"):
             assert f"{name}: available" in output
+        assert "gemm" not in output
         if NATIVE_OK:
             assert "native: available" in output
         else:
@@ -230,7 +246,9 @@ class TestKernelsCommand:
 
     def test_bad_shape_is_a_usage_error(self, capsys):
         assert main(["kernels", "--shape", "1,2,3"]) == 2
-        assert "expected C,D,L,K" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "expected C,D,L,K" in err
 
 
 class TestResolvedBackends:
@@ -308,6 +326,14 @@ class TestBadInput:
         missing = tmp_path / "absent.txt"
         self.assert_one_line_error(["compress", str(missing)], capsys, str(missing))
 
+    @pytest.mark.parametrize(
+        "shape", ["0,0,0,0", "5,100,64,-3", "5,0,64,12", "a,b,c,d"]
+    )
+    def test_bad_kernels_shape(self, shape, capsys):
+        self.assert_one_line_error(
+            ["kernels", "--shape", shape], capsys, "expected C,D,L,K"
+        )
+
     def test_process_exit_status(self, tmp_path):
         import subprocess
         import sys
@@ -374,108 +400,6 @@ class TestJobsSmoke:
         serial = capsys.readouterr().out
         assert main(["compress", path, *self.ARGS, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
-
-
-class TestTuningFlags:
-    """--profile on every command, plus `repro tune`."""
-
-    EVERY_COMMAND = (
-        ["table1"],
-        ["table2"],
-        ["compress", "file.txt"],
-        ["atpg", "c17"],
-        ["ablate", "kl"],
-        ["report"],
-    )
-
-    def test_profile_defaults_to_none(self):
-        for argv in self.EVERY_COMMAND:
-            assert build_parser().parse_args(argv).profile is None
-
-    def test_profile_path_parsed(self, tmp_path):
-        from pathlib import Path
-
-        arguments = build_parser().parse_args(
-            ["table1", "--profile", str(tmp_path / "p.json")]
-        )
-        assert arguments.profile == Path(tmp_path / "p.json")
-
-    def test_tune_parser_defaults(self):
-        arguments = build_parser().parse_args(["tune"])
-        assert arguments.command == "tune"
-        assert arguments.profile is None
-        assert not arguments.quick
-        assert arguments.repeats == 3
-
-    def test_flags_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--profile" in help_text
-        assert "repro tune" in help_text
-
-    def test_tune_documented_in_top_level_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--help"])
-        assert "tune" in capsys.readouterr().out
-
-    @pytest.mark.slow
-    def test_tune_writes_a_loadable_profile(self, tmp_path, capsys):
-        from repro.tuning.profile import load_profile
-
-        path = tmp_path / "profile.json"
-        assert (
-            main(
-                ["tune", "--quick", "--repeats", "1", "--no-summary",
-                 "--profile", str(path)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert f"wrote {path}" in out
-        profile = load_profile(path)  # valid for this machine
-        assert profile.source.startswith("repro tune")
-
-    def test_missing_profile_warns_and_still_runs(self, tmp_path, capsys):
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        assert (
-            main([*args, "--profile", str(tmp_path / "absent.json")]) == 0
-        )
-        captured = capsys.readouterr()
-        assert captured.out == baseline  # fell back to shipped defaults
-        assert "ignoring tuning profile" in captured.err
-
-    @pytest.mark.slow
-    def test_compress_profile_output_matches_default(
-        self, tmp_path, capsys
-    ):
-        from repro.tuning.probes import run_probes
-        from repro.tuning.profile import save_profile
-
-        profile_path = save_profile(
-            run_probes(quick=True, repeats=1), tmp_path / "tuned.json"
-        )
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        outputs = {}
-        for label, extra in {
-            "default": [],
-            "tuned": ["--profile", str(profile_path)],
-        }.items():
-            assert main([*args, *extra]) == 0
-            outputs[label] = capsys.readouterr().out
-        assert len(set(outputs.values())) == 1  # byte-identical output
 
 
 class TestFaultToleranceFlags:
@@ -762,7 +686,7 @@ class TestObjectivesFlag:
         variants = {
             "serial": [],
             "jobs4": ["--jobs", "4", "--backend", "thread"],
-            "gemm": ["--kernel", "gemm"],
+            "scalar": ["--kernel", "scalar"],
             "bitpack": ["--kernel", "bitpack"],
         }
         for name, extra in variants.items():
