@@ -31,10 +31,11 @@ Examples
     python -m repro atpg c17
     python -m repro ablate kl --circuit s349 --jobs 4
 
-Every command takes ``--jobs N`` (1 = serial, 0 = all CPU cores),
-``--backend {process,thread}`` and ``--kernel``; results are
-independent of all three — the same seed gives the same table at any
-job count and under any covering kernel.
+Every run command takes ``--jobs N`` (1 = serial, 0 = all CPU cores)
+and ``--backend {process,thread}``; results are independent of both —
+the same seed gives the same table at any job count.  The covering
+kernel is the fitness layer's own choice (``repro kernels`` shows it)
+and never changes a result either.
 
 Fault tolerance: ``--retries N`` re-attempts transient failures
 (worker crashes, hangs cut short by ``--task-timeout SECONDS``) with
@@ -54,7 +55,6 @@ from pathlib import Path
 
 from .core.compressor import compress_blocks
 from .core.config import CompressionConfig, EAParameters
-from .core.kernels import KERNEL_CHOICES
 from .core.nine_c import compress_nine_c
 from .core.optimizer import EAMVOptimizer
 from .parallel import ExecutionBackend, RetryPolicy, resolve_backend
@@ -67,28 +67,28 @@ __all__ = ["main"]
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """The global parallel-execution knobs, shared by every command."""
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel workers: 1 = serial (default), 0 = all CPU cores",
-    )
+    """The parallel-execution knobs shared by every run command."""
+    _add_jobs_argument(parser)
     parser.add_argument(
         "--backend",
         choices=("process", "thread"),
         default="process",
         help="pool flavor used when --jobs asks for parallelism",
     )
+    _add_retries_argument(parser)
+    _add_task_timeout_argument(parser)
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help=(
-            "covering kernel pricing the EA fitness (auto picks per "
-            "workload shape; all kernels give bit-identical results)"
-        ),
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers: 1 = serial (default), 0 = all CPU cores",
     )
+
+
+def _add_retries_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--retries",
         type=int,
@@ -101,6 +101,9 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
             "seeded results are byte-identical regardless (default 1)"
         ),
     )
+
+
+def _add_task_timeout_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--task-timeout",
         type=float,
@@ -118,18 +121,28 @@ def _resolve_backend(arguments: argparse.Namespace) -> ExecutionBackend:
     return resolve_backend(arguments.jobs, arguments.backend)
 
 
+def _check_execution_arguments(arguments: argparse.Namespace) -> None:
+    """Reject bad ``--retries``/``--task-timeout`` before any work."""
+    retries = getattr(arguments, "retries", 0)
+    if retries < 0:
+        raise ValueError(f"--retries must be >= 0, got {retries}")
+    timeout = getattr(arguments, "task_timeout", None)
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"--task-timeout must be > 0, got {timeout}")
+
+
+def _retry_policy(arguments: argparse.Namespace) -> RetryPolicy | None:
+    """``--retries N`` as N+1 attempts; 0 disables retrying."""
+    if arguments.retries == 0:
+        return None
+    return RetryPolicy(max_attempts=arguments.retries + 1)
+
+
 def _resolve_fault_tolerance(
     arguments: argparse.Namespace,
 ) -> tuple[RetryPolicy | None, float | None]:
     """``(retry, timeout)`` from ``--retries``/``--task-timeout``."""
-    if arguments.retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {arguments.retries}")
-    retry = (
-        RetryPolicy(max_attempts=arguments.retries + 1)
-        if arguments.retries > 0
-        else None
-    )
-    return retry, arguments.task_timeout
+    return _retry_policy(arguments), arguments.task_timeout
 
 
 def _resolve_checkpoint(arguments: argparse.Namespace):
@@ -207,7 +220,6 @@ def _table_command(arguments: argparse.Namespace, which: int) -> int:
         seed=arguments.seed,
         progress=print,
         backend=_resolve_backend(arguments),
-        kernel=arguments.kernel,
         retry=retry,
         timeout=timeout,
         checkpoint=_resolve_checkpoint(arguments),
@@ -259,7 +271,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
         block_length=arguments.k,
         n_vectors=arguments.l,
         runs=arguments.runs,
-        kernel=arguments.kernel,
         ea=EAParameters(
             stagnation_limit=arguments.stagnation,
             max_evaluations=arguments.max_evaluations,
@@ -309,7 +320,6 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
         block_length=arguments.k,
         n_vectors=arguments.l,
         runs=3,
-        kernel=arguments.kernel,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     if arguments.objectives != "rate":
@@ -356,14 +366,12 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
     if arguments.study == "kl":
         points = kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"K/L sweep on {arguments.circuit}"))
     elif arguments.study == "operators":
         points = operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(
@@ -374,14 +382,12 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
     elif arguments.study == "seeding":
         points = seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         )
         print(ablation_markdown(points, f"9C seeding on {arguments.circuit}"))
     elif arguments.study == "subsumption":
         points = subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout,
         )
         print(
@@ -391,8 +397,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
         )
     else:  # decoder
         costs = decoder_cost_study(
-            test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
+            test_set, seed=arguments.seed, backend=backend
         )
         for method, values in costs.items():
             print(
@@ -431,7 +436,6 @@ def _report_command(arguments: argparse.Namespace) -> int:
         seed=arguments.seed,
         progress=print,
         backend=backend,
-        kernel=arguments.kernel,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("building Table 2 ...")
@@ -441,7 +445,6 @@ def _report_command(arguments: argparse.Namespace) -> int:
         seed=arguments.seed,
         progress=print,
         backend=backend,
-        kernel=arguments.kernel,
         retry=retry, timeout=timeout, checkpoint=checkpoint,
     )
     print("running ablations on s349 ...")
@@ -449,22 +452,18 @@ def _report_command(arguments: argparse.Namespace) -> int:
     ablations = {
         "K/L sweep (s349, source of EA-Best)": kl_sweep(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Operator probabilities (s349)": operator_sweep(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "9C seeding of the initial population (s349)": seeding_ablation(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout, checkpoint=checkpoint,
         ),
         "Subsumption-aware encoding (s349, Section 3.3)": subsumption_ablation(
             test_set, seed=arguments.seed, backend=backend,
-            kernel=arguments.kernel,
             retry=retry, timeout=timeout,
         ),
     }
@@ -531,16 +530,12 @@ def _build_service(arguments: argparse.Namespace):
 
     One builder for ``serve`` and ``request`` is half the parity
     contract: the daemon and the offline runner resolve flags into
-    identical warm-state configuration, so the same request body
+    identical service configuration, so the same request body
     prices through identically-configured engines on both paths.
     """
     from .serve import CompressionService, WarmRegistry
 
-    retry, timeout = _resolve_fault_tolerance(arguments)
-    service = CompressionService(
-        WarmRegistry(), kernel=arguments.kernel, retry=retry
-    )
-    return service, timeout
+    return CompressionService(WarmRegistry(), retry=_retry_policy(arguments))
 
 
 def _serve_command(arguments: argparse.Namespace) -> int:
@@ -550,17 +545,16 @@ def _serve_command(arguments: argparse.Namespace) -> int:
 
     from .serve import ServeDaemon
 
-    service, timeout = _build_service(arguments)
     jobs = arguments.jobs if arguments.jobs > 0 else (os.cpu_count() or 1)
     daemon = ServeDaemon(
-        service,
+        _build_service(arguments),
         host=arguments.host,
         port=arguments.port,
         jobs=jobs,
         batch_window_ms=arguments.batch_window_ms,
         max_batch=arguments.max_batch,
         max_queue=arguments.max_queue,
-        request_timeout=timeout,
+        request_timeout=arguments.task_timeout,
     )
     host, port = daemon.address
 
@@ -591,7 +585,7 @@ def _request_command(arguments: argparse.Namespace) -> int:
 
     from .serve import ProtocolError, canonical_json
 
-    service, _ = _build_service(arguments)
+    service = _build_service(arguments)
     raw = (
         sys.stdin.read()
         if arguments.file == "-"
@@ -818,7 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
             "rejected with 429 instead of accumulating (default 256)"
         ),
     )
-    _add_execution_arguments(serve)
+    _add_jobs_argument(serve)
+    _add_retries_argument(serve)
+    _add_task_timeout_argument(serve)
 
     request = commands.add_parser(
         "request",
@@ -840,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
             "tables)"
         ),
     )
-    _add_execution_arguments(request)
+    _add_retries_argument(request)
     return parser
 
 
@@ -861,6 +857,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(arguments: argparse.Namespace) -> int:
+    _check_execution_arguments(arguments)
     if arguments.command == "table1":
         return _table_command(arguments, which=1)
     if arguments.command == "table2":

@@ -22,10 +22,8 @@ from .covering import (
     UncoverableError,
     cover,
     cover_masks,
-    cover_masks_batch,
 )
 from .kernels import (
-    KERNEL_CHOICES,
     BitpackKernel,
     CoveringKernel,
     NativeKernel,
@@ -85,7 +83,6 @@ __all__ = [
     "mask_word_count",
     "pack_trits",
     "unpack_masks",
-    "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
     "NativeKernel",
@@ -106,7 +103,6 @@ __all__ = [
     "UncoverableError",
     "cover",
     "cover_masks",
-    "cover_masks_batch",
     "DecodedTestSet",
     "decompress",
     "verify_roundtrip",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .encoding import EncodingStrategy
-from .kernels import AUTO_KERNEL, CoveringKernel, available_kernels
 
 __all__ = ["EAParameters", "CompressionConfig"]
 
@@ -111,11 +110,8 @@ class CompressionConfig:
     default configuration (Table 1 'EA' column) is K=12, L=64; its
     Table 2 'EA1' column is K=8, L=9.  Any positive ``block_length``
     works — wide blocks (K > 64) pack into multi-word masks.
-
-    ``kernel`` names the covering kernel pricing the EA's fitness
-    (``auto``, ``bitpack``, ``native``, ``scalar`` — see
-    :mod:`repro.core.kernels`); every kernel produces bit-identical
-    results, so this knob only moves the wall clock.
+    The covering kernel is not configuration: the fitness layer picks
+    it (:mod:`repro.core.kernels`).
     """
 
     block_length: int = 12
@@ -123,7 +119,7 @@ class CompressionConfig:
     strategy: EncodingStrategy = EncodingStrategy.HUFFMAN
     fill_default: int = 0
     runs: int = 5
-    kernel: str | CoveringKernel = "auto"
+    kernel: str = "auto"  # inert: perfbench/ still passes "auto"
     mv_cache_persist: bool = False  # inert: perfbench/ still passes False
     ea: EAParameters = field(default_factory=EAParameters)
 
@@ -132,13 +128,11 @@ class CompressionConfig:
             raise ValueError(
                 f"block_length must be >= 1, got {self.block_length}"
             )
-        if not isinstance(self.kernel, CoveringKernel):
-            valid = (AUTO_KERNEL, *available_kernels())
-            if self.kernel not in valid:
-                raise ValueError(
-                    f"unknown covering kernel {self.kernel!r}; "
-                    f"choose one of: {', '.join(valid)}"
-                )
+        if self.kernel != "auto":
+            raise ValueError(
+                f"kernel selection was removed; got kernel={self.kernel!r}, "
+                "only 'auto' is accepted"
+            )
         if self.n_vectors < 1:
             raise ValueError("n_vectors must be >= 1")
         if self.mv_cache_persist:

@@ -81,13 +81,15 @@ class _StageClock:
 class BatchCompressionRateFitness:
     """Price a whole generation of genomes against a fixed block set.
 
-    ``kernel`` selects the covering kernel by registry name
-    (``"auto"``, ``"bitpack"``, ``"native"``, ``"scalar"``) or passes a
-    :class:`~repro.core.kernels.CoveringKernel` instance directly;
-    ``"auto"`` resolves from the workload shape (C, D, L, K) when the
-    first batch arrives.  Every generation prices through the kernel's
-    one fused ``cover_grid`` pass, and every kernel prices
-    bit-identically, so the choice only moves the wall clock.
+    The covering kernel is this class's private detail: ``"auto"``
+    (the default) resolves from the workload shape (C, D, L, K) when
+    the first batch arrives.  ``kernel`` — a registry name
+    (``"bitpack"``, ``"native"``, ``"scalar"``) or a
+    :class:`~repro.core.kernels.CoveringKernel` instance — is the one
+    seam that forces a kernel, for benchmarks and tests.  Every
+    generation prices through the kernel's one fused ``cover_grid``
+    pass, and every kernel prices bit-identically, so the choice only
+    moves the wall clock.
 
     >>> blocks = BlockSet.from_string("111 000 111 111", 3)
     >>> fit = BatchCompressionRateFitness(blocks, n_vectors=2, block_length=3)
@@ -351,10 +353,9 @@ class CompressionRateFitness:
         block_length: int,
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
-        kernel: str | CoveringKernel = AUTO_KERNEL,
     ) -> None:
         self._batch = BatchCompressionRateFitness(
-            blocks, n_vectors, block_length, strategy, invalid_fitness, kernel
+            blocks, n_vectors, block_length, strategy, invalid_fitness
         )
         self._n_vectors = n_vectors
         self._block_length = block_length
@@ -369,11 +370,6 @@ class CompressionRateFitness:
     def batch(self) -> BatchCompressionRateFitness:
         """The underlying batch engine (shared with ``evaluate_batch``)."""
         return self._batch
-
-    @property
-    def kernel_name(self) -> str:
-        """The resolved covering kernel's name (``auto`` if unresolved)."""
-        return self._batch.kernel_name
 
     def genome_masks(
         self, genome: np.ndarray

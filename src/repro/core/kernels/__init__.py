@@ -15,27 +15,24 @@ Three interchangeable backends price the covering inner loop (see
 * ``scalar``  — the original per-genome Python loop; the semantic
   reference and the cheapest option for tiny one-off coverings.
 
-``auto`` picks per workload shape via :func:`select_kernel_name`:
-scalar for tiny one-genome coverings, else native, else bitpack — so
-a missing compiler silently falls back to the numpy kernel.
-An *explicitly requested* kernel that is unavailable fails loudly in
-:func:`resolve_kernel` instead: the caller asked for something this
-machine cannot do, and silently substituting a different backend
-would misattribute every downstream timing.  All kernels return
-bit-identical results, so selection only ever moves the wall clock.
+Kernels are private to the fitness layer:
+:class:`~repro.core.fitness.BatchCompressionRateFitness` resolves
+``auto`` on its first batch via :func:`select_kernel_name` — scalar
+for tiny one-genome coverings, else native, else bitpack — so a
+missing compiler silently falls back to the numpy kernel.  Its
+``kernel=`` argument is the one seam that names a kernel (benchmarks
+and tests); a named kernel that is unavailable fails loudly in
+:func:`resolve_kernel`, because silently substituting a different
+backend would misattribute every downstream timing.  All kernels
+return bit-identical results, so selection only ever moves the wall
+clock.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .base import (
-    CoveringKernel,
-    PreparedBlocks,
-    accumulate_complete_rows,
-    first_match_rank,
-    rank_word_bits,
-)
+from .base import CoveringKernel, PreparedBlocks
 from .bitpack import BitpackKernel
 from .build import NativeBuildError
 from .native import NativeKernel, native_status
@@ -43,21 +40,17 @@ from .scalar import ScalarKernel, cover_masks
 
 __all__ = [
     "AUTO_KERNEL",
-    "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
     "NativeBuildError",
     "NativeKernel",
     "PreparedBlocks",
     "ScalarKernel",
-    "accumulate_complete_rows",
     "available_kernels",
     "cover_masks",
-    "first_match_rank",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
-    "rank_word_bits",
     "resolve_kernel",
     "select_kernel_name",
     "usable_kernels",
@@ -70,11 +63,6 @@ _REGISTRY: dict[str, Callable[[], CoveringKernel]] = {
     ScalarKernel.name: ScalarKernel,
     NativeKernel.name: NativeKernel,
 }
-
-# The names the CLI/config layer accepts, `auto` first.  Unavailable
-# kernels stay listed — naming one is valid configuration; it fails
-# with the reason at resolution time, not at parse time.
-KERNEL_CHOICES = (AUTO_KERNEL, *sorted(_REGISTRY))
 
 # At or below this many match tests (distinct blocks × MVs) a
 # single-genome covering runs the plain Python loop.  Measured one-off

@@ -4,11 +4,10 @@ A *covering kernel* answers one batched question: given the fixed
 distinct-block table of a :class:`~repro.core.blocks.BlockSet` and a
 generation of ``C`` genomes — each an ordered list of ``L`` matching
 vectors — which MV covers each block first, how often is each MV used,
-and how many blocks stay uncovered?  Everything above this layer
-(fitness pricing, the EA engine, the experiment protocol) is kernel
-agnostic; everything below it (compiled native lanes, bit-packed
-integer lanes, the scalar reference loop) is swappable per workload
-shape.
+and how many blocks stay uncovered?  Kernels are private to the
+fitness layer: :class:`~repro.core.fitness.BatchCompressionRateFitness`
+resolves one and is its only caller, so everything above it (the EA
+engine, the experiment protocol, the CLI, serve) is kernel agnostic.
 
 All kernels share one contract, pinned by the cross-kernel parity
 suite: for identical inputs they return **bit-identical**
@@ -18,29 +17,25 @@ reports an exact ``uncovered`` count but an all ``-1`` assignment row
 and an all-zero frequency row.  Seeded experiments are therefore
 byte-identical no matter which kernel priced them.
 
-Kernels are stateless objects configured at construction; per-block-set
-state lives in the *prepared* value returned by :meth:`prepare` (each
-kernel chooses its own representation: fused integer conflict lanes
-for bitpack and native, word masks for scalar).  The three entry
-points differ only in input encoding:
+The contract is two calls, the two the fitness makes:
 
-* :meth:`cover_ordered_words` — MV masks as ``(C, L, W)`` uint64 word
-  lanes *already permuted* into covering order (the abstract core);
-* :meth:`cover_masks` — declaration-order masks, flat ``(C, L)`` or
-  ``(C, L, W)``; permuted here and delegated;
-* :meth:`cover_grid` — the ordered ``(C, L, K)`` trit grid straight
-  from the EA genome matrix (the fitness hot path; kernels may
-  override to skip the intermediate word packing).
+* :meth:`CoveringKernel.prepare` — once per block table, the kernel's
+  per-table state (:class:`PreparedBlocks`; fused integer conflict
+  lanes for bitpack and native, see :func:`prepare_fused_lanes`);
+* :meth:`CoveringKernel.cover_grid` — once per generation, the
+  ``(C, L, K)`` trit grid with each genome's MVs already permuted
+  into covering order.
 
-:meth:`match_columns` answers a standalone question — for ``M``
-individual MVs, which distinct blocks does each match? — with the
-generic word-mask test.  The fitness never calls it.
+:meth:`~CoveringKernel.match_columns` answers a standalone question —
+for ``M`` individual MVs, which distinct blocks does each match? —
+with the generic word-mask test.  The fitness never calls it.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +44,7 @@ from ..blocks import (
     mask_word_count,
     masks_as_words,
     pack_bits_to_words,
+    unpack_words_to_bits,
 )
 from ..trits import ONE, ZERO
 
@@ -57,26 +53,97 @@ __all__ = [
     "PreparedBlocks",
     "accumulate_complete_rows",
     "first_match_rank",
+    "fused_mv_lanes",
+    "prepare_fused_lanes",
     "rank_word_bits",
 ]
+
+# Genome chunks bound the per-chunk (chunk, D) rank matrices; block
+# chunks bound preparation's (chunk, 2K) unpacked-bit intermediate.
+CHUNK_TENSOR_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class PreparedBlocks:
     """Kernel-ready view of one distinct-block table.
 
     ``counts_f`` is the float64 copy used in weighted dot products
-    (exact up to 2**53, far beyond any test set); subclasses add the
-    kernel's private representation of the block masks.
+    (exact up to 2**53, far beyond any test set); ``block_lanes`` holds
+    the fused ``(D, LW)`` conflict lanes ``[b₁|b₀]`` of the lane
+    kernels and stays ``None`` for the scalar one.
     """
 
-    block_length: int
-    word_count: int
     n_distinct: int
     counts: np.ndarray
     counts_f: np.ndarray
     total_count: int
     ones_words: np.ndarray
     zeros_words: np.ndarray
+    block_lanes: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, blocks: BlockSet) -> "PreparedBlocks":
+        """The word masks and counts of ``blocks``, without lanes."""
+        ones_words = masks_as_words(blocks.ones)
+        counts = np.asarray(blocks.counts, dtype=np.int64)
+        return cls(
+            n_distinct=ones_words.shape[0],
+            counts=counts,
+            counts_f=counts.astype(np.float64),
+            total_count=int(counts.sum()),
+            ones_words=ones_words,
+            zeros_words=masks_as_words(blocks.zeros),
+        )
+
+
+def prepare_fused_lanes(blocks: BlockSet, lane_dtype: np.dtype) -> PreparedBlocks:
+    """Prepared state with fused ``(D, LW)`` block lanes ``[b₁|b₀]``.
+
+    The match test ``(b₁ & mvᴢ) | (b₀ & mv₁) == 0`` is one AND over
+    fused lanes: each block's ones and zeros bits concatenate into one
+    2K-bit lane, stored in ``LW`` words of ``lane_dtype`` — the only
+    thing the bitpack and native kernels prepare differently.
+    Out-of-core tables (np.memmap masks — see core.blocks_io) get
+    memmap lanes over an anonymous temp file, so covering streams them
+    from disk page by page and preparation never materializes a
+    D-sized array in RAM.
+    """
+    prepared = PreparedBlocks.of(blocks)
+    block_length = blocks.block_length
+    lane_bits = 2 * block_length
+    shape = (prepared.n_distinct, mask_word_count(lane_bits))
+    if isinstance(blocks.ones, np.memmap) or isinstance(blocks.zeros, np.memmap):
+        block_lanes = np.memmap(
+            tempfile.TemporaryFile(), dtype=lane_dtype, mode="w+", shape=shape
+        )
+    else:
+        block_lanes = np.empty(shape, dtype=lane_dtype)
+    # Chunk the D axis: the (chunk, 2K) unpacked-bit intermediate is
+    # the preparation's RAM high-water mark.
+    chunk = max(1, CHUNK_TENSOR_ELEMENTS // lane_bits)
+    for start in range(0, prepared.n_distinct, chunk):
+        stop = min(start + chunk, prepared.n_distinct)
+        bits = np.concatenate(
+            [
+                unpack_words_to_bits(
+                    np.asarray(prepared.ones_words[start:stop]), block_length
+                ),
+                unpack_words_to_bits(
+                    np.asarray(prepared.zeros_words[start:stop]), block_length
+                ),
+            ],
+            axis=1,
+        )
+        block_lanes[start:stop] = pack_bits_to_words(bits)
+    return replace(prepared, block_lanes=block_lanes)
+
+
+def fused_mv_lanes(ordered_grid: np.ndarray, lane_dtype: np.dtype) -> np.ndarray:
+    """``(C, L, LW)`` fused MV lanes ``[mvᴢ|mv₁]`` of a ``(C, L, K)`` grid."""
+    words = pack_bits_to_words(
+        np.concatenate([ordered_grid == ZERO, ordered_grid == ONE], axis=2)
+    )
+    return words.astype(lane_dtype, copy=False)
 
 
 def rank_word_bits(n_vectors: int) -> int:
@@ -166,100 +233,11 @@ class CoveringKernel(abc.ABC):
 
     name: str = "abstract"
 
-    # -- preparation --------------------------------------------------
-
     @abc.abstractmethod
-    def prepare_masks(
-        self,
-        block_ones: np.ndarray,
-        block_zeros: np.ndarray,
-        block_counts: np.ndarray,
-        block_length: int,
-    ) -> PreparedBlocks:
-        """Build the kernel's per-block-set state from raw mask arrays."""
-
     def prepare(self, blocks: BlockSet) -> PreparedBlocks:
-        """Build the kernel's per-block-set state from a :class:`BlockSet`."""
-        return self.prepare_masks(
-            blocks.ones, blocks.zeros, blocks.counts, blocks.block_length
-        )
-
-    def _base_prepared(
-        self,
-        block_ones: np.ndarray,
-        block_zeros: np.ndarray,
-        block_counts: np.ndarray,
-        block_length: int,
-    ) -> PreparedBlocks:
-        ones_words = masks_as_words(block_ones)
-        zeros_words = masks_as_words(block_zeros)
-        counts = np.asarray(block_counts, dtype=np.int64)
-        return PreparedBlocks(
-            block_length=block_length,
-            word_count=mask_word_count(block_length),
-            n_distinct=ones_words.shape[0],
-            counts=counts,
-            counts_f=counts.astype(np.float64),
-            total_count=int(counts.sum()),
-            ones_words=ones_words,
-            zeros_words=zeros_words,
-        )
-
-    # -- covering entry points ----------------------------------------
+        """Build the kernel's per-block-table state."""
 
     @abc.abstractmethod
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with ``(C, L, W)`` MV word lanes in covering order.
-
-        Row ``j`` of genome ``c`` is the MV tried ``j``-th; ``orders``
-        maps that rank back to declaration-order MV indices.  Returns
-        ``(assignment, frequencies, uncovered)`` of shapes ``(C, D)``,
-        ``(C, L)`` and ``(C,)``.
-        """
-
-    def cover_masks(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-        covering_order: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with declaration-order ``(C, L[, W])`` mask arrays.
-
-        Single-genome callers may pass flat ``(L,)`` masks or
-        ``(L, W)`` word arrays with a 1-D ``covering_order`` — the
-        order's dimensionality disambiguates ``(L, W)`` words from a
-        ``(C, L)`` flat batch.
-        """
-        mv_ones = np.asarray(mv_ones, dtype=np.uint64)
-        mv_zeros = np.asarray(mv_zeros, dtype=np.uint64)
-        order_input = np.asarray(covering_order, dtype=np.int64)
-        if mv_ones.ndim == 1 or (
-            mv_ones.ndim == 2 and order_input.ndim == 1
-        ):
-            mv_ones = mv_ones[None]
-            mv_zeros = mv_zeros[None]
-        orders = np.atleast_2d(order_input)
-        if mv_ones.ndim == 2:
-            mv_ones = mv_ones[..., None]
-            mv_zeros = mv_zeros[..., None]
-        genome_rows = np.arange(mv_ones.shape[0])[:, None]
-        return self.cover_ordered_words(
-            prepared,
-            mv_ones[genome_rows, orders],
-            mv_zeros[genome_rows, orders],
-            orders,
-            want_assignment=want_assignment,
-        )
-
     def cover_grid(
         self,
         prepared: PreparedBlocks,
@@ -267,14 +245,13 @@ class CoveringKernel(abc.ABC):
         orders: np.ndarray,
         want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with the ordered ``(C, L, K)`` trit grid (fitness path)."""
-        return self.cover_ordered_words(
-            prepared,
-            pack_bits_to_words(ordered_grid == ONE),
-            pack_bits_to_words(ordered_grid == ZERO),
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment=want_assignment,
-        )
+        """Cover with the ordered ``(C, L, K)`` trit grid.
+
+        Row ``j`` of genome ``c`` is the MV tried ``j``-th; ``orders``
+        ``(C, L)`` maps that rank back to declaration-order MV indices.
+        Returns ``(assignment, frequencies, uncovered)`` of shapes
+        ``(C, D)``, ``(C, L)`` and ``(C,)``.
+        """
 
     # -- standalone match test ----------------------------------------
 

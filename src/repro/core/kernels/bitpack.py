@@ -24,22 +24,17 @@ Two axes of blocking keep every temporary cache-resident:
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..blocks import (
-    mask_word_count,
-    pack_bits_to_words,
-    unpack_words_to_bits,
-)
-from ..trits import ONE, ZERO
+from ..blocks import BlockSet
 from .base import (
+    CHUNK_TENSOR_ELEMENTS,
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
     first_match_rank,
+    fused_mv_lanes,
+    prepare_fused_lanes,
     rank_word_bits,
 )
 
@@ -49,10 +44,6 @@ __all__ = ["BitpackKernel"]
 # byte bound keeps a shard's temporaries inside typical L2 slices.
 _SHARD_TENSOR_BYTES = 1 << 21
 
-# Genome chunks bound the (chunk, D) rank matrix and amortize the
-# Python-level shard loop.
-_CHUNK_TENSOR_ELEMENTS = 1 << 20
-
 
 def _lane_dtype(lane_bits: int) -> np.dtype:
     """Narrowest unsigned dtype holding one 2K-bit conflict lane."""
@@ -60,23 +51,6 @@ def _lane_dtype(lane_bits: int) -> np.dtype:
         if lane_bits <= np.dtype(dtype).itemsize * 8:
             return np.dtype(dtype)
     return np.dtype(np.uint64)
-
-
-def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(..., 2K)`` 0/1 bits into ``(..., LW)`` conflict lanes."""
-    lane_bits = bits.shape[-1]
-    words = pack_bits_to_words(bits)
-    dtype = _lane_dtype(lane_bits)
-    if dtype != np.dtype(np.uint64):
-        words = words.astype(dtype)
-    return words
-
-
-@dataclass(frozen=True)
-class _BitpackPrepared(PreparedBlocks):
-    """Adds the fused ``(D, LW)`` block conflict lanes ``[b₁|b₀]``."""
-
-    block_lanes: np.ndarray = None
 
 
 class BitpackKernel(CoveringKernel):
@@ -96,76 +70,8 @@ class BitpackKernel(CoveringKernel):
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self._shard_size = shard_size
 
-    def prepare_masks(
-        self,
-        block_ones: np.ndarray,
-        block_zeros: np.ndarray,
-        block_counts: np.ndarray,
-        block_length: int,
-    ) -> PreparedBlocks:
-        base = self._base_prepared(
-            block_ones, block_zeros, block_counts, block_length
-        )
-        ones_words = base.ones_words
-        zeros_words = base.zeros_words
-        n_distinct = base.n_distinct
-        lane_bits = 2 * block_length
-        lane_words = mask_word_count(lane_bits)
-        lane_dtype = _lane_dtype(lane_bits)
-        # Out-of-core tables (np.memmap masks — see core.blocks_io)
-        # get memmap lanes over an anonymous temp file, so the shard
-        # loop in _cover_lanes streams them from disk page by page and
-        # preparation never materializes a D-sized array in RAM.
-        if isinstance(block_ones, np.memmap) or isinstance(
-            block_zeros, np.memmap
-        ):
-            spool = tempfile.TemporaryFile()
-            block_lanes = np.memmap(
-                spool, dtype=lane_dtype, mode="w+",
-                shape=(n_distinct, lane_words),
-            )
-        else:
-            block_lanes = np.empty(
-                (n_distinct, lane_words), dtype=lane_dtype
-            )
-        # Chunk the D axis: the (chunk, 2K) unpacked-bit intermediate
-        # is the preparation's RAM high-water mark, so bound it instead
-        # of building it for the whole table at once.
-        chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, lane_bits))
-        for start in range(0, n_distinct, chunk):
-            stop = min(start + chunk, n_distinct)
-            bits = np.concatenate(
-                [
-                    unpack_words_to_bits(
-                        np.asarray(ones_words[start:stop]), block_length
-                    ),
-                    unpack_words_to_bits(
-                        np.asarray(zeros_words[start:stop]), block_length
-                    ),
-                ],
-                axis=1,
-            )
-            block_lanes[start:stop] = _pack_lanes(bits)
-        return _BitpackPrepared(**vars(base), block_lanes=block_lanes)
-
-    # -- lane construction --------------------------------------------
-
-    @staticmethod
-    def _mv_lanes_from_words(
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        block_length: int,
-    ) -> np.ndarray:
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(ordered_zeros, block_length),
-                unpack_words_to_bits(ordered_ones, block_length),
-            ],
-            axis=2,
-        )
-        return _pack_lanes(bits)
-
-    # -- covering core ------------------------------------------------
+    def prepare(self, blocks: BlockSet) -> PreparedBlocks:
+        return prepare_fused_lanes(blocks, _lane_dtype(2 * blocks.block_length))
 
     def _shard_slices(self, n_distinct, span, n_vectors, itemsize):
         if self._shard_size is not None:
@@ -180,14 +86,14 @@ class BitpackKernel(CoveringKernel):
             for start in range(0, n_distinct, size)
         ]
 
-    def _cover_lanes(
+    def cover_grid(
         self,
-        prepared: _BitpackPrepared,
-        mv_lanes: np.ndarray,
+        prepared: PreparedBlocks,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
-        want_assignment: bool,
+        want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = mv_lanes.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
@@ -197,6 +103,7 @@ class BitpackKernel(CoveringKernel):
 
         block_lanes = prepared.block_lanes  # (D, LW)
         lane_words = block_lanes.shape[-1]
+        mv_lanes = fused_mv_lanes(ordered_grid, block_lanes.dtype)
         counts = prepared.counts
         total_count = prepared.total_count
         # Match bits pack along the MV axis (padded to a power-of-two
@@ -206,7 +113,7 @@ class BitpackKernel(CoveringKernel):
         padded_vectors = rank_word_bits(n_vectors)
 
         chunk = max(
-            1, _CHUNK_TENSOR_ELEMENTS // max(1, n_vectors * n_distinct)
+            1, CHUNK_TENSOR_ELEMENTS // max(1, n_vectors * n_distinct)
         )
         for start in range(0, n_genomes, chunk):
             stop = min(start + chunk, n_genomes)
@@ -268,37 +175,3 @@ class BitpackKernel(CoveringKernel):
                 want_assignment,
             )
         return assignment, frequencies, uncovered
-
-    # -- kernel entry points ------------------------------------------
-
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mv_lanes = self._mv_lanes_from_words(
-            ordered_ones, ordered_zeros, prepared.block_length
-        )
-        return self._cover_lanes(prepared, mv_lanes, orders, want_assignment)
-
-    def cover_grid(
-        self,
-        prepared: PreparedBlocks,
-        ordered_grid: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Fast path: conflict lanes straight from the trit grid.
-        bits = np.concatenate(
-            [ordered_grid == ZERO, ordered_grid == ONE], axis=2
-        )
-        mv_lanes = _pack_lanes(bits)
-        return self._cover_lanes(
-            prepared,
-            mv_lanes,
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment,
-        )

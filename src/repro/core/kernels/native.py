@@ -44,21 +44,17 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..blocks import (
-    mask_word_count,
-    pack_bits_to_words,
-    unpack_words_to_bits,
-)
-from ..trits import ONE, ZERO
+from ..blocks import BlockSet
 from .base import (
+    CHUNK_TENSOR_ELEMENTS,
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
+    fused_mv_lanes,
+    prepare_fused_lanes,
 )
 from .build import NativeBuildError, load_native_library
 
@@ -68,10 +64,6 @@ __all__ = [
     "native_status",
     "native_warning_emitted",
 ]
-
-# Genome chunks bound the (chunk, D) rank matrix handed back by the C
-# core (same budget as the bitpack kernel's chunking).
-_CHUNK_TENSOR_ELEMENTS = 1 << 20
 
 # The C ABI: one source, one entry point, one version probe.  Masks
 # are little-endian uint64 word lanes exactly as numpy packs them
@@ -260,13 +252,6 @@ def _as_int64_pointer(array: np.ndarray):
     return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
 
-@dataclass(frozen=True)
-class _NativePrepared(PreparedBlocks):
-    """Adds C-contiguous ``(D, W)`` uint64 fused lanes ``[b₁|b₀]``."""
-
-    block_lanes: np.ndarray = None
-
-
 class NativeKernel(CoveringKernel):
     """Covering kernel backed by the cc-compiled AND+popcount loop.
 
@@ -294,79 +279,19 @@ class NativeKernel(CoveringKernel):
     def __setstate__(self, state: dict) -> None:
         self.__init__()
 
-    # -- preparation --------------------------------------------------
+    def prepare(self, blocks: BlockSet) -> PreparedBlocks:
+        # Memmap lanes of an out-of-core table stream from disk page
+        # by page through the mapped pointer the C loop reads.
+        return prepare_fused_lanes(blocks, np.dtype(np.uint64))
 
-    def prepare_masks(
+    def cover_grid(
         self,
-        block_ones: np.ndarray,
-        block_zeros: np.ndarray,
-        block_counts: np.ndarray,
-        block_length: int,
-    ) -> PreparedBlocks:
-        base = self._base_prepared(
-            block_ones, block_zeros, block_counts, block_length
-        )
-        n_distinct = base.n_distinct
-        lane_words = mask_word_count(2 * block_length)
-        # Out-of-core tables (np.memmap masks) get memmap lanes over an
-        # anonymous temp file, as in the bitpack kernel: the C loop
-        # streams them from disk page by page via the mapped pointer.
-        if isinstance(block_ones, np.memmap) or isinstance(
-            block_zeros, np.memmap
-        ):
-            spool = tempfile.TemporaryFile()
-            block_lanes = np.memmap(
-                spool, dtype=np.uint64, mode="w+",
-                shape=(n_distinct, lane_words),
-            )
-        else:
-            block_lanes = np.empty((n_distinct, lane_words), dtype=np.uint64)
-        # Chunk the D axis so the unpacked-bit intermediate stays
-        # bounded (same budget as the bitpack kernel's preparation).
-        chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, 2 * block_length))
-        for start in range(0, n_distinct, chunk):
-            stop = min(start + chunk, n_distinct)
-            bits = np.concatenate(
-                [
-                    unpack_words_to_bits(
-                        np.asarray(base.ones_words[start:stop]), block_length
-                    ),
-                    unpack_words_to_bits(
-                        np.asarray(base.zeros_words[start:stop]), block_length
-                    ),
-                ],
-                axis=1,
-            )
-            block_lanes[start:stop] = pack_bits_to_words(bits)
-        return _NativePrepared(**vars(base), block_lanes=block_lanes)
-
-    # -- lane construction --------------------------------------------
-
-    @staticmethod
-    def _mv_lanes_from_words(
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        block_length: int,
-    ) -> np.ndarray:
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(ordered_zeros, block_length),
-                unpack_words_to_bits(ordered_ones, block_length),
-            ],
-            axis=-1,
-        )
-        return np.ascontiguousarray(pack_bits_to_words(bits))
-
-    # -- covering core ------------------------------------------------
-
-    def _cover_lanes(
-        self,
-        prepared: _NativePrepared,
-        mv_lanes: np.ndarray,
+        prepared: PreparedBlocks,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
-        want_assignment: bool,
+        want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = mv_lanes.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
@@ -376,10 +301,12 @@ class NativeKernel(CoveringKernel):
         block_lanes = np.ascontiguousarray(prepared.block_lanes)
         lane_words = block_lanes.shape[-1]
         counts = np.ascontiguousarray(prepared.counts, dtype=np.int64)
-        mv_lanes = np.ascontiguousarray(mv_lanes, dtype=np.uint64)
+        mv_lanes = np.ascontiguousarray(
+            fused_mv_lanes(ordered_grid, np.dtype(np.uint64))
+        )
         total_count = prepared.total_count
         cover = self._library.repro_cover
-        chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, n_distinct))
+        chunk = max(1, CHUNK_TENSOR_ELEMENTS // max(1, n_distinct))
         first_rank = np.empty((min(chunk, n_genomes), n_distinct), dtype=np.int64)
         covered = np.empty(min(chunk, n_genomes), dtype=np.int64)
         for start in range(0, n_genomes, chunk):
@@ -412,37 +339,3 @@ class NativeKernel(CoveringKernel):
                 want_assignment,
             )
         return assignment, frequencies, uncovered
-
-    # -- kernel entry points ------------------------------------------
-
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mv_lanes = self._mv_lanes_from_words(
-            ordered_ones, ordered_zeros, prepared.block_length
-        )
-        return self._cover_lanes(prepared, mv_lanes, orders, want_assignment)
-
-    def cover_grid(
-        self,
-        prepared: PreparedBlocks,
-        ordered_grid: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Fast path: fused lanes straight from the trit grid.
-        bits = np.concatenate(
-            [ordered_grid == ZERO, ordered_grid == ONE], axis=2
-        )
-        mv_lanes = np.ascontiguousarray(pack_bits_to_words(bits))
-        return self._cover_lanes(
-            prepared,
-            mv_lanes,
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment,
-        )

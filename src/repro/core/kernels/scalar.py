@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blocks import masks_as_words
+from ..blocks import BlockSet, masks_as_words, pack_bits_to_words
+from ..trits import ONE, ZERO
 from .base import CoveringKernel, PreparedBlocks
 
 __all__ = ["ScalarKernel", "cover_masks"]
@@ -68,32 +69,25 @@ class ScalarKernel(CoveringKernel):
 
     name = "scalar"
 
-    def prepare_masks(
-        self,
-        block_ones: np.ndarray,
-        block_zeros: np.ndarray,
-        block_counts: np.ndarray,
-        block_length: int,
-    ) -> PreparedBlocks:
-        return self._base_prepared(
-            block_ones, block_zeros, block_counts, block_length
-        )
+    def prepare(self, blocks: BlockSet) -> PreparedBlocks:
+        return PreparedBlocks.of(blocks)
 
-    def cover_ordered_words(
+    def cover_grid(
         self,
         prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
         want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = ordered_ones.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
         )
         if n_distinct == 0 or n_genomes == 0:
             return assignment, frequencies, uncovered
+        ordered_ones = pack_bits_to_words(ordered_grid == ONE)
+        ordered_zeros = pack_bits_to_words(ordered_grid == ZERO)
         identity = np.arange(n_vectors, dtype=np.int64)
         for row in range(n_genomes):
             # The MV rows are already in covering order, so cover with

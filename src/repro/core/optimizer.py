@@ -154,7 +154,6 @@ def execute_run_task(task: RunTask) -> RunOutcome:
         n_vectors=config.n_vectors,
         block_length=config.block_length,
         strategy=config.strategy,
-        kernel=config.kernel,
     )
     engine = EvolutionaryEngine(
         fitness=fitness,

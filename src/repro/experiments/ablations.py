@@ -34,7 +34,6 @@ from ..core.nine_c import DEFAULT_NINE_C_BLOCK_LENGTH, compress_nine_c
 from ..core.optimizer import EAMVOptimizer, OptimizationResult, execute_run_task
 from ..parallel import (
     ExecutionBackend,
-    FaultToleranceStats,
     RetryPolicy,
     SerialBackend,
     grouped_map,
@@ -135,7 +134,6 @@ def kl_sweep(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -149,7 +147,6 @@ def kl_sweep(
                 block_length=block_length,
                 n_vectors=n_vectors,
                 runs=runs,
-                kernel=kernel,
                 ea=ea,
             ),
         )
@@ -170,7 +167,6 @@ def operator_sweep(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -203,7 +199,7 @@ def operator_sweep(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, ea=ea,
+                ea=ea,
             ),
         )
         for label, ea in variants.items()
@@ -223,7 +219,6 @@ def seeding_ablation(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -235,7 +230,7 @@ def seeding_ablation(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, ea=ea,
+                ea=ea,
             ),
         )
         for label, ea in (
@@ -258,7 +253,6 @@ def subsumption_ablation(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> list[AblationPoint]:
@@ -269,8 +263,7 @@ def subsumption_ablation(
     """
     ea = EAParameters(stagnation_limit=30, max_evaluations=1200)
     config = CompressionConfig(
-        block_length=block_length, n_vectors=n_vectors, runs=runs,
-        kernel=kernel, ea=ea,
+        block_length=block_length, n_vectors=n_vectors, runs=runs, ea=ea,
     )
     blocks = test_set.blocks(block_length)
     result = EAMVOptimizer(config, seed=seed, backend=backend).optimize(
@@ -308,7 +301,6 @@ def decoder_cost_study(
     n_vectors: int = 64,
     seed: int = 7,
     backend: ExecutionBackend | None = None,
-    kernel: str = "auto",
 ) -> dict[str, dict[str, float]]:
     """Payload vs code-table cost for 9C and the EA decoder.
 
@@ -322,7 +314,6 @@ def decoder_cost_study(
         block_length=block_length,
         n_vectors=n_vectors,
         runs=1,
-        kernel=kernel,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     blocks = test_set.blocks(block_length)

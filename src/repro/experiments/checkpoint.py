@@ -13,8 +13,9 @@ The fingerprint is a SHA-256 over everything that determines a run's
 result and *nothing else*:
 
 * the semantic configuration — ``K``, ``L``, strategy, fill, run
-  count and every EA parameter.  The kernel choice is excluded: it
-  never changes results, so a resume may legally switch it;
+  count and every EA parameter.  The covering kernel the fitness
+  picked is not part of it: every kernel prices bit-identically, so
+  a journal resumes on a machine that picks another one;
 * the run index and the task's ``SeedSequence`` ``(entropy,
   spawn_key)`` — the spawn key encodes the task's position in the
   seed spawn tree, so reshaping a sweep cannot produce false hits;
@@ -78,9 +79,9 @@ def default_checkpoint_root() -> Path:
 def _semantic_config(config: CompressionConfig) -> dict[str, Any]:
     """The config fields that determine results — and nothing else.
 
-    ``kernel`` is deliberately absent: every kernel produces
-    bit-identical rates (the repo's parity tests pin this), so a
-    resumed run may switch it freely without invalidating work.
+    The inert ``kernel`` field is deliberately absent: every kernel
+    produces bit-identical rates (the repo's parity tests pin this),
+    so journals never depended on which one priced a run.
     """
     ea = config.ea
     return {

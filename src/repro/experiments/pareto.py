@@ -139,7 +139,6 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
         n_vectors=config.n_vectors,
         block_length=config.block_length,
         strategy=config.strategy,
-        kernel=config.kernel,
     )
     engine = MultiObjectiveEngine(
         fitness=fitness,

@@ -181,7 +181,6 @@ def _config_jobs(
     configurations: list[tuple[str, int, int]],
     budget: ExperimentBudget,
     seed: int,
-    kernel: str = "auto",
 ) -> list[_EAConfigJob]:
     """Build self-seeded run tasks for every (label, K, L) of a row.
 
@@ -201,7 +200,6 @@ def _config_jobs(
             block_length=block_length,
             n_vectors=n_vectors,
             runs=budget.runs,
-            kernel=kernel,
             ea=budget.ea_parameters(),
         )
         optimizer = EAMVOptimizer(config, seed=child)
@@ -286,7 +284,6 @@ def run_row(
     spec_overrides: dict | None = None,
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -297,9 +294,7 @@ def run_row(
     EA-Best) or ``"path-delay"`` (Table 2 columns: 9C, 9C+HC, EA1,
     EA2).  All EA runs of the row (including the EA-Best grid) fan out
     through ``backend``; results are independent of the backend and
-    job count.  ``kernel`` names the covering kernel pricing every EA
-    fitness call; every kernel prices bit-identically, so the table is
-    byte-identical under any choice.
+    job count.
 
     ``retry`` and ``timeout`` make the row's EA fan-out fault
     tolerant (see :class:`repro.parallel.RetryPolicy`); ``checkpoint``
@@ -339,9 +334,7 @@ def run_row(
         configurations = [("EA1 K=8,L=9", 8, 9), ("EA2 K=12,L=64", 12, 64)]
 
     search_set = _subsample(test_set, budget.search_bit_cap, seed)
-    jobs = _config_jobs(
-        search_set, configurations, budget, seed, kernel
-    )
+    jobs = _config_jobs(search_set, configurations, budget, seed)
     stats = FaultToleranceStats()
     cache = (
         checkpoint.cache(f"{kind}:{row.circuit}:seed{seed}", stats=stats)

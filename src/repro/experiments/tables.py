@@ -120,7 +120,6 @@ def _build(
     seed: int,
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None,
-    kernel: str,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -156,7 +155,6 @@ def _build(
                 kind=kind,
                 budget=budget,
                 seed=seed,
-                kernel=kernel,
                 retry=retry,
                 timeout=timeout,
                 checkpoint=checkpoint,
@@ -172,7 +170,6 @@ def _build(
         for row in selected:
             result = run_row(
                 row, kind, budget=budget, seed=seed, backend=backend,
-                kernel=kernel,
                 retry=retry, timeout=timeout, checkpoint=checkpoint,
             )
             results.append(result)
@@ -192,7 +189,6 @@ def build_table1(
     seed: int = 2005,
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
-    kernel: str = "auto",
     mv_cache_persist: bool = False,  # inert: perfbench/ still passes False
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
@@ -200,9 +196,7 @@ def build_table1(
 ) -> TableResult:
     """Reproduce Table 1 (stuck-at).  ``circuits=None`` runs all 39.
 
-    ``kernel`` selects the covering kernel for every EA fitness call;
-    every kernel prices bit-identically, so a seeded table is
-    byte-identical under any choice.  So are ``retry``/``timeout``
+    A seeded table is byte-identical under ``retry``/``timeout``
     (transient-fault absorption) and ``checkpoint`` (resume from a
     journal of completed runs) — the fault-tolerance layer can change
     wall clock, never values.
@@ -219,7 +213,6 @@ def build_table1(
         seed,
         progress,
         backend,
-        kernel,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,
@@ -232,7 +225,6 @@ def build_table2(
     seed: int = 2005,
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
-    kernel: str = "auto",
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -248,7 +240,6 @@ def build_table2(
         seed,
         progress,
         backend,
-        kernel,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,

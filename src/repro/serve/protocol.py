@@ -35,6 +35,7 @@ __all__ = [
     "decode_genomes",
     "encode_mv_set",
     "parse_strategy",
+    "reject_unknown_fields",
     "require",
 ]
 
@@ -73,6 +74,19 @@ def require(body: dict, field: str, kind: type | tuple) -> Any:
         names = "/".join(k.__name__ for k in kinds)
         raise ProtocolError(400, f"field {field!r} must be {names}")
     return value
+
+
+def reject_unknown_fields(body: Any, known: frozenset[str], what: str) -> None:
+    """A 400 naming every field of the object ``body`` outside ``known``.
+
+    Catching a typo (or a field this version no longer reads) beats
+    silently running the default.
+    """
+    if not isinstance(body, dict):
+        raise ProtocolError(400, f"{what} must be a JSON object")
+    unknown = sorted(set(body) - known)
+    if unknown:
+        raise ProtocolError(400, f"unknown {what} fields: {', '.join(unknown)}")
 
 
 def parse_strategy(value: str) -> EncodingStrategy:

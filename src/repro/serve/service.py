@@ -38,14 +38,19 @@ from .protocol import (
     decode_genomes,
     encode_mv_set,
     parse_strategy,
+    reject_unknown_fields,
     require,
 )
 from .state import FitnessKey, TableEntry, WarmRegistry
 
 __all__ = ["CompressionService"]
 
-# EAParameters fields a request may override; anything else is a 400
-# (catching typos beats silently running the default).
+# The fields each request object may carry; anything else is a 400.
+_FITNESS_FIELDS = frozenset(("table", "n_vectors", "genomes", "strategy"))
+_COMPRESS_FIELDS = frozenset(("table", "seed", "config"))
+_CONFIG_FIELDS = frozenset(
+    ("n_vectors", "runs", "strategy", "fill_default", "ea")
+)
 _EA_FIELDS = frozenset(
     (
         "population_size",
@@ -71,11 +76,9 @@ class CompressionService:
     def __init__(
         self,
         registry: WarmRegistry,
-        kernel: str = "auto",
         retry: RetryPolicy | None = None,
     ) -> None:
         self._registry = registry
-        self._kernel = kernel
         self._retry = retry
 
     @property
@@ -144,15 +147,13 @@ class CompressionService:
 
     def parse_fitness(self, body: dict) -> tuple[FitnessKey, np.ndarray]:
         """Validate a `/fitness` body into its coalescing key + matrix."""
+        reject_unknown_fields(body, _FITNESS_FIELDS, "/fitness body")
         entry = self._resolve_entry(require(body, "table", (str, dict)))
         n_vectors = require(body, "n_vectors", int)
         if n_vectors < 1:
             raise ProtocolError(400, "n_vectors must be >= 1")
         block_length = entry.blocks.block_length
         strategy = parse_strategy(body.get("strategy", "huffman"))
-        kernel = body.get("kernel", self._kernel)
-        if not isinstance(kernel, str):
-            raise ProtocolError(400, "field 'kernel' must be a string")
         genomes = decode_genomes(
             require(body, "genomes", list), n_vectors * block_length
         )
@@ -162,7 +163,6 @@ class CompressionService:
             n_vectors=n_vectors,
             block_length=block_length,
             strategy=strategy,
-            kernel=kernel,
         )
         return key, genomes
 
@@ -213,6 +213,7 @@ class CompressionService:
         response is a pure function of (table, config, seed) — warm
         engines and request interleaving cannot reach it.
         """
+        reject_unknown_fields(body, _COMPRESS_FIELDS, "/compress body")
         entry = self._resolve_entry(require(body, "table", (str, dict)))
         seed = require(body, "seed", int)
         config = self._parse_config(body, entry.blocks)
@@ -230,23 +231,9 @@ class CompressionService:
 
     def _parse_config(self, body: dict, blocks: BlockSet) -> CompressionConfig:
         spec = body.get("config", {})
-        if not isinstance(spec, dict):
-            raise ProtocolError(400, "field 'config' must be a JSON object")
-        unknown = set(spec) - {
-            "n_vectors", "runs", "strategy", "kernel", "fill_default", "ea",
-        }
-        if unknown:
-            raise ProtocolError(
-                400, f"unknown config fields: {', '.join(sorted(unknown))}"
-            )
+        reject_unknown_fields(spec, _CONFIG_FIELDS, "config")
         ea_spec = spec.get("ea", {})
-        if not isinstance(ea_spec, dict):
-            raise ProtocolError(400, "config field 'ea' must be an object")
-        bad = set(ea_spec) - _EA_FIELDS
-        if bad:
-            raise ProtocolError(
-                400, f"unknown ea fields: {', '.join(sorted(bad))}"
-            )
+        reject_unknown_fields(ea_spec, _EA_FIELDS, "ea")
         try:
             ea = EAParameters(**ea_spec)
             return CompressionConfig(
@@ -255,7 +242,6 @@ class CompressionService:
                 strategy=parse_strategy(spec.get("strategy", "huffman")),
                 fill_default=int(spec.get("fill_default", 0)),
                 runs=int(spec.get("runs", 5)),
-                kernel=spec.get("kernel", self._kernel),
                 ea=ea,
             )
         except (TypeError, ValueError) as error:

@@ -11,8 +11,8 @@ Per table the registry holds:
 
 * the prepared :class:`~repro.core.blocks.BlockSet` itself;
 * warm :class:`~repro.core.fitness.BatchCompressionRateFitness`
-  engines, one per ``(L, K, strategy, kernel)`` shape, with the block
-  table already prepared in the kernel's native layout.  Engines are
+  engines, one per ``(L, K, strategy)`` shape, each with the block
+  table already prepared for the kernel it resolved.  Engines are
   *not* thread-safe, so each is driven only by the coalescer's single
   dispatcher thread (or the offline runner's single thread).
 """
@@ -45,7 +45,6 @@ class FitnessKey:
     n_vectors: int
     block_length: int
     strategy: EncodingStrategy
-    kernel: str
 
 
 class TableEntry:
@@ -125,7 +124,6 @@ class WarmRegistry:
                     n_vectors=key.n_vectors,
                     block_length=key.block_length,
                     strategy=key.strategy,
-                    kernel=key.kernel,
                 )
                 entry.engines[key] = engine
             return engine

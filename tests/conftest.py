@@ -18,6 +18,26 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """``force_kernel(name)`` makes the ``auto`` pick return ``name``.
+
+    Covering kernels are private to the fitness layer, so a test that
+    drives the optimizer, the CLI or serve forces one by patching the
+    ``auto`` rule — in this process and in every worker it forks.
+    ``force_kernel("auto")`` restores the real rule.
+    """
+    from repro.core import kernels
+
+    auto = kernels.select_kernel_name
+
+    def force(name: str) -> None:
+        pick = auto if name == "auto" else (lambda *shape: name)
+        monkeypatch.setattr(kernels, "select_kernel_name", pick)
+
+    return force
+
+
 def subprocess_environment(**overrides: str) -> dict[str, str]:
     """This environment with ``src/`` first on ``PYTHONPATH``.
 

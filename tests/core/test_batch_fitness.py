@@ -2,8 +2,9 @@
 
 Three layers of guarantees:
 
-1. ``cover_masks_batch`` row-for-row agrees with the scalar
-   ``cover_masks`` kernel;
+1. the batch covering the fitness runs (the ``auto`` kernel's
+   ``prepare`` + ``cover_grid``) row-for-row agrees with the scalar
+   ``cover_masks`` reference loop;
 2. ``BatchCompressionRateFitness`` prices every genome exactly like
    the end-to-end compressor (and like the single-genome wrapper),
    including uncoverable genomes → ``INVALID_FITNESS``;
@@ -17,17 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import BlockSet
+from repro.core.blocks import BlockSet, pack_bits_to_words
 from repro.core.config import CompressionConfig, EAParameters
-from repro.core.covering import cover, cover_masks, cover_masks_batch
+from repro.core.covering import cover, cover_masks
 from repro.core.compressor import compress_blocks
 from repro.core.fitness import (
     INVALID_FITNESS,
     BatchCompressionRateFitness,
     CompressionRateFitness,
 )
+from repro.core.kernels import resolve_kernel
 from repro.core.matching import MVSet
-from repro.core.trits import DC
+from repro.core.trits import DC, ONE, ZERO
 from repro.ea.engine import EvolutionaryEngine
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
@@ -40,37 +42,43 @@ def random_genome_batch(
     return rng.integers(0, 3, size=(n_genomes, genome_length), dtype=np.int8)
 
 
+def auto_cover(blocks, grid, orders):
+    """Cover a ``(C, L, K)`` grid the way the fitness does: the ``auto``
+    kernel, ``prepare`` once, then one ``cover_grid`` pass."""
+    n_genomes, n_vectors, block_length = grid.shape
+    kernel = resolve_kernel(
+        "auto", n_genomes, blocks.n_distinct, n_vectors, block_length
+    )
+    ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
+    return kernel.cover_grid(kernel.prepare(blocks), ordered_grid, orders)
+
+
 class TestCoverMasksBatch:
+    """A generation covered in one batch ≡ the reference loop per row."""
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_rows_match_scalar_kernel(self, seed):
         rng = np.random.default_rng(seed)
-        n_distinct = int(rng.integers(1, 50))
+        block_length = int(rng.integers(1, 14))
         n_vectors = int(rng.integers(1, 16))
         n_genomes = int(rng.integers(1, 10))
-        width = int(rng.integers(1, 14))
-
-        def random_masks(count):
-            ones = rng.integers(0, 1 << width, count, dtype=np.uint64)
-            zeros = rng.integers(0, 1 << width, count, dtype=np.uint64) & ~ones
-            return ones, zeros
-
-        block_ones, block_zeros = random_masks(n_distinct)
-        counts = rng.integers(1, 9, n_distinct).astype(np.int64)
-        mv_ones = np.empty((n_genomes, n_vectors), dtype=np.uint64)
-        mv_zeros = np.empty((n_genomes, n_vectors), dtype=np.uint64)
-        orders = np.empty((n_genomes, n_vectors), dtype=np.int64)
-        for row in range(n_genomes):
-            mv_ones[row], mv_zeros[row] = random_masks(n_vectors)
-            orders[row] = rng.permutation(n_vectors)
-
-        assignment, frequencies, uncovered = cover_masks_batch(
-            block_ones, block_zeros, counts, mv_ones, mv_zeros, orders
+        blocks = random_block_set(
+            rng, n_bits=int(rng.integers(1, 50)) * block_length,
+            block_length=block_length,
         )
+        grid = rng.integers(
+            0, 3, size=(n_genomes, n_vectors, block_length), dtype=np.int8
+        )
+        orders = np.stack([rng.permutation(n_vectors) for _ in range(n_genomes)])
+
+        assignment, frequencies, uncovered = auto_cover(blocks, grid, orders)
         for row in range(n_genomes):
             ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
-                block_ones, block_zeros, counts,
-                mv_ones[row], mv_zeros[row], orders[row],
+                blocks.ones, blocks.zeros, blocks.counts,
+                pack_bits_to_words(grid[row] == ONE),
+                pack_bits_to_words(grid[row] == ZERO),
+                orders[row],
             )
             assert uncovered[row] == ref_uncovered
             if ref_uncovered == 0:
@@ -81,16 +89,20 @@ class TestCoverMasksBatch:
                 assert (frequencies[row] == 0).all()
 
     def test_empty_batch_and_empty_blocks(self):
-        empty_u64 = np.empty(0, dtype=np.uint64)
-        assignment, frequencies, uncovered = cover_masks_batch(
-            empty_u64, empty_u64, np.empty(0, dtype=np.int64),
-            np.zeros((3, 4), dtype=np.uint64),
-            np.zeros((3, 4), dtype=np.uint64),
-            np.tile(np.arange(4), (3, 1)),
+        empty = BlockSet.from_trit_array(np.empty(0, dtype=np.int8), 4)
+        orders = np.tile(np.arange(4), (3, 1))
+        assignment, frequencies, uncovered = auto_cover(
+            empty, np.full((3, 4, 4), DC, dtype=np.int8), orders
         )
         assert assignment.shape == (3, 0)
         assert (frequencies == 0).all()
         assert (uncovered == 0).all()
+        blocks = BlockSet.from_string("0101 1X0X", 4)
+        assignment, frequencies, uncovered = auto_cover(
+            blocks, np.empty((0, 4, 4), dtype=np.int8), orders[:0]
+        )
+        assert assignment.shape == (0, 2)
+        assert frequencies.shape == (0, 4) and uncovered.shape == (0,)
 
 
 class TestBatchFitnessAgainstCompressor:
@@ -268,8 +280,12 @@ class TestMaskWidthValidation:
             CompressionConfig(block_length=0)
 
     def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown covering kernel"):
-            CompressionConfig(kernel="nonsense")
+        """The kernel is not configuration: ``CompressionConfig`` keeps an
+        inert ``kernel`` field that accepts only ``"auto"``."""
+        assert CompressionConfig(kernel="auto").kernel == "auto"
+        for name in ("nonsense", "bitpack", "native", "scalar"):
+            with pytest.raises(ValueError, match="only 'auto'"):
+                CompressionConfig(kernel=name)
 
     def test_blockset_accepts_wide_block_length(self):
         blocks = BlockSet.from_string("01", 65)

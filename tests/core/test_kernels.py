@@ -4,9 +4,12 @@ The subsystem's contract is bit-identical results from every kernel:
 ``bitpack`` ≡ ``native`` ≡ the scalar reference ``cover_masks`` loop,
 including the batch early-exit convention (uncoverable genomes report
 exact ``uncovered`` counts but all ``-1`` assignment rows and zero
-frequencies) and multi-word masks (K > 64).  Seeded experiments stay
-byte-identical no matter which kernel priced them — these tests pin
-that property at the kernel, fitness, EA-run and compressor layers.
+frequencies) and multi-word masks (K > 64).  Every kernel is driven
+through the two calls the fitness makes — ``prepare(blocks)`` and
+``cover_grid(prepared, ordered_grid, orders)``.  Seeded experiments
+stay byte-identical no matter which kernel priced them — these tests
+pin that property at the kernel, fitness, EA-run and compressor
+layers.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.blocks import BlockSet, mask_word_count, pack_bits_to_words
 from repro.core.compressor import compress_blocks
 from repro.core.config import CompressionConfig, EAParameters
-from repro.core.covering import cover_masks, cover_masks_batch
+from repro.core.covering import cover_masks
 from repro.core.decompressor import verify_roundtrip
 from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.kernels import (
@@ -33,6 +36,7 @@ from repro.core.kernels import (
     usable_kernels,
 )
 from repro.core.optimizer import EAMVOptimizer
+from repro.core.trits import DC, ONE, ZERO
 from repro.testdata.synthetic import (
     WIDE_BLOCK_LENGTH,
     WIDE_BLOCK_SPEC,
@@ -65,36 +69,57 @@ def no_native(monkeypatch):
     native_module._reset_native_state()
 
 
+def block_table(block_ones, block_zeros, counts, block_length):
+    """A :class:`BlockSet` over explicit distinct-block masks."""
+    return BlockSet(
+        block_length=block_length,
+        original_bits=len(counts) * block_length,
+        ones=block_ones,
+        zeros=block_zeros,
+        counts=counts,
+        sequence=np.arange(len(counts), dtype=np.int32),
+    )
+
+
 def random_workload(rng, block_length):
-    """Random block set + genome batch over the given mask width."""
+    """Random block table + genome batch: ``(blocks, grid, orders)``.
+
+    ``grid`` is the ``(C, L, K)`` trit grid in declaration order and
+    ``orders`` each genome's covering order over it.
+    """
     n_distinct = int(rng.integers(1, 60))
     n_vectors = int(rng.integers(1, 14))
     n_genomes = int(rng.integers(1, 9))
-    n_words = mask_word_count(block_length)
-
-    def random_masks(count):
-        bits = rng.integers(0, 2, size=(count, block_length))
-        zero_bits = rng.integers(0, 2, size=(count, block_length)) & ~bits
-        ones = pack_bits_to_words(bits)
-        zeros = pack_bits_to_words(zero_bits)
-        if n_words == 1:
-            return ones[:, 0], zeros[:, 0]
-        return ones, zeros
-
-    block_ones, block_zeros = random_masks(n_distinct)
+    bits = rng.integers(0, 2, size=(n_distinct, block_length))
+    zero_bits = rng.integers(0, 2, size=(n_distinct, block_length)) & ~bits
+    block_ones = pack_bits_to_words(bits)
+    block_zeros = pack_bits_to_words(zero_bits)
+    if mask_word_count(block_length) == 1:
+        block_ones, block_zeros = block_ones[:, 0], block_zeros[:, 0]
     counts = rng.integers(1, 9, n_distinct).astype(np.int64)
-    mv_shape = (
-        (n_genomes, n_vectors)
-        if n_words == 1
-        else (n_genomes, n_vectors, n_words)
+    blocks = block_table(block_ones, block_zeros, counts, block_length)
+    grid = rng.integers(0, 3, size=(n_genomes, n_vectors, block_length))
+    grid = grid.astype(np.int8)
+    orders = np.stack([rng.permutation(n_vectors) for _ in range(n_genomes)])
+    return blocks, grid, orders
+
+
+def cover_with(kernel, blocks, grid, orders):
+    """``prepare`` + ``cover_grid`` — exactly the fitness's two calls."""
+    ordered_grid = grid[np.arange(len(grid))[:, None], orders]
+    return kernel.cover_grid(kernel.prepare(blocks), ordered_grid, orders)
+
+
+def reference_row(blocks, grid, orders, row):
+    """The scalar reference loop on one genome in declaration order."""
+    return cover_masks(
+        blocks.ones,
+        blocks.zeros,
+        blocks.counts,
+        pack_bits_to_words(grid[row] == ONE),
+        pack_bits_to_words(grid[row] == ZERO),
+        orders[row],
     )
-    mv_ones = np.empty(mv_shape, dtype=np.uint64)
-    mv_zeros = np.empty(mv_shape, dtype=np.uint64)
-    orders = np.empty((n_genomes, n_vectors), dtype=np.int64)
-    for row in range(n_genomes):
-        mv_ones[row], mv_zeros[row] = random_masks(n_vectors)
-        orders[row] = rng.permutation(n_vectors)
-    return block_ones, block_zeros, counts, mv_ones, mv_zeros, orders
 
 
 class TestCrossKernelParity:
@@ -107,70 +132,39 @@ class TestCrossKernelParity:
     )
     def test_kernels_match_reference_loop(self, seed, block_length):
         rng = np.random.default_rng(seed)
-        (
-            block_ones,
-            block_zeros,
-            counts,
-            mv_ones,
-            mv_zeros,
-            orders,
-        ) = random_workload(rng, block_length)
-        per_kernel = {
-            name: cover_masks_batch(
-                block_ones,
-                block_zeros,
-                counts,
-                mv_ones,
-                mv_zeros,
-                orders,
-                block_length=block_length,
-                kernel=name,
-            )
-            for name in KERNEL_NAMES
-        }
-        n_genomes = orders.shape[0]
-        reference = per_kernel["scalar"]
-        for row in range(n_genomes):
-            ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
-                block_ones,
-                block_zeros,
-                counts,
-                mv_ones[row],
-                mv_zeros[row],
-                orders[row],
-            )
-            assert reference[2][row] == ref_uncovered
-            if ref_uncovered == 0:
-                assert (reference[0][row] == ref_assignment).all()
-                assert (reference[1][row] == ref_frequencies).all()
-            else:  # the batch early-exit contract
-                assert (reference[0][row] == -1).all()
-                assert (reference[1][row] == 0).all()
+        blocks, grid, orders = random_workload(rng, block_length)
         for name in KERNEL_NAMES:
-            if name == "scalar":
-                continue
-            for ours, theirs in zip(per_kernel[name], reference):
-                assert (ours == theirs).all(), name
+            assignment, frequencies, uncovered = cover_with(
+                get_kernel(name), blocks, grid, orders
+            )
+            for row in range(len(grid)):
+                ref_assignment, ref_frequencies, ref_uncovered = (
+                    reference_row(blocks, grid, orders, row)
+                )
+                assert uncovered[row] == ref_uncovered, name
+                if ref_uncovered == 0:
+                    assert (assignment[row] == ref_assignment).all(), name
+                    assert (frequencies[row] == ref_frequencies).all(), name
+                else:  # the batch early-exit contract
+                    assert (assignment[row] == -1).all(), name
+                    assert (frequencies[row] == 0).all(), name
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_uncoverable_rows_early_exit_on_every_kernel(self, seed):
         rng = np.random.default_rng(seed)
-        block_length = 6
         # Fully-specified complementary blocks and a single fully
         # specified MV: at most one block row can ever be covered.
-        block_ones = np.asarray([0b111111, 0b000000], dtype=np.uint64)
-        block_zeros = np.asarray([0b000000, 0b111111], dtype=np.uint64)
-        counts = rng.integers(1, 5, 2).astype(np.int64)
-        mv_ones = rng.integers(0, 2**6, (3, 1), dtype=np.uint64)
-        mv_zeros = (~mv_ones) & np.uint64(0b111111)
+        blocks = block_table(
+            np.asarray([0b111111, 0b000000], dtype=np.uint64),
+            np.asarray([0b000000, 0b111111], dtype=np.uint64),
+            rng.integers(1, 5, 2).astype(np.int64),
+            6,
+        )
+        grid = rng.integers(0, 2, size=(3, 1, 6)).astype(np.int8)
         orders = np.zeros((3, 1), dtype=np.int64)
         results = {
-            name: cover_masks_batch(
-                block_ones, block_zeros, counts,
-                mv_ones, mv_zeros, orders,
-                block_length=block_length, kernel=name,
-            )
+            name: cover_with(get_kernel(name), blocks, grid, orders)
             for name in KERNEL_NAMES
         }
         for name in KERNEL_NAMES:
@@ -178,51 +172,26 @@ class TestCrossKernelParity:
             assert (uncovered > 0).all(), name
             assert (assignment == -1).all(), name
             assert (frequencies == 0).all(), name
-        for name in KERNEL_NAMES:
-            if name == "scalar":
-                continue
             for ours, theirs in zip(results[name], results["scalar"]):
-                assert (ours == theirs).all()
-
-    def test_single_genome_word_masks_promote_to_batch_of_one(self):
-        """(L, W) masks + 1-D order must read as ONE genome, not L."""
-        from repro.core.matching import MVSet
-
-        rng = np.random.default_rng(8)
-        trits = rng.integers(0, 3, size=96 * 11).astype(np.int8)
-        blocks = BlockSet.from_trit_array(trits, 96)
-        mv_set = MVSet.from_genome(
-            np.full(96 * 4, 2, dtype=np.int8), 96
-        )  # all-U MVs: every block covered by the first in order
-        mv_ones, mv_zeros = mv_set.mask_arrays()
-        assert mv_ones.shape == (4, 2)  # the ambiguous (L, W) shape
-        order = np.asarray(mv_set.covering_order(), dtype=np.int64)
-        for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = cover_masks_batch(
-                blocks.ones, blocks.zeros, blocks.counts,
-                mv_ones, mv_zeros, order,
-                block_length=96, kernel=name,
-            )
-            assert assignment.shape == (1, blocks.n_distinct), name
-            assert frequencies.shape == (1, 4), name
-            assert uncovered.tolist() == [0], name
-            assert (assignment == order[0]).all(), name
-            assert frequencies[0, order[0]] == blocks.n_blocks, name
+                assert (ours == theirs).all(), name
 
     def test_empty_blocks_and_empty_batch(self):
-        empty_u64 = np.empty(0, dtype=np.uint64)
+        empty = BlockSet.from_trit_array(np.empty(0, dtype=np.int8), 4)
+        all_u = np.full((3, 4, 4), DC, dtype=np.int8)
+        orders = np.tile(np.arange(4), (3, 1))
+        blocks = BlockSet.from_string("0101 1X0X 0101", 4)
         for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = cover_masks_batch(
-                empty_u64, empty_u64, np.empty(0, dtype=np.int64),
-                np.zeros((3, 4), dtype=np.uint64),
-                np.zeros((3, 4), dtype=np.uint64),
-                np.tile(np.arange(4), (3, 1)),
-                kernel=name,
+            kernel = get_kernel(name)
+            assignment, frequencies, uncovered = cover_with(
+                kernel, empty, all_u, orders
             )
-            assert assignment.shape == (3, 0)
-            assert (frequencies == 0).all()
-            assert (uncovered == 0).all()
-
+            assert assignment.shape == (3, 0), name
+            assert (frequencies == 0).all() and (uncovered == 0).all(), name
+            assignment, frequencies, uncovered = cover_with(
+                kernel, blocks, all_u[:0], orders[:0]
+            )
+            assert assignment.shape == (0, blocks.n_distinct), name
+            assert frequencies.shape == (0, 4) and uncovered.shape == (0,), name
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -232,26 +201,34 @@ class TestCrossKernelParity:
     def test_match_columns_agree_with_reference(self, seed, block_length):
         """Standalone match columns ≡ one reference covering per MV."""
         rng = np.random.default_rng(seed)
-        block_ones, block_zeros, counts, mv_ones, mv_zeros, _ = (
-            random_workload(rng, block_length)
-        )
-        n_vectors = mv_ones.shape[1]
+        blocks, grid, _ = random_workload(rng, block_length)
+        mv_ones = pack_bits_to_words(grid[0] == ONE)
+        mv_zeros = pack_bits_to_words(grid[0] == ZERO)
         for name in KERNEL_NAMES:
             kernel = get_kernel(name)
-            prepared = kernel.prepare_masks(
-                block_ones, block_zeros, counts, block_length
+            columns = kernel.match_columns(
+                kernel.prepare(blocks), mv_ones, mv_zeros
             )
-            columns = kernel.match_columns(prepared, mv_ones[0], mv_zeros[0])
-            for index in range(n_vectors):
+            for index in range(len(mv_ones)):
                 assignment, _, _ = cover_masks(
-                    block_ones,
-                    block_zeros,
-                    counts,
-                    mv_ones[0][index : index + 1],
-                    mv_zeros[0][index : index + 1],
+                    blocks.ones,
+                    blocks.zeros,
+                    blocks.counts,
+                    mv_ones[index : index + 1],
+                    mv_zeros[index : index + 1],
                     np.zeros(1, dtype=np.int64),
                 )
                 assert (columns[index] == (assignment >= 0)).all(), name
+
+    def test_contract_is_prepare_and_cover_grid(self):
+        assert CoveringKernel.__abstractmethods__ == {"prepare", "cover_grid"}
+        for kernel_class in (BitpackKernel, NativeKernel, ScalarKernel):
+            public = {
+                name
+                for name, value in vars(kernel_class).items()
+                if callable(value) and not name.startswith("_")
+            }
+            assert public == {"prepare", "cover_grid"}, kernel_class
 
 
 class TestShardingKnobs:
@@ -264,17 +241,12 @@ class TestShardingKnobs:
     )
     def test_shard_size_is_result_invariant(self, seed, shard_size):
         rng = np.random.default_rng(seed)
-        workload = random_workload(rng, 11)
-        block_ones, block_zeros, counts, mv_ones, mv_zeros, orders = workload
-        baseline = get_kernel("bitpack")
-        sharded = BitpackKernel(shard_size=shard_size)
-        results = []
-        for kern in (baseline, sharded):
-            prepared = kern.prepare_masks(block_ones, block_zeros, counts, 11)
-            results.append(
-                kern.cover_masks(prepared, mv_ones, mv_zeros, orders)
-            )
-        for ours, theirs in zip(results[0], results[1]):
+        blocks, grid, orders = random_workload(rng, 11)
+        baseline = cover_with(BitpackKernel(), blocks, grid, orders)
+        sharded = cover_with(
+            BitpackKernel(shard_size=shard_size), blocks, grid, orders
+        )
+        for ours, theirs in zip(baseline, sharded):
             assert (ours == theirs).all()
 
     def test_shard_size_validated(self):
@@ -434,21 +406,21 @@ class TestFitnessKernelChoice:
 class TestSeededRunsAcrossKernels:
     """One seeded EA run must land on the same genome under any kernel."""
 
-    def test_optimizer_results_kernel_invariant(self):
+    def test_optimizer_results_kernel_invariant(self, force_kernel):
         rng = np.random.default_rng(11)
         care = rng.random(600) < 0.5
         values = rng.random(600) < 0.5
         trits = np.where(care, values.astype(np.int8), np.int8(2))
         blocks = BlockSet.from_trit_array(trits.astype(np.int8), 8)
+        config = CompressionConfig(
+            block_length=8,
+            n_vectors=6,
+            runs=2,
+            ea=EAParameters(stagnation_limit=10, max_evaluations=300),
+        )
         results = {}
         for kernel in KERNEL_NAMES:
-            config = CompressionConfig(
-                block_length=8,
-                n_vectors=6,
-                runs=2,
-                kernel=kernel,
-                ea=EAParameters(stagnation_limit=10, max_evaluations=300),
-            )
+            force_kernel(kernel)
             results[kernel] = EAMVOptimizer(config, seed=77).optimize(blocks)
         reference = results[KERNEL_NAMES[0]]
         for kernel in KERNEL_NAMES[1:]:
@@ -471,14 +443,16 @@ class TestSeededRunParity:
         ),
     )
 
-    def digest(self, kernel):
+    def digest(self, force_kernel, kernel):
         spec = SyntheticSpec(
             name="kernel-run-parity", n_patterns=30, pattern_bits=30,
             care_density=0.5, seed=5,
         )
         blocks = synthetic_test_set(spec).blocks(6)
-        config = CompressionConfig(**self.CONFIG, kernel=kernel)
-        result = EAMVOptimizer(config, seed=99).optimize(blocks)
+        force_kernel(kernel)
+        result = EAMVOptimizer(
+            CompressionConfig(**self.CONFIG), seed=99
+        ).optimize(blocks)
         return [
             (run.rate, run.mv_set.to_genome().tobytes())
             for run in result.runs
@@ -488,11 +462,13 @@ class TestSeededRunParity:
         "kernel",
         ["auto", "bitpack", pytest.param("native", marks=requires_native), "scalar"],
     )
-    def test_seeded_runs_byte_identical(self, kernel):
-        assert self.digest(kernel) == self.digest("scalar")
+    def test_seeded_runs_byte_identical(self, force_kernel, kernel):
+        picked = self.digest(force_kernel, kernel)
+        assert picked == self.digest(force_kernel, "scalar")
 
-    def test_auto_without_compiler_matches(self, no_native):
-        assert self.digest("auto") == self.digest("scalar")
+    def test_auto_without_compiler_matches(self, no_native, force_kernel):
+        picked = self.digest(force_kernel, "auto")
+        assert picked == self.digest(force_kernel, "scalar")
 
 
 class TestWideBlockEndToEnd:
@@ -504,17 +480,17 @@ class TestWideBlockEndToEnd:
         assert blocks.word_count == 2
         assert blocks.n_distinct > 1
 
-    def test_compress_decompress_roundtrip_all_kernels(self):
+    def test_compress_decompress_roundtrip_all_kernels(self, force_kernel):
         blocks = wide_block_test_set().blocks(WIDE_BLOCK_LENGTH)
+        config = CompressionConfig(
+            block_length=WIDE_BLOCK_LENGTH,
+            n_vectors=6,
+            runs=1,
+            ea=EAParameters(stagnation_limit=5, max_evaluations=80),
+        )
         payloads = []
         for kernel in KERNEL_NAMES:
-            config = CompressionConfig(
-                block_length=WIDE_BLOCK_LENGTH,
-                n_vectors=6,
-                runs=1,
-                kernel=kernel,
-                ea=EAParameters(stagnation_limit=5, max_evaluations=80),
-            )
+            force_kernel(kernel)
             optimizer = EAMVOptimizer(config, seed=9)
             compressed = optimizer.compress_best(blocks)
             decoded = verify_roundtrip(compressed)

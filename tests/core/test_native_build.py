@@ -24,8 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.covering import cover_masks_batch
+from repro.core.blocks import BlockSet
+from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.kernels import kernel_unavailable_reason
+from repro.core.trits import DC
 from repro.core.kernels.build import (
     NativeBuildError,
     build_key,
@@ -170,19 +172,17 @@ class TestNoCompilerFallback:
 
     def test_auto_runs_with_one_warning(self, no_native, capsys):
         rng = np.random.default_rng(3)
-        block_ones = rng.integers(0, 2**8, 300, dtype=np.uint64)
-        block_zeros = (~block_ones) & np.uint64(0xFF)
-        counts = np.ones(300, dtype=np.int64)
-        mv_ones = np.zeros((4, 6), dtype=np.uint64)
-        mv_zeros = np.zeros((4, 6), dtype=np.uint64)
-        orders = np.tile(np.arange(6), (4, 1))
-        for _ in range(3):  # repeated calls must not repeat the warning
-            assignment, frequencies, uncovered = cover_masks_batch(
-                block_ones, block_zeros, counts,
-                mv_ones, mv_zeros, orders,
-                block_length=8, kernel="auto",
+        blocks = BlockSet.from_trit_array(
+            rng.integers(0, 2, 8 * 300).astype(np.int8), 8
+        )
+        all_u = np.full((4, 6 * 8), DC, dtype=np.int8)
+        for _ in range(3):  # repeated engines must not repeat the warning
+            fitness = BatchCompressionRateFitness(
+                blocks, n_vectors=6, block_length=8
             )
-            assert (uncovered == 0).all()  # all-U MVs cover everything
+            rates = fitness.evaluate_batch(all_u)
+            assert fitness.kernel_name == "bitpack"
+            assert (rates > -1e6).all()  # all-U MVs cover everything
         stderr = capsys.readouterr().err
         assert stderr.count("native kernel unavailable") == 1
 
@@ -196,6 +196,7 @@ class TestNoCompilerFallback:
 FORK_AFTER_OPENMP_SCRIPT = textwrap.dedent(
     """
     from repro.core.config import CompressionConfig, EAParameters
+    from repro.core.kernels import select_kernel_name
     from repro.core.optimizer import EAMVOptimizer
     from repro.parallel import ProcessBackend
     from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
@@ -204,8 +205,10 @@ FORK_AFTER_OPENMP_SCRIPT = textwrap.dedent(
         "fork", n_patterns=60, pattern_bits=96, care_density=0.4, seed=3
     )
     blocks = synthetic_test_set(spec).blocks(12)
+    # The auto pick, asked the way the fitness asks it on every batch.
+    assert select_kernel_name(1, blocks.n_distinct, 8, 12) == "native"
     config = CompressionConfig(
-        block_length=12, n_vectors=8, runs=2, kernel="native",
+        block_length=12, n_vectors=8, runs=2,
         ea=EAParameters(stagnation_limit=5, max_evaluations=60),
     )
     serial = EAMVOptimizer(config, seed=5).optimize(blocks)

@@ -226,15 +226,13 @@ class TestBuildParetoFront:
         )
         assert pareto_markdown(serial) == pareto_markdown(threaded)
 
-    def test_kernel_invariance(self, blocks):
-        outputs = {
-            kernel: pareto_markdown(
-                build_pareto_front(
-                    blocks, fast_config(kernel=kernel), seed=13
-                )
+    def test_kernel_invariance(self, blocks, force_kernel):
+        outputs = {}
+        for kernel in ("bitpack", "scalar"):
+            force_kernel(kernel)
+            outputs[kernel] = pareto_markdown(
+                build_pareto_front(blocks, fast_config(), seed=13)
             )
-            for kernel in ("bitpack", "scalar")
-        }
         assert outputs["bitpack"] == outputs["scalar"]
 
     def test_objective_subset_columns(self, blocks):

@@ -69,13 +69,18 @@ class TestFingerprint:
             _tasks(blocks=other)[0]
         )
 
-    def test_insensitive_to_performance_knobs(self):
-        """The kernel choice never changes results, so switching it must
-        not invalidate journaled work."""
-        switched = dataclasses.replace(TINY_CONFIG, kernel="scalar")
-        assert task_fingerprint(_tasks()[0]) == task_fingerprint(
-            _tasks(config=switched)[0]
-        )
+    def test_insensitive_to_performance_knobs(self, force_kernel):
+        """The covering kernel never changes results, so a journal
+        written while one kernel priced serves runs another would price:
+        same fingerprint, same journaled outcome."""
+        records = []
+        for kernel in ("scalar", "bitpack"):
+            force_kernel(kernel)
+            task = _tasks()[0]
+            records.append(
+                (task_fingerprint(task), encode_outcome(execute_run_task(task)))
+            )
+        assert records[0] == records[1]
 
 
 class TestOutcomeRoundTrip:

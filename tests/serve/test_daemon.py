@@ -40,7 +40,7 @@ COMPRESS_BODY = {
 
 
 def make_service():
-    return CompressionService(WarmRegistry(), kernel="bitpack")
+    return CompressionService(WarmRegistry())
 
 
 def http(address, path, body=None, method=None):
@@ -181,20 +181,43 @@ class TestStats:
 
 
 class TestRemovedKernel:
-    def test_gemm_is_400_naming_the_remaining_kernels(self):
+    """The kernel is the fitness layer's own choice: a request naming
+    one carries a field the service does not read, which is a 400."""
+
+    def test_kernel_field_is_400_naming_it(self):
         daemon = ServeDaemon(make_service(), port=0, batch_window_ms=1.0)
         daemon.start()
         try:
-            config = dict(COMPRESS_BODY["config"], kernel="gemm")
-            for path, body in (
-                ("/fitness", dict(FITNESS_BODIES[0], kernel="gemm")),
-                ("/compress", dict(COMPRESS_BODY, config=config)),
+            config = dict(COMPRESS_BODY["config"], kernel="auto")
+            for path, body, where in (
+                ("/fitness", dict(FITNESS_BODIES[0], kernel="auto"), "/fitness body"),
+                ("/compress", dict(COMPRESS_BODY, kernel="auto"), "/compress body"),
+                ("/compress", dict(COMPRESS_BODY, config=config), "config"),
             ):
                 status, raw = http(daemon.address, path, body)
-                assert status == 400, path
                 error = json.loads(raw)["error"]
-                assert "unknown covering kernel 'gemm'" in error
-                assert "auto, bitpack, native, scalar" in error
+                assert (status, error) == (400, f"unknown {where} fields: kernel")
+        finally:
+            daemon.shutdown(drain=True)
+
+    def test_stray_fields_are_400(self):
+        daemon = ServeDaemon(make_service(), port=0, batch_window_ms=1.0)
+        daemon.start()
+        try:
+            for path, body, error in (
+                (
+                    "/fitness",
+                    dict(FITNESS_BODIES[0], typo_field=1),
+                    "unknown /fitness body fields: typo_field",
+                ),
+                (
+                    "/compress",  # n_vectors belongs inside config
+                    dict(COMPRESS_BODY, n_vectors=3),
+                    "unknown /compress body fields: n_vectors",
+                ),
+            ):
+                status, raw = http(daemon.address, path, body)
+                assert (status, json.loads(raw)["error"]) == (400, error)
         finally:
             daemon.shutdown(drain=True)
 

@@ -39,7 +39,7 @@ COMPRESS_BODY = {
 
 
 def make_service():
-    return CompressionService(WarmRegistry(), kernel="bitpack")
+    return CompressionService(WarmRegistry())
 
 
 class TestRegistry:
@@ -89,7 +89,6 @@ class TestRegistry:
             n_vectors=3,
             block_length=BLOCK_LENGTH,
             strategy=EncodingStrategy.HUFFMAN,
-            kernel="bitpack",
         )
         engine = service.registry.engine_for(key)
         assert service.registry.engine_for(key) is engine
@@ -99,7 +98,6 @@ class TestRegistry:
                 n_vectors=4,
                 block_length=BLOCK_LENGTH,
                 strategy=EncodingStrategy.HUFFMAN,
-                kernel="bitpack",
             )
         )
         assert other is not engine
@@ -113,7 +111,6 @@ class TestRegistry:
                     n_vectors=3,
                     block_length=3,
                     strategy=EncodingStrategy.HUFFMAN,
-                    kernel="bitpack",
                 )
             )
 

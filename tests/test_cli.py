@@ -63,61 +63,81 @@ class TestParser:
             build_parser().parse_args(["table1", "--jobs", "2", "--backend", "x"])
 
 
+RUN_COMMANDS = (
+    ["table1"],
+    ["table2"],
+    ["compress", "file.txt"],
+    ["atpg", "c17"],
+    ["ablate", "kl"],
+    ["report"],
+    ["serve"],
+    ["request", "body.json"],
+)
+
+
 class TestKernelFlag:
-    """Every command exposes --kernel {auto,bitpack,native,scalar}."""
+    """No command takes --kernel: the fitness layer picks the covering
+    kernel itself, and every pick gives byte-identical output."""
 
-    def test_kernel_defaults_to_auto(self):
-        for argv in (
-            ["table1"],
-            ["table2"],
-            ["compress", "file.txt"],
-            ["atpg", "c17"],
-            ["ablate", "kl"],
-            ["report"],
-        ):
-            assert build_parser().parse_args(argv).kernel == "auto"
+    PATTERNS = "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
+    ARGS = ["--k", "4", "--l", "6", "--runs", "1", "--stagnation", "5",
+            "--max-evaluations", "120", "--seed", "3"]
 
-    def test_kernel_choices_parsed(self):
-        for kernel in ("auto", "bitpack", "native", "scalar"):
-            arguments = build_parser().parse_args(
-                ["compress", "file.txt", "--kernel", kernel]
-            )
-            assert arguments.kernel == kernel
+    def test_kernel_defaults_to_auto(self, tmp_path, monkeypatch, capsys):
+        """A run prices through the ``auto`` rule: the CLI passes no
+        kernel, so the fitness asks ``select_kernel_name``."""
+        from repro.core import kernels
+
+        shapes = []
+        auto = kernels.select_kernel_name
+
+        def spy(*shape):
+            shapes.append(shape)
+            return auto(*shape)
+
+        monkeypatch.setattr(kernels, "select_kernel_name", spy)
+        path = tmp_path / "patterns.txt"
+        path.write_text(self.PATTERNS)
+        assert main(["compress", str(path), *self.ARGS]) == 0
+        assert shapes and all(shape[3] == 4 for shape in shapes)
+        for argv in RUN_COMMANDS:
+            assert not hasattr(build_parser().parse_args(argv), "kernel")
 
     def test_invalid_kernel_name_rejected_with_clear_error(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["table1", "--kernel", "nonsense"])
-        stderr = capsys.readouterr().err
-        assert "invalid choice: 'nonsense'" in stderr
-        assert "bitpack" in stderr  # the error names the valid kernels
+        assert info.value.code == 2
+        assert "unrecognized arguments: --kernel nonsense" in capsys.readouterr().err
 
     def test_kernel_documented_in_help(self, capsys):
+        """Kernels are documented by the `kernels` command, not a flag."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--kernel" in help_text
-        assert "covering kernel" in help_text
+            build_parser().parse_args(["--help"])
+        assert "covering-kernel backends" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["kernels", "--help"])
+        assert "auto kernel pick" in capsys.readouterr().out
 
-    def test_compress_kernel_output_matches_auto(self, tmp_path, capsys):
+    def test_compress_kernel_output_matches_auto(
+        self, tmp_path, capsys, force_kernel
+    ):
         path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
+        path.write_text(self.PATTERNS)
         outputs = {}
         kernels = ("auto", "bitpack", "scalar") + (
             ("native",) if NATIVE_OK else ()
         )
         for kernel in kernels:
-            assert main([*args, "--kernel", kernel]) == 0
+            force_kernel(kernel)
+            assert main(["compress", str(path), *self.ARGS]) == 0
             outputs[kernel] = capsys.readouterr().out
         assert len(set(outputs.values())) == 1  # byte-identical output
 
 
 class TestRemovedCacheFlags:
-    """The MV match-column cache, the tuning profile and the gemm
-    kernel are gone, and so are their flags and the `tune` command."""
+    """The MV match-column cache, the tuning profile, the gemm kernel
+    and kernel selection are gone, and so are their flags and the
+    `tune` command."""
 
     REMOVED = (
         (["--mv-cache-size", "0"], "unrecognized arguments"),
@@ -126,28 +146,33 @@ class TestRemovedCacheFlags:
         (["--no-mv-cache-persist"], "unrecognized arguments"),
         (["--mv-feedback", "off"], "unrecognized arguments"),
         (["--profile", "profile.json"], "unrecognized arguments"),
-        (["--kernel", "gemm"], "invalid choice: 'gemm'"),
+        (["--kernel", "gemm"], "unrecognized arguments"),
+        (["--kernel", "auto"], "unrecognized arguments"),
+        (["--kernel", "bitpack"], "unrecognized arguments"),
     )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["table1"],
-            ["table2"],
-            ["compress", "file.txt"],
-            ["atpg", "c17"],
-            ["ablate", "kl"],
-            ["report"],
-            ["serve"],
-            ["request", "body.json"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", RUN_COMMANDS)
     def test_rejected_by_every_run_command(self, argv, capsys):
         for flag, message in self.REMOVED:
             with pytest.raises(SystemExit) as info:
                 build_parser().parse_args([*argv, *flag])
             assert info.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["request", "body.json", "--jobs", "4"],
+            ["request", "body.json", "--backend", "thread"],
+            ["request", "body.json", "--task-timeout", "0"],
+            ["serve", "--backend", "thread"],
+        ],
+    )
+    def test_ignored_service_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tune_command_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -156,12 +181,14 @@ class TestRemovedCacheFlags:
         assert "invalid choice: 'tune'" in capsys.readouterr().err
 
     def test_absent_from_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--mv-" not in help_text
-        assert "--profile" not in help_text
-        assert "gemm" not in help_text
+        for argv in (["compress"], ["serve"], ["request"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--help"])
+            help_text = capsys.readouterr().out
+            assert "--mv-" not in help_text
+            assert "--profile" not in help_text
+            assert "gemm" not in help_text
+            assert "--kernel" not in help_text
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         assert "tune" not in capsys.readouterr().out
@@ -302,11 +329,13 @@ class TestBadInput:
     """Bad input ends in one ``repro: error: …`` line and exit 2."""
 
     def assert_one_line_error(self, argv, capsys, fragment):
+        """Run ``argv``; check the error line and return the stdout."""
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("repro: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fragment in err
+        return out
 
     def test_nonpositive_block_length(self, tmp_path, capsys):
         path = tmp_path / "patterns.txt"
@@ -325,6 +354,28 @@ class TestBadInput:
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
         self.assert_one_line_error(["compress", str(missing)], capsys, str(missing))
+
+    def test_negative_retries_rejected(self, tmp_path, capsys):
+        """Rejected before any work: compress prints nothing first."""
+        path = tmp_path / "patterns.txt"
+        path.write_text("0101XXXX\n01010101\n")
+        out = self.assert_one_line_error(
+            ["compress", str(path), "--retries", "-1"], capsys,
+            "--retries must be >= 0, got -1",
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "extra", [["--task-timeout", "0"], ["--task-timeout", "-1", "--jobs", "2"]]
+    )
+    def test_nonpositive_task_timeout_rejected(self, extra, tmp_path, capsys):
+        """Rejected before any work, on serial and pool runs alike."""
+        path = tmp_path / "patterns.txt"
+        path.write_text("0101XXXX\n01010101\n")
+        out = self.assert_one_line_error(
+            ["compress", str(path), *extra], capsys, "--task-timeout must be > 0"
+        )
+        assert out == ""
 
     @pytest.mark.parametrize(
         "shape", ["0,0,0,0", "5,100,64,-3", "5,0,64,12", "a,b,c,d"]
@@ -444,13 +495,6 @@ class TestFaultToleranceFlags:
         retry, _ = _resolve_fault_tolerance(arguments)
         assert retry is None
 
-    def test_negative_retries_rejected(self):
-        from repro.cli import _resolve_fault_tolerance
-
-        arguments = build_parser().parse_args(["table1", "--retries", "-1"])
-        with pytest.raises(SystemExit):
-            _resolve_fault_tolerance(arguments)
-
     def test_resume_flag_on_sweep_commands(self):
         for argv in (["table1"], ["table2"], ["ablate", "kl"], ["report"]):
             assert not build_parser().parse_args(argv).resume
@@ -533,20 +577,17 @@ class TestServeParser:
         assert arguments.max_batch == 64
         assert arguments.max_queue == 256
         assert arguments.jobs == 1
-        assert arguments.kernel == "auto"
 
     def test_serve_overrides(self):
         arguments = build_parser().parse_args(
             ["serve", "--port", "0", "--jobs", "4", "--batch-window-ms",
-             "2.5", "--max-batch", "8", "--max-queue", "32",
-             "--kernel", "bitpack"]
+             "2.5", "--max-batch", "8", "--max-queue", "32"]
         )
         assert arguments.port == 0
         assert arguments.jobs == 4
         assert arguments.batch_window_ms == 2.5
         assert arguments.max_batch == 8
         assert arguments.max_queue == 32
-        assert arguments.kernel == "bitpack"
 
     def test_request_defaults(self):
         arguments = build_parser().parse_args(["request", "body.json"])
@@ -605,11 +646,9 @@ class TestRequestCommand:
             "genomes": ["01U1U0UUU", "UUUUUUUUU"],
         }
         path = self._write(tmp_path, body)
-        assert main(["request", path, "--kernel", "bitpack"]) == 0
+        assert main(["request", path]) == 0
         out = capsys.readouterr().out
-        reference = CompressionService(
-            WarmRegistry(), kernel="bitpack"
-        ).run_fitness(body)
+        reference = CompressionService(WarmRegistry()).run_fitness(body)
         assert out.encode() == canonical_json(reference)
 
     def test_compress_request_is_deterministic(self, tmp_path, capsys):
@@ -638,6 +677,16 @@ class TestRequestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid JSON" in captured.err
+
+    def test_kernel_field_is_rejected(self, tmp_path, capsys):
+        fitness = {"table": self.TABLE, "n_vectors": 3,
+                   "genomes": ["UUUUUUUUU"], "kernel": "auto"}
+        compress = {"table": self.TABLE, "seed": 5, "kernel": "auto"}
+        for body, where in ((fitness, "/fitness body"), (compress, "/compress body")):
+            assert main(["request", self._write(tmp_path, body)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown {where} fields: kernel\n"
 
     def test_protocol_error_fails_cleanly(self, tmp_path, capsys):
         body = {"table": self.TABLE, "n_vectors": 3}  # no genomes
@@ -678,18 +727,21 @@ class TestObjectivesFlag:
         assert capsys.readouterr().out == default
         assert "### Pareto front" not in default
 
-    def test_pareto_output_job_and_kernel_invariant(self, tmp_path, capsys):
+    def test_pareto_output_job_and_kernel_invariant(
+        self, tmp_path, capsys, force_kernel
+    ):
         path = tmp_path / "patterns.txt"
         path.write_text(self.PATTERNS)
         base = [*self._args(path), "--objectives", "rate+area+time"]
         outputs = {}
         variants = {
-            "serial": [],
-            "jobs4": ["--jobs", "4", "--backend", "thread"],
-            "scalar": ["--kernel", "scalar"],
-            "bitpack": ["--kernel", "bitpack"],
+            "serial": ("auto", []),
+            "jobs4": ("auto", ["--jobs", "4", "--backend", "thread"]),
+            "scalar": ("scalar", []),
+            "bitpack": ("bitpack", []),
         }
-        for name, extra in variants.items():
+        for name, (kernel, extra) in variants.items():
+            force_kernel(kernel)
             assert main([*base, *extra]) == 0
             outputs[name] = capsys.readouterr().out
         assert len(set(outputs.values())) == 1  # byte-identical fronts
