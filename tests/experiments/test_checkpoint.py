@@ -1,6 +1,7 @@
 """Tests for the checkpoint journal, task fingerprints and resume cache."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from repro.core.blocks import BlockSet
 from repro.core.config import CompressionConfig, EAParameters
 from repro.core.optimizer import EAMVOptimizer, execute_run_task
+from repro.ea.engine import GenerationStats
+from repro.ea.multi_objective import MOGenerationStats
 from repro.experiments.checkpoint import (
     CheckpointStore,
     RunJournal,
@@ -16,6 +19,13 @@ from repro.experiments.checkpoint import (
     default_checkpoint_root,
     encode_outcome,
     task_fingerprint,
+)
+from repro.experiments.pareto import (
+    OBJECTIVE_SETS,
+    ParetoRunTask,
+    build_pareto_front,
+    pareto_markdown,
+    pareto_task_fingerprint,
 )
 from repro.parallel import FaultToleranceStats
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
@@ -132,19 +142,28 @@ PINNED_RECORD = {
 }
 
 
-def _pinned_task():
-    spec = SyntheticSpec(
-        "journal-pin", n_patterns=220, pattern_bits=192, care_density=0.35, seed=11
-    )
-    ea = EAParameters(
+PINNED_CONFIG = CompressionConfig(
+    block_length=12,
+    n_vectors=6,
+    runs=1,
+    ea=EAParameters(
         population_size=4,
         children_per_generation=5,
         stagnation_limit=4,
         max_evaluations=40,
+    ),
+)
+
+
+def _pinned_blocks():
+    spec = SyntheticSpec(
+        "journal-pin", n_patterns=220, pattern_bits=192, care_density=0.35, seed=11
     )
-    config = CompressionConfig(block_length=12, n_vectors=6, runs=1, ea=ea)
-    blocks = synthetic_test_set(spec).blocks(12)
-    return EAMVOptimizer(config, seed=2005).build_run_tasks(blocks)[0]
+    return synthetic_test_set(spec).blocks(12)
+
+
+def _pinned_task(config=PINNED_CONFIG):
+    return EAMVOptimizer(config, seed=2005).build_run_tasks(_pinned_blocks())[0]
 
 
 class TestJournalFromBeforeCacheRemoval:
@@ -173,6 +192,199 @@ class TestJournalFromBeforeCacheRemoval:
             if not key.startswith("mv_cache_")
         }
         assert json.loads(json.dumps(document)) == expected
+
+
+# Golden seeded runs on the pinned table, one per engine mode.  Every
+# RNG draw of a mode (operator, parents, crossover mask, mutation site,
+# inversion span) shows in these values, so a draw-order slip in any
+# mode fails here even where the mode is otherwise only checked against
+# itself.
+GOLDEN_EA = EAParameters(
+    population_size=6,
+    children_per_generation=5,
+    stagnation_limit=10,
+    max_evaluations=300,
+)
+GOLDEN_CONFIG = CompressionConfig(
+    block_length=12, n_vectors=10, runs=1, ea=GOLDEN_EA
+)
+GOLDEN_RUNS = {
+    "default": (
+        {},
+        {
+            "best_fitness": 37.41950757575758,
+            "generations": 59,
+            "evaluations": 301,
+            "cache_hits": 209,
+            "terminated_by": "evaluations(300)",
+            "genome_sha256": "4a61855168ed192f97932087f2f92270f89f6edf80646f38fe30c75e00a39644",
+            "last": GenerationStats(59, 37.41950757575758, 36.973642676767675, 301, True),
+        },
+    ),
+    "adaptive": (
+        {"adaptive_operators": True},
+        {
+            "best_fitness": 37.66098484848485,
+            "generations": 59,
+            "evaluations": 301,
+            "cache_hits": 111,
+            "terminated_by": "evaluations(300)",
+            "genome_sha256": "b462a285eda2b8ec8c84af99d672567e696163da158534bea5e3578d36b115e5",
+            "last": GenerationStats(59, 37.66098484848485, 37.39149305555555, 301, False),
+        },
+    ),
+    "tournament": (
+        {"parent_selection": "tournament", "tournament_size": 3},
+        {
+            "best_fitness": 35.11126893939394,
+            "generations": 59,
+            "evaluations": 301,
+            "cache_hits": 229,
+            "terminated_by": "evaluations(300)",
+            "genome_sha256": "9d2659a23b38699ac299f9d20f6d8d72291884113d3bd11e4fe2e402d3cec788",
+            "last": GenerationStats(59, 35.11126893939394, 35.11126893939394, 301, False),
+        },
+    ),
+    "nine-c": (
+        {"seed_nine_c": True, "include_all_u": True},
+        {
+            "best_fitness": 36.50094696969697,
+            "generations": 14,
+            "evaluations": 76,
+            "cache_hits": 24,
+            "terminated_by": "stagnation(10)",
+            "genome_sha256": "b26b119ae55a1e4a0d76a94984d3d769bcf077c654b3ef6f6c64dcb05ca92321",
+            "last": GenerationStats(14, 36.50094696969697, 36.26183712121212, 76, False),
+        },
+    ),
+}
+
+GOLDEN_PARETO_FINGERPRINT = (
+    "25558094ff607b4d8132b49eac312babfbb5e9f2cb1caa6d927a3f2025939a33"
+)
+GOLDEN_PARETO_MARKDOWN = """\
+### Pareto front (rate, area, time)
+
+| # | Rate % | Area bits | Time cycles |
+|--:|------:|------:|------:|
+| 1 | 36.61 | 297 | 52535 |
+| 2 | 36.22 | 297 | 52511 |
+| 3 | 36.12 | 297 | 52272 |
+| 4 | 35.79 | 297 | 52168 |
+| 5 | 34.98 | 298 | 52097 |
+| 6 | 34.64 | 297 | 52151 |
+| 7 | 34.52 | 297 | 51738 |
+| 8 | 34.46 | 298 | 51594 |
+| 9 | 34.10 | 297 | 51499 |
+| 10 | 33.32 | 305 | 51382 |
+| 11 | 33.23 | 306 | 51319 |
+| 12 | 32.46 | 299 | 51381 |
+| 13 | 32.23 | 305 | 51340 |
+| 14 | 32.03 | 305 | 51335 |
+| 15 | 31.14 | 305 | 50916 |
+| 16 | 31.09 | 304 | 51315 |
+| 17 | 30.53 | 305 | 50854 |
+| 18 | 30.46 | 297 | 51463 |
+| 19 | 29.97 | 307 | 50736 |
+| 20 | 29.89 | 305 | 50632 |
+| 21 | 29.86 | 305 | 50611 |
+| 22 | 29.11 | 304 | 51241 |
+| 23 | 28.70 | 305 | 50585 |
+| 24 | 28.51 | 304 | 51189 |
+| 25 | 28.46 | 304 | 51165 |
+| 26 | 28.22 | 311 | 50357 |
+| 27 | 27.64 | 301 | 51335 |
+| 28 | 26.80 | 304 | 50953 |
+| 29 | 26.41 | 308 | 50579 |
+| 30 | 26.38 | 308 | 50538 |
+| 31 | 25.85 | 308 | 50474 |
+
+- non-dominated points: 31 (from 2 runs, 602 evaluations)
+- hypervolume: 207202.7652 (reference: rate 24.85 %, area 312 bits, time 52536 cycles)
+"""
+# (evaluations, cache_hits, last MOGenerationStats) per run.
+GOLDEN_PARETO_RUNS = [
+    (301, 147, MOGenerationStats(59, 6, 28, 301, True)),
+    (301, 135, MOGenerationStats(59, 6, 20, 301, True)),
+]
+GOLDEN_PARETO_FRONT_SHA256 = [
+    "208736123e5865cc9ec6f3d34d1cb566b0fbda2b0333f6d1ea01fb40e0e21d2c",
+    "c009538db92c1af54ce6100c49ae07639fe818d0106c133a51e9b3e7a039654c",
+    "152b1be5243fd585a0924fb9369525b4f9671e3d026ea6c1e3fc55af505f41be",
+    "05fdd2875dfc01fede3031e46ce080fbf0c81a22f219740f72f7e829745f62cd",
+    "85aabddc095b8512bcc563013491575da9a59156e7719bf068c2255bd9ddb3c7",
+    "eb2728a5add9ab5b78a89db2b7527316c1ea29ea9739b598773d05679f0d7c57",
+    "94fb701ebce9164f4235726e907a99507a0982950c38d543f8eb31015aa1f4a6",
+    "55238225a4afe8223251e616dcf2514b6fbfb421c78a9043a549d7dcf9893994",
+    "1d9bd33001885f0761007805a2e37e30b4e07ceb32d8d2e21af2d818b4afe070",
+    "b898b17ea8b8180cc26a1b8f638180ec22136706a81bb2cf7a19d95228946a0d",
+    "7a79755b142ab908545a3428aef634b9d4b4a7b123f23cad04397901f8fddcc0",
+    "77785b7b87ee9d49080bcf227cb0af72417217bdb5bfbebbf19a593bbfd2947b",
+    "9f5c0174d6cb966f8650fa74328fc1f3d268302cec1e38109018446a44d0003c",
+    "88a6842cf481a593e67cb55de068857b74f859f804c159ef4394bf7afc8584db",
+    "61bba32f639af3150310062ca13e2cec4151f6e2bd6d74c2acd9c4f29afaa965",
+    "324836534e3e9775e3a1edbe12abd4996e1dcd38493bd3980b0b591443e398f9",
+    "d049a41294362539dea1652429baa6dc3313c2a77b010d6fc00f0f4257c2aca6",
+    "a6bded2ba414cbc69728ce17acf8a1f902f2a9140c60c58855c6d96da256574b",
+    "1b68ce75709bf0f5fc33c40c68c5de7c2e352009b9c639645829ffee06c98766",
+    "b2817958c2539b685f6c2e31e0f26b403082c02f051ca2bfd7dc6727085a21b4",
+    "d7d4a48cc53ed66c58f86a8d52b1e26d36ae3ba63a5a019be183c7c98af844d2",
+    "bd442d7024be543ce6250c2d8d0708dab6d0471d4cb66536c004d05d896eecab",
+    "eee7330e60edfcecd57378b8fa1ef57a6be4c0e481db6537e22713e3227ec6ac",
+    "c9d5f10dd2411ec105a74d71af3ccfe708a173893ed73b3308caddcf95aecf98",
+    "e8fe9295548d3aeb061138edd2eb9ce70540c35bcc319c2ac513f28ae04374c7",
+    "aa90edb550334ee75d79bff375b78e1653f41c4783e8a0553ca00f3e27ba8915",
+    "ee6a4e709bae8f14497bdeaf1c3ea7c3f820d625fb2bb08c17597af0fe036324",
+    "33911355414ab4105a20ac011ed080af02c4559571091a035fe17e54a35bc09c",
+    "ea1d0c1d3dab00bee8836aaf60d47025dc4adc26485197765ca24060644a7809",
+    "d0263a82b347f028cee40d8e6c6064fc387b6cdf5f2f5292bdb90d438409b7bf",
+    "5d4376cf80e71ce8fe7b96edc5c1391560b953d63ab3dfef988c9c295a059db6",
+]
+
+
+def _sha256(genome):
+    return hashlib.sha256(np.asarray(genome).tobytes()).hexdigest()
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_RUNS))
+    def test_seeded_run_is_pinned(self, mode):
+        overrides, expected = GOLDEN_RUNS[mode]
+        config = dataclasses.replace(
+            GOLDEN_CONFIG, ea=dataclasses.replace(GOLDEN_EA, **overrides)
+        )
+        result = execute_run_task(_pinned_task(config)).ea_result
+        assert {
+            "best_fitness": result.best_fitness,
+            "generations": result.generations,
+            "evaluations": result.evaluations,
+            "cache_hits": result.cache_hits,
+            "terminated_by": result.terminated_by,
+            "genome_sha256": _sha256(result.best_genome),
+            "last": result.history[-1],
+        } == expected
+
+    def test_pareto_front_is_pinned(self):
+        config = dataclasses.replace(GOLDEN_CONFIG, runs=2)
+        result = build_pareto_front(_pinned_blocks(), config, seed=13)
+        assert pareto_markdown(result) == GOLDEN_PARETO_MARKDOWN
+        assert [
+            (run.result.evaluations, run.result.cache_hits, run.result.history[-1])
+            for run in result.runs
+        ] == GOLDEN_PARETO_RUNS
+        assert [
+            _sha256(point.genome) for point in result.front
+        ] == GOLDEN_PARETO_FRONT_SHA256
+
+    def test_pareto_fingerprint_is_pinned(self):
+        task = ParetoRunTask(
+            run_index=0,
+            blocks=_pinned_blocks(),
+            config=dataclasses.replace(GOLDEN_CONFIG, runs=2),
+            objectives=OBJECTIVE_SETS["rate+area+time"],
+            seed_sequence=np.random.SeedSequence(13).spawn(1)[0],
+        )
+        assert pareto_task_fingerprint(task) == GOLDEN_PARETO_FINGERPRINT
 
 
 class TestRunJournal:
