@@ -140,12 +140,14 @@ def _seed_genomes(
     return [genome]
 
 
-def execute_run_task(task: RunTask) -> RunOutcome:
-    """Run one independent EA search — the backend work unit.
+def _task_engine(
+    task, engine_type: type[EvolutionaryEngine] = EvolutionaryEngine, **options
+) -> EvolutionaryEngine:
+    """The seeded engine of one run task (single- or multi-objective).
 
-    Module-level (hence picklable for :class:`ProcessBackend`) and
-    deterministic: the outcome depends only on the task's fields,
-    never on global state, worker identity, or completion order.
+    One generator per task, derived from the task's ``SeedSequence``
+    child, draws the engine seed first and then the optional 9C-seeded
+    genome — the RNG derivation both run protocols share.
     """
     config = task.config
     rng = np.random.default_rng(task.seed_sequence)
@@ -155,18 +157,28 @@ def execute_run_task(task: RunTask) -> RunOutcome:
         block_length=config.block_length,
         strategy=config.strategy,
     )
-    engine = EvolutionaryEngine(
+    return engine_type(
         fitness=fitness,
         genome_length=config.genome_length,
         params=config.ea,
         seed=rng.integers(0, 2**63 - 1),
         repair=_PinAllU(config.block_length) if config.ea.include_all_u else None,
         initial_genomes=_seed_genomes(config, rng),
+        **options,
     )
-    result = engine.run()
+
+
+def execute_run_task(task: RunTask) -> RunOutcome:
+    """Run one independent EA search — the backend work unit.
+
+    Module-level (hence picklable for :class:`ProcessBackend`) and
+    deterministic: the outcome depends only on the task's fields,
+    never on global state, worker identity, or completion order.
+    """
+    result = _task_engine(task).run()
     return RunOutcome(
         run_index=task.run_index,
-        mv_set=MVSet.from_genome(result.best_genome, config.block_length),
+        mv_set=MVSet.from_genome(result.best_genome, task.config.block_length),
         rate=result.best_fitness,
         ea_result=result,
     )

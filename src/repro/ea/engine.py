@@ -38,6 +38,17 @@ runs terminate identically, and the hit rate is reported on
 :class:`EAResult`.  Adaptive operator scheduling needs each child's
 fitness before choosing the next operator, so that mode evaluates
 incrementally (still through the memo).
+
+One loop, two engines
+---------------------
+:meth:`EvolutionaryEngine.run` is the only loop in the package.
+:class:`repro.ea.multi_objective.MultiObjectiveEngine` subclasses this
+engine and overrides only what NSGA-II changes: the value a genome is
+priced to (``_evaluate_raw`` and the individual type), survivor
+selection (``_select_survivors``), parent selection (``_pick_parent``),
+the improvement signal (``_observe``/``_progress``), and the
+per-generation record and result (``_record``/``_result``).
+Pricing, the memo, the operators and termination are shared.
 """
 
 from __future__ import annotations
@@ -144,6 +155,9 @@ class EvolutionaryEngine:
         skips re-pricing duplicate genomes.
     """
 
+    # What a priced genome becomes: built as (genome, value, birth_order).
+    _individual_type = Individual
+
     def __init__(
         self,
         fitness: FitnessFunction,
@@ -170,15 +184,24 @@ class EvolutionaryEngine:
         self._cache_size = int(cache_size or 0)
         if self._cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        self._cache: OrderedDict[bytes, float] = OrderedDict()
+        self._start_run()
+
+    def _start_run(self) -> None:
+        """Reset the per-run state; every :meth:`run` starts fresh."""
+        self._cache: OrderedDict[bytes, object] = OrderedDict()
         self._cache_hits = 0
         self._evaluations = 0
         self._birth_counter = 0
+        self._best: Individual | None = None
+        weights = self._operator_weights()
+        # Generator.choice(4, p=weights) draws exactly this: one
+        # random() looked up in the normalized CDF.  Built once per run
+        # instead of once per draw.
+        self._operator_cdf = weights.cumsum()
+        self._operator_cdf /= self._operator_cdf[-1]
         self._scheduler: AdaptiveOperatorScheduler | None = None
         if self._params.adaptive_operators:
-            self._scheduler = AdaptiveOperatorScheduler(
-                self._operator_weights()
-            )
+            self._scheduler = AdaptiveOperatorScheduler(weights)
 
     # -- pricing ------------------------------------------------------
 
@@ -206,14 +229,14 @@ class EvolutionaryEngine:
             ]
         self._evaluations += len(prepared)
 
-        # One slot per genome; every slot holds a float by the time
-        # the Individuals are built below (annotated once — the memo
+        # One slot per genome; every slot holds a value by the time
+        # the individuals are built below (annotated once — the memo
         # path fills slots out of order, the raw path all at once).
-        fitnesses: list[float | None]
+        values: list[object]
         if not self._cache_size:
-            fitnesses = list(self._evaluate_raw(prepared))
+            values = list(self._evaluate_raw(prepared))
         else:
-            fitnesses = [None] * len(prepared)
+            values = [None] * len(prepared)
             pending: OrderedDict[bytes, list[int]] = OrderedDict()
             for index, genome in enumerate(prepared):
                 key = genome.tobytes()
@@ -221,7 +244,7 @@ class EvolutionaryEngine:
                 if cached is not None:
                     self._cache.move_to_end(key)
                     self._cache_hits += 1
-                    fitnesses[index] = cached
+                    values[index] = cached
                 else:
                     if key in pending:  # duplicate inside this batch
                         self._cache_hits += 1
@@ -235,16 +258,12 @@ class EvolutionaryEngine:
                     if len(self._cache) > self._cache_size:
                         self._cache.popitem(last=False)
                     for index in slots:
-                        fitnesses[index] = value
+                        values[index] = value
 
         individuals = []
-        for genome, fitness in zip(prepared, fitnesses):
+        for genome, value in zip(prepared, values):
             individuals.append(
-                Individual(
-                    genome=genome,
-                    fitness=fitness,
-                    birth_order=self._birth_counter,
-                )
+                self._individual_type(genome, value, self._birth_counter)
             )
             self._birth_counter += 1
         return individuals
@@ -255,9 +274,13 @@ class EvolutionaryEngine:
             genomes.append(
                 random_genome(self._genome_length, self._rng, self._alphabet_size)
             )
-        return truncate(self._price_genomes(genomes), self._params.population_size)
+        return self._select_survivors(self._price_genomes(genomes))
 
-    # -- offspring ----------------------------------------------------
+    # -- selection ----------------------------------------------------
+
+    def _select_survivors(self, pool: list[Individual]) -> list[Individual]:
+        """Keep the S fittest of the pool, best first."""
+        return truncate(pool, self._params.population_size)
 
     def _pick_parent(self, population: list[Individual]) -> Individual:
         if self._params.parent_selection == "tournament":
@@ -265,6 +288,8 @@ class EvolutionaryEngine:
                 population, self._rng, self._params.tournament_size
             )
         return select_parent(population, self._rng)
+
+    # -- offspring ----------------------------------------------------
 
     def _operator_weights(self) -> np.ndarray:
         params = self._params
@@ -282,44 +307,42 @@ class EvolutionaryEngine:
 
     def _apply_operator(
         self, operator: int, population: list[Individual], capacity: int
-    ) -> list[np.ndarray]:
+    ) -> tuple[list[np.ndarray], list[Individual]]:
         """Produce the raw child genome(s) for one operator draw.
 
+        Returns the children and the parents they were bred from.
         Consumes the RNG in exactly the order of the historical
         per-child loop, so seeded runs stay bit-for-bit reproducible.
         """
         if operator == 0:  # crossover: two parents, up to two children
-            parent_a = self._pick_parent(population)
-            parent_b = self._pick_parent(population)
-            genome_one, genome_two = uniform_crossover(
-                parent_a.genome, parent_b.genome, self._rng
+            parents = [self._pick_parent(population), self._pick_parent(population)]
+            children = uniform_crossover(
+                parents[0].genome, parents[1].genome, self._rng
             )
-            if capacity > 1:
-                return [genome_one, genome_two]
-            return [genome_one]
+            return list(children[:capacity]), parents
         parent = self._pick_parent(population)
         if operator == 1:
-            return [point_mutation(parent.genome, self._rng, self._alphabet_size)]
-        if operator == 2:
-            return [segment_inversion(parent.genome, self._rng)]
-        return [reproduce(parent.genome)]
+            child = point_mutation(parent.genome, self._rng, self._alphabet_size)
+        elif operator == 2:
+            child = segment_inversion(parent.genome, self._rng)
+        else:
+            child = reproduce(parent.genome)
+        return [child], [parent]
 
     def _spawn_children(self, population: list[Individual]) -> list[Individual]:
         """Generate C children and price them in one batched call."""
-        params = self._params
         if self._scheduler is not None:
             return self._spawn_children_adaptive(population)
-        weights = self._operator_weights()
+        wanted = self._params.children_per_generation
         genomes: list[np.ndarray] = []
-        while len(genomes) < params.children_per_generation:
-            operator = int(self._rng.choice(4, p=weights))
-            genomes.extend(
-                self._apply_operator(
-                    operator,
-                    population,
-                    params.children_per_generation - len(genomes),
-                )
+        while len(genomes) < wanted:
+            operator = int(
+                self._operator_cdf.searchsorted(self._rng.random(), side="right")
             )
+            children, _ = self._apply_operator(
+                operator, population, wanted - len(genomes)
+            )
+            genomes.extend(children)
         return self._price_genomes(genomes)
 
     def _spawn_children_adaptive(
@@ -331,36 +354,57 @@ class EvolutionaryEngine:
         before the next operator is chosen, so this path prices child
         by child (still through the memo cache).
         """
-        params = self._params
+        wanted = self._params.children_per_generation
         children: list[Individual] = []
-        while len(children) < params.children_per_generation:
+        while len(children) < wanted:
             operator = self._scheduler.choose(self._rng)
-            capacity = params.children_per_generation - len(children)
-            if operator == 0:
-                parent_a = self._pick_parent(population)
-                parent_b = self._pick_parent(population)
-                parent_fitness = max(parent_a.fitness, parent_b.fitness)
-                genomes = list(
-                    uniform_crossover(parent_a.genome, parent_b.genome, self._rng)
-                )[:capacity]
-            else:
-                parent = self._pick_parent(population)
-                parent_fitness = parent.fitness
-                if operator == 1:
-                    genomes = [
-                        point_mutation(
-                            parent.genome, self._rng, self._alphabet_size
-                        )
-                    ]
-                elif operator == 2:
-                    genomes = [segment_inversion(parent.genome, self._rng)]
-                else:
-                    genomes = [reproduce(parent.genome)]
+            genomes, parents = self._apply_operator(
+                operator, population, wanted - len(children)
+            )
+            parent_fitness = max(parent.fitness for parent in parents)
             batch = self._price_genomes(genomes)
             children.extend(batch)
             for child in batch:
                 self._scheduler.reward(operator, child.fitness - parent_fitness)
         return children
+
+    # -- progress and reporting ---------------------------------------
+
+    def _observe(
+        self, population: list[Individual], newcomers: list[Individual]
+    ) -> bool:
+        """Track the best individual; True when the run improved.
+
+        ``population`` comes best-first from :meth:`_select_survivors`,
+        so its head is the champion.
+        """
+        champion = population[0]
+        if self._best is None or champion.fitness > self._best.fitness:
+            self._best = champion
+            return True
+        return False
+
+    def _progress(self) -> float:
+        """The value termination conditions see as ``best_fitness``."""
+        return self._best.fitness
+
+    def _record(
+        self, generation: int, population: list[Individual], improved: bool
+    ) -> GenerationStats:
+        return GenerationStats(
+            generation=generation,
+            best_fitness=population[0].fitness,
+            mean_fitness=float(np.mean([ind.fitness for ind in population])),
+            evaluations=self._evaluations,
+            improved=improved,
+        )
+
+    def _result(self, **run_stats) -> EAResult:
+        return EAResult(
+            best_genome=self._best.genome,
+            best_fitness=self._best.fitness,
+            **run_stats,
+        )
 
     # -- main loop ----------------------------------------------------
 
@@ -375,18 +419,11 @@ class EvolutionaryEngine:
         return AnyOf(*conditions)
 
     def run(self) -> EAResult:
-        """Execute the loop of Figure 1 and return the fittest solution."""
-        self._evaluations = 0
-        self._birth_counter = 0
-        self._cache = OrderedDict()
-        self._cache_hits = 0
-        if self._params.adaptive_operators:
-            self._scheduler = AdaptiveOperatorScheduler(
-                self._operator_weights()
-            )
+        """Execute the loop of Figure 1 and return the run's result."""
+        self._start_run()
         population = self._initial_population()
-        best = max(population, key=lambda ind: ind.fitness)
-        history: list[GenerationStats] = []
+        self._observe(population, population)
+        history = []
         termination = self._termination()
         generation = 0
         stagnant = 0
@@ -395,37 +432,18 @@ class EvolutionaryEngine:
                 generation=generation,
                 evaluations=self._evaluations,
                 generations_without_improvement=stagnant,
-                best_fitness=best.fitness,
+                best_fitness=self._progress(),
             )
             if termination.should_stop(state):
                 break
             generation += 1
             children = self._spawn_children(population)
-            population = truncate(
-                population + children, self._params.population_size
-            )
-            champion = population[0]
-            improved = champion.fitness > best.fitness
-            if improved:
-                best = champion
-                stagnant = 0
-            else:
-                stagnant += 1
-            history.append(
-                GenerationStats(
-                    generation=generation,
-                    best_fitness=champion.fitness,
-                    mean_fitness=float(
-                        np.mean([ind.fitness for ind in population])
-                    ),
-                    evaluations=self._evaluations,
-                    improved=improved,
-                )
-            )
+            population = self._select_survivors(population + children)
+            improved = self._observe(population, children)
+            stagnant = 0 if improved else stagnant + 1
+            history.append(self._record(generation, population, improved))
         fired = termination.fired
-        return EAResult(
-            best_genome=best.genome,
-            best_fitness=best.fitness,
+        return self._result(
             generations=generation,
             evaluations=self._evaluations,
             terminated_by=fired.describe() if fired else "none",

@@ -8,12 +8,15 @@ test-application time (:func:`repro.core.decoder_hw.test_application_cycles`).
 a *Pareto front* — the set of solutions no other found solution beats
 on every objective simultaneously.
 
-The engine is a selection layer on top of the existing
-generate-then-batch-evaluate loop: operators, genome memoization and
-the batched fitness pipeline (one covering pass per generation through
-:meth:`repro.core.fitness.BatchCompressionRateFitness.evaluate_objectives`,
-kernels included) are reused unchanged, while survivor
-and parent selection follow NSGA-II (Deb et al. 2002):
+:class:`MultiObjectiveEngine` is a subclass of
+:class:`repro.ea.engine.EvolutionaryEngine` and runs its loop: the
+operators, genome memoization, termination and the batched fitness
+pipeline (one covering pass per generation through
+:meth:`repro.core.fitness.BatchCompressionRateFitness.evaluate_objectives`)
+are inherited.  It overrides only what NSGA-II (Deb et al. 2002)
+changes — each genome is priced to an objective tuple, survivor and
+parent selection rank fronts, and the archive is the improvement
+signal:
 
 * **fast non-dominated sort** partitions a pool into fronts — front 0
   is the non-dominated set, front 1 what's non-dominated once front 0
@@ -31,8 +34,7 @@ sorts, and the objective vectors themselves are kernel-/backend-exact
 integers (plus the rate, which is bit-identical to the
 single-objective path).  Seeded fronts are therefore byte-reproducible
 on every backend, job count and kernel — pinned by
-``tests/ea/test_multi_objective.py``.  The single-objective
-:class:`repro.ea.engine.EvolutionaryEngine` is untouched by this mode.
+``tests/ea/test_multi_objective.py``.
 
 All comparisons inside this module are **minimization** comparisons;
 maximized objectives (the rate) are sign-flipped on the way in and
@@ -42,30 +44,15 @@ flipped back on the way out (:data:`MAXIMIZED_OBJECTIVES`).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.config import EAParameters
 from ..core.fitness import OBJECTIVE_COLUMNS
-from .engine import DEFAULT_CACHE_SIZE
-from .genome import TRIT_ALPHABET_SIZE, random_genome, validate_genome
-from .operators import (
-    point_mutation,
-    reproduce,
-    segment_inversion,
-    uniform_crossover,
-)
-from .termination import (
-    AnyOf,
-    EvaluationLimit,
-    GenerationLimit,
-    LoopState,
-    StagnationLimit,
-    TerminationCondition,
-)
+from .engine import DEFAULT_CACHE_SIZE, EvolutionaryEngine, RepairFunction
+from .genome import TRIT_ALPHABET_SIZE
 
 __all__ = [
     "MAXIMIZED_OBJECTIVES",
@@ -82,8 +69,6 @@ __all__ = [
     "non_dominated_mask",
     "objective_signs",
 ]
-
-RepairFunction = Callable[[np.ndarray], np.ndarray]
 
 # Objective names that are maximized in their natural form; everything
 # else is minimized.  Used to sign-flip into minimization space.
@@ -309,17 +294,25 @@ class MultiObjectiveResult:
 # -- the engine -------------------------------------------------------
 
 
-class MultiObjectiveEngine:
+class MultiObjectiveEngine(EvolutionaryEngine):
     """NSGA-II search over trit genomes on named objective columns.
 
-    Parameters mirror :class:`repro.ea.engine.EvolutionaryEngine`; the
-    fitness object must expose
+    A :class:`repro.ea.engine.EvolutionaryEngine` whose ``run`` returns
+    a :class:`MultiObjectiveResult`.  Parameters are the parent's plus
+    ``objectives``; the fitness object must expose
     ``evaluate_objectives(matrix) -> (C, 3)`` with columns
     :data:`repro.core.fitness.OBJECTIVE_COLUMNS`, from which
-    ``objectives`` selects ≥ 2 named columns.  Parent selection is
-    always the crowded binary tournament (the NSGA-II comparator);
-    ``params.parent_selection`` is ignored in this mode.
+    ``objectives`` selects ≥ 2 named columns.  The loop, operators,
+    memo and termination are inherited; this class overrides pricing,
+    survivor and parent selection, the improvement signal and the
+    result.  Parent selection is always the crowded binary tournament
+    (the NSGA-II comparator); ``params.parent_selection`` is ignored in
+    this mode.  ``params.adaptive_operators=True`` is rejected with a
+    ``ValueError``: the adaptive scheduler rewards a child's scalar
+    fitness gain over its parent, which an objective vector lacks.
     """
+
+    _individual_type = MOIndividual
 
     def __init__(
         self,
@@ -333,8 +326,6 @@ class MultiObjectiveEngine:
         alphabet_size: int = TRIT_ALPHABET_SIZE,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
     ) -> None:
-        if genome_length < 1:
-            raise ValueError("genome_length must be >= 1")
         names = tuple(objectives)
         if len(names) < 2:
             raise ValueError("multi-objective mode needs at least 2 objectives")
@@ -351,29 +342,27 @@ class MultiObjectiveEngine:
                 "fitness must expose evaluate_objectives(matrix) for the "
                 "multi-objective mode (see BatchCompressionRateFitness)"
             )
-        self._fitness = fitness
+        if params and params.adaptive_operators:
+            raise ValueError(
+                "adaptive_operators is not supported in the multi-objective "
+                "mode: its scheduler rewards a scalar fitness gain"
+            )
+        super().__init__(
+            fitness,
+            genome_length,
+            params,
+            seed,
+            repair,
+            initial_genomes,
+            alphabet_size,
+            cache_size,
+        )
         self._evaluate_objectives = evaluate
         self._objectives = names
         self._columns = [OBJECTIVE_COLUMNS.index(name) for name in names]
         self._signs = objective_signs(names)
-        self._genome_length = genome_length
-        self._params = params or EAParameters()
-        self._rng = np.random.default_rng(seed)
-        self._repair = repair
-        self._initial_genomes = [validate_genome(g) for g in initial_genomes]
-        if any(g.size != genome_length for g in self._initial_genomes):
-            raise ValueError("seed genomes must match genome_length")
-        self._alphabet_size = alphabet_size
-        self._cache_size = int(cache_size or 0)
-        if self._cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
-        self._cache: OrderedDict[bytes, tuple[float, ...]] = OrderedDict()
-        self._cache_hits = 0
-        self._evaluations = 0
-        self._birth_counter = 0
-        self._archive: list[MOIndividual] = []
         # (rank, crowding) arrays aligned with the current population,
-        # refreshed by _truncate; the crowded tournament reads them.
+        # refreshed by _select_survivors; the crowded tournament reads them.
         self._rank: np.ndarray = np.empty(0, dtype=np.int64)
         self._crowding: np.ndarray = np.empty(0, dtype=np.float64)
 
@@ -381,6 +370,10 @@ class MultiObjectiveEngine:
     def objectives(self) -> tuple[str, ...]:
         """The named objective columns this engine searches."""
         return self._objectives
+
+    def _start_run(self) -> None:
+        super()._start_run()
+        self._archive: list[MOIndividual] = []
 
     # -- pricing ------------------------------------------------------
 
@@ -390,74 +383,16 @@ class MultiObjectiveEngine:
         reduced = table[:, self._columns] * self._signs
         return [tuple(float(value) for value in row) for row in reduced]
 
-    def _price_genomes(self, genomes: Sequence[np.ndarray]) -> list[MOIndividual]:
-        """Repair, memo-check and batch-price genomes, in input order.
-
-        Same contract as the single-objective engine's pricing: every
-        genome counts as one evaluation whether or not the memo served
-        it, and duplicates are priced exactly once.
-        """
-        if self._repair is None:
-            prepared = list(genomes)
-        else:
-            prepared = [
-                validate_genome(self._repair(genome), self._alphabet_size)
-                for genome in genomes
-            ]
-        self._evaluations += len(prepared)
-
-        vectors: list[tuple[float, ...] | None]
-        if not self._cache_size:
-            vectors = list(self._evaluate_raw(prepared))
-        else:
-            vectors = [None] * len(prepared)
-            pending: OrderedDict[bytes, list[int]] = OrderedDict()
-            for index, genome in enumerate(prepared):
-                key = genome.tobytes()
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self._cache_hits += 1
-                    vectors[index] = cached
-                else:
-                    if key in pending:  # duplicate inside this batch
-                        self._cache_hits += 1
-                    pending.setdefault(key, []).append(index)
-            if pending:
-                misses = [prepared[slots[0]] for slots in pending.values()]
-                for (key, slots), value in zip(
-                    pending.items(), self._evaluate_raw(misses)
-                ):
-                    self._cache[key] = value
-                    if len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
-                    for index in slots:
-                        vectors[index] = value
-
-        individuals = []
-        for genome, vector in zip(prepared, vectors):
-            individuals.append(
-                MOIndividual(
-                    genome=genome,
-                    objectives=vector,
-                    birth_order=self._birth_counter,
-                )
-            )
-            self._birth_counter += 1
-        return individuals
-
     # -- NSGA-II selection --------------------------------------------
 
-    def _truncate(
-        self, pool: list[MOIndividual], capacity: int
-    ) -> list[MOIndividual]:
+    def _select_survivors(self, pool: list[MOIndividual]) -> list[MOIndividual]:
         """Environmental selection: fill by fronts, crowding-truncate.
 
         Sorting the whole pool by ``(rank, −crowding, birth_order)``
-        and keeping the best ``capacity`` is exactly fill-whole-fronts
-        plus crowding-truncation of the last partial front.  The
-        survivors' (rank, crowding) — recomputed on the survivor set —
-        are stored for the crowded parent tournament.
+        and keeping the best ``S`` is exactly fill-whole-fronts plus
+        crowding-truncation of the last partial front.  The survivors'
+        (rank, crowding) — recomputed on the survivor set — are stored
+        for the crowded parent tournament.
         """
         objectives = np.asarray([ind.objectives for ind in pool])
         rank = np.empty(len(pool), dtype=np.int64)
@@ -469,7 +404,7 @@ class MultiObjectiveEngine:
             range(len(pool)),
             key=lambda i: (rank[i], -crowding[i], pool[i].birth_order),
         )
-        survivors = [pool[i] for i in order[:capacity]]
+        survivors = [pool[i] for i in order[: self._params.population_size]]
 
         survivor_objectives = np.asarray([ind.objectives for ind in survivors])
         self._rank = np.empty(len(survivors), dtype=np.int64)
@@ -495,64 +430,14 @@ class MultiObjectiveEngine:
         )
         return population[winner]
 
-    # -- offspring ----------------------------------------------------
+    # -- the archive --------------------------------------------------
 
-    def _operator_weights(self) -> np.ndarray:
-        params = self._params
-        weights = np.asarray(
-            [
-                params.crossover_probability,
-                params.mutation_probability,
-                params.inversion_probability,
-                params.copy_probability,
-            ]
-        )
-        if weights.sum() <= 0:
-            weights = np.asarray([0.0, 1.0, 0.0, 0.0])
-        return weights / weights.sum()
+    def _observe(
+        self, population: list[MOIndividual], newcomers: list[MOIndividual]
+    ) -> bool:
+        """Fold newcomers into the all-time non-dominated archive.
 
-    def _apply_operator(
-        self, operator: int, population: list[MOIndividual], capacity: int
-    ) -> list[np.ndarray]:
-        """Produce the raw child genome(s) for one operator draw."""
-        if operator == 0:  # crossover: two parents, up to two children
-            parent_a = self._pick_parent(population)
-            parent_b = self._pick_parent(population)
-            genome_one, genome_two = uniform_crossover(
-                parent_a.genome, parent_b.genome, self._rng
-            )
-            if capacity > 1:
-                return [genome_one, genome_two]
-            return [genome_one]
-        parent = self._pick_parent(population)
-        if operator == 1:
-            return [point_mutation(parent.genome, self._rng, self._alphabet_size)]
-        if operator == 2:
-            return [segment_inversion(parent.genome, self._rng)]
-        return [reproduce(parent.genome)]
-
-    def _spawn_children(self, population: list[MOIndividual]) -> list[MOIndividual]:
-        """Generate C children and price them in one batched call."""
-        params = self._params
-        weights = self._operator_weights()
-        genomes: list[np.ndarray] = []
-        while len(genomes) < params.children_per_generation:
-            operator = int(self._rng.choice(4, p=weights))
-            genomes.extend(
-                self._apply_operator(
-                    operator,
-                    population,
-                    params.children_per_generation - len(genomes),
-                )
-            )
-        return self._price_genomes(genomes)
-
-    # -- archive ------------------------------------------------------
-
-    def _update_archive(self, individuals: Sequence[MOIndividual]) -> bool:
-        """Fold new individuals into the all-time non-dominated archive.
-
-        Returns True when any individual entered the archive — the
+        Returns True when any newcomer entered the archive — the
         improvement signal the stagnation limit watches (a moving
         hypervolume reference would make "improvement" depend on later
         discoveries; archive entry does not).  Invalid individuals and
@@ -561,7 +446,7 @@ class MultiObjectiveEngine:
         valid seen so far; the earliest genome keeps each point.
         """
         improved = False
-        for individual in individuals:
+        for individual in newcomers:
             if not individual.is_valid:
                 continue
             values = np.asarray(individual.objectives)
@@ -581,95 +466,38 @@ class MultiObjectiveEngine:
             improved = True
         return improved
 
+    def _progress(self) -> float:
+        return float(len(self._archive))
+
     # -- reporting ----------------------------------------------------
 
-    def _front(self) -> tuple[ParetoPoint, ...]:
+    def _record(
+        self, generation: int, population: list[MOIndividual], improved: bool
+    ) -> MOGenerationStats:
+        return MOGenerationStats(
+            generation=generation,
+            front_size=int((self._rank == 0).sum()),
+            archive_size=len(self._archive),
+            evaluations=self._evaluations,
+            improved=improved,
+        )
+
+    def _result(self, **run_stats) -> MultiObjectiveResult:
         """The archive as natural-value points, deterministically sorted."""
         ordered = sorted(
             self._archive,
             key=lambda entry: (entry.objectives, entry.birth_order),
         )
-        points = []
-        for entry in ordered:
-            natural = np.asarray(entry.objectives) * self._signs
-            points.append(
-                ParetoPoint(
-                    genome=entry.genome,
-                    values=tuple(float(value) for value in natural),
-                )
+        front = tuple(
+            ParetoPoint(
+                genome=entry.genome,
+                values=tuple(
+                    float(value)
+                    for value in np.asarray(entry.objectives) * self._signs
+                ),
             )
-        return tuple(points)
-
-    # -- main loop ----------------------------------------------------
-
-    def _termination(self) -> AnyOf:
-        conditions: list[TerminationCondition] = [
-            StagnationLimit(self._params.stagnation_limit)
-        ]
-        if self._params.max_evaluations is not None:
-            conditions.append(EvaluationLimit(self._params.max_evaluations))
-        if self._params.max_generations is not None:
-            conditions.append(GenerationLimit(self._params.max_generations))
-        return AnyOf(*conditions)
-
-    def run(self) -> MultiObjectiveResult:
-        """Execute the NSGA-II loop and return the Pareto front."""
-        self._evaluations = 0
-        self._birth_counter = 0
-        self._cache = OrderedDict()
-        self._cache_hits = 0
-        self._archive = []
-        genomes = [genome.copy() for genome in self._initial_genomes]
-        while len(genomes) < self._params.population_size:
-            genomes.append(
-                random_genome(self._genome_length, self._rng, self._alphabet_size)
-            )
-        population = self._truncate(
-            self._price_genomes(genomes), self._params.population_size
+            for entry in ordered
         )
-        self._update_archive(population)
-        history: list[MOGenerationStats] = []
-        termination = self._termination()
-        generation = 0
-        stagnant = 0
-        while True:
-            state = LoopState(
-                generation=generation,
-                evaluations=self._evaluations,
-                generations_without_improvement=stagnant,
-                best_fitness=float(len(self._archive)),
-            )
-            if termination.should_stop(state):
-                break
-            generation += 1
-            children = self._spawn_children(population)
-            population = self._truncate(
-                population + children, self._params.population_size
-            )
-            improved = self._update_archive(children)
-            if improved:
-                stagnant = 0
-            else:
-                stagnant += 1
-            history.append(
-                MOGenerationStats(
-                    generation=generation,
-                    front_size=int((self._rank == 0).sum()),
-                    archive_size=len(self._archive),
-                    evaluations=self._evaluations,
-                    improved=improved,
-                )
-            )
-        fired = termination.fired
         return MultiObjectiveResult(
-            objectives=self._objectives,
-            front=self._front(),
-            generations=generation,
-            evaluations=self._evaluations,
-            terminated_by=fired.describe() if fired else "none",
-            history=tuple(history),
-            cache_hits=self._cache_hits,
-            cache_hit_rate=(
-                self._cache_hits / self._evaluations if self._evaluations else 0.0
-            ),
+            objectives=self._objectives, front=front, **run_stats
         )

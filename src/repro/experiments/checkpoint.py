@@ -39,7 +39,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -272,7 +272,10 @@ class RunTaskCache:
     ``get(task)`` serves a journaled outcome (or ``None``), ``put``
     journals a fresh one.  Fingerprints are memoized per task object —
     tasks carry NumPy arrays and are unhashable, but within one map
-    call the same object flows through ``get`` and ``put``.
+    call the same object flows through ``get`` and ``put``.  Items
+    that are not of ``_task_type`` bypass the cache; a subclass swaps
+    the five class attributes below to journal another task type
+    (:class:`repro.experiments.pareto.ParetoTaskCache`).
     """
 
     journal: RunJournal
@@ -281,23 +284,29 @@ class RunTaskCache:
     misses: int = 0
     _fingerprints: dict[int, str] = field(default_factory=dict)
 
-    def _fingerprint(self, task: RunTask) -> str:
+    _task_type: ClassVar[type] = RunTask
+    _outcome_type: ClassVar[type] = RunOutcome
+    _task_fingerprint = staticmethod(task_fingerprint)
+    _encode = staticmethod(encode_outcome)
+    _decode = staticmethod(decode_outcome)
+
+    def _fingerprint(self, task: Any) -> str:
         key = id(task)
         fingerprint = self._fingerprints.get(key)
         if fingerprint is None:
-            fingerprint = task_fingerprint(task)
+            fingerprint = self._task_fingerprint(task)
             self._fingerprints[key] = fingerprint
         return fingerprint
 
-    def get(self, task: Any) -> RunOutcome | None:
-        if not isinstance(task, RunTask):
+    def get(self, task: Any) -> Any:
+        if not isinstance(task, self._task_type):
             return None
         record = self.journal.get(self._fingerprint(task))
         if record is None:
             self.misses += 1
             return None
         try:
-            outcome = decode_outcome(record, task)
+            outcome = self._decode(record, task)
         except (ValueError, KeyError, TypeError) as error:
             logger.warning(
                 "ignoring unusable checkpoint entry in %s (%s); re-running",
@@ -311,9 +320,11 @@ class RunTaskCache:
         return outcome
 
     def put(self, task: Any, outcome: Any) -> None:
-        if not isinstance(task, RunTask) or not isinstance(outcome, RunOutcome):
+        if not isinstance(task, self._task_type) or not isinstance(
+            outcome, self._outcome_type
+        ):
             return
-        self.journal.record(self._fingerprint(task), encode_outcome(outcome))
+        self.journal.record(self._fingerprint(task), self._encode(outcome))
 
 
 @dataclass(frozen=True)

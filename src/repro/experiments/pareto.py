@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,8 +36,7 @@ import numpy as np
 
 from ..core.blocks import BlockSet, block_table_digest
 from ..core.config import CompressionConfig
-from ..core.fitness import BatchCompressionRateFitness
-from ..core.optimizer import _PinAllU, _seed_genomes
+from ..core.optimizer import _task_engine
 from ..ea.multi_objective import (
     MOGenerationStats,
     MultiObjectiveEngine,
@@ -58,6 +56,7 @@ from ..parallel import (
 from .checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
+    RunTaskCache,
     _seed_identity,
     _semantic_config,
 )
@@ -75,10 +74,8 @@ __all__ = [
     "pareto_task_fingerprint",
 ]
 
-logger = logging.getLogger("repro.experiments.pareto")
-
 # The CLI's --objectives vocabulary.  "rate" is the classic
-# single-objective path (EvolutionaryEngine, untouched); the others
+# single-objective path (EvolutionaryEngine); the others
 # route to the multi-objective protocol below.
 OBJECTIVE_SETS: dict[str, tuple[str, ...]] = {
     "rate": ("rate",),
@@ -128,27 +125,11 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
     """Run one independent NSGA-II search — the backend work unit.
 
     Module-level and deterministic, exactly like
-    :func:`repro.core.optimizer.execute_run_task` (same RNG derivation:
-    one generator per task seeds both the engine and the optional
-    9C-seeded genome), so fronts are backend- and job-count-invariant.
+    :func:`repro.core.optimizer.execute_run_task`, whose engine setup
+    (and so RNG derivation) it shares, so fronts are backend- and
+    job-count-invariant.
     """
-    config = task.config
-    rng = np.random.default_rng(task.seed_sequence)
-    fitness = BatchCompressionRateFitness(
-        task.blocks,
-        n_vectors=config.n_vectors,
-        block_length=config.block_length,
-        strategy=config.strategy,
-    )
-    engine = MultiObjectiveEngine(
-        fitness=fitness,
-        genome_length=config.genome_length,
-        objectives=task.objectives,
-        params=config.ea,
-        seed=rng.integers(0, 2**63 - 1),
-        repair=_PinAllU(config.block_length) if config.ea.include_all_u else None,
-        initial_genomes=_seed_genomes(config, rng),
-    )
+    engine = _task_engine(task, MultiObjectiveEngine, objectives=task.objectives)
     return ParetoRunOutcome(run_index=task.run_index, result=engine.run())
 
 
@@ -229,57 +210,20 @@ def decode_pareto_outcome(
     return ParetoRunOutcome(run_index=int(record["run_index"]), result=result)
 
 
-@dataclass
-class ParetoTaskCache:
+class ParetoTaskCache(RunTaskCache):
     """``grouped_map`` cache adapter over a journal, Pareto-typed.
 
-    The Pareto twin of :class:`repro.experiments.checkpoint.RunTaskCache`
-    — isinstance-gated on the Pareto task/outcome types so it can share
-    a journal directory (never a journal *entry*: fingerprints carry
-    the ``kind`` tag) with single-objective caches.
+    :class:`repro.experiments.checkpoint.RunTaskCache` gated on the
+    Pareto task/outcome types, with the Pareto fingerprint and codec —
+    so it can share a journal directory (never a journal *entry*:
+    fingerprints carry the ``kind`` tag) with single-objective caches.
     """
 
-    journal: Any
-    stats: FaultToleranceStats | None = None
-    hits: int = 0
-    misses: int = 0
-    _fingerprints: dict[int, str] = field(default_factory=dict)
-
-    def _fingerprint(self, task: ParetoRunTask) -> str:
-        key = id(task)
-        fingerprint = self._fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = pareto_task_fingerprint(task)
-            self._fingerprints[key] = fingerprint
-        return fingerprint
-
-    def get(self, task: Any) -> ParetoRunOutcome | None:
-        if not isinstance(task, ParetoRunTask):
-            return None
-        record = self.journal.get(self._fingerprint(task))
-        if record is None:
-            self.misses += 1
-            return None
-        try:
-            outcome = decode_pareto_outcome(record, task)
-        except (ValueError, KeyError, TypeError) as error:
-            logger.warning(
-                "ignoring unusable pareto checkpoint entry in %s (%s); re-running",
-                self.journal.path, error,
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self.stats is not None:
-            self.stats.resumed += 1
-        return outcome
-
-    def put(self, task: Any, outcome: Any) -> None:
-        if not isinstance(task, ParetoRunTask) or not isinstance(
-            outcome, ParetoRunOutcome
-        ):
-            return
-        self.journal.record(self._fingerprint(task), encode_pareto_outcome(outcome))
+    _task_type = ParetoRunTask
+    _outcome_type = ParetoRunOutcome
+    _task_fingerprint = staticmethod(pareto_task_fingerprint)
+    _encode = staticmethod(encode_pareto_outcome)
+    _decode = staticmethod(decode_pareto_outcome)
 
 
 # -- front merging and the result --------------------------------------

@@ -163,7 +163,7 @@ class TestHypervolume:
 
 
 class TestMultiObjectiveEngine:
-    def engine(self, blocks, seed=5, objectives=OBJECTIVE_COLUMNS):
+    def engine(self, blocks, seed=5, objectives=OBJECTIVE_COLUMNS, params=FAST_EA):
         fitness = BatchCompressionRateFitness(
             blocks, n_vectors=8, block_length=4
         )
@@ -171,7 +171,7 @@ class TestMultiObjectiveEngine:
             fitness=fitness,
             genome_length=8 * 4,
             objectives=objectives,
-            params=FAST_EA,
+            params=params,
             seed=seed,
         )
 
@@ -190,6 +190,11 @@ class TestMultiObjectiveEngine:
     def test_requires_objective_fitness(self):
         with pytest.raises(TypeError, match="evaluate_objectives"):
             MultiObjectiveEngine(fitness=object(), genome_length=4)
+
+    def test_rejects_adaptive_operators(self, blocks):
+        adaptive = FAST_EA.with_updates(adaptive_operators=True)
+        with pytest.raises(ValueError, match="adaptive_operators"):
+            self.engine(blocks, params=adaptive)
 
     def test_seeded_runs_identical(self, blocks):
         first = self.engine(blocks, seed=5).run()
@@ -234,6 +239,13 @@ class TestBuildParetoFront:
                 build_pareto_front(blocks, fast_config(), seed=13)
             )
         assert outputs["bitpack"] == outputs["scalar"]
+
+    def test_adaptive_operators_rejected_through_config(self, blocks):
+        config = fast_config().with_updates(
+            ea=FAST_EA.with_updates(adaptive_operators=True)
+        )
+        with pytest.raises(ValueError, match="adaptive_operators"):
+            build_pareto_front(blocks, config, seed=13)
 
     def test_objective_subset_columns(self, blocks):
         result = build_pareto_front(

@@ -23,7 +23,9 @@ from repro.experiments.checkpoint import (
 from repro.experiments.pareto import (
     OBJECTIVE_SETS,
     ParetoRunTask,
+    ParetoTaskCache,
     build_pareto_front,
+    execute_pareto_task,
     pareto_markdown,
     pareto_task_fingerprint,
 )
@@ -454,6 +456,36 @@ class TestRunTaskCache:
         cache = RunTaskCache(journal=journal)
         assert cache.get(task) is None
         assert cache.misses == 1
+
+    def test_run_and_pareto_caches_serve_only_their_own_tasks(self, tmp_path):
+        """The Pareto adapter is this cache with the task and outcome
+        types, fingerprint and codec swapped: on a shared journal each
+        records and serves only its own tasks."""
+        journal = RunJournal.open(tmp_path / "j.jsonl")
+        run_task = _tasks()[0]
+        pareto_task = ParetoRunTask(
+            run_index=0,
+            blocks=BLOCKS,
+            config=TINY_CONFIG,
+            objectives=OBJECTIVE_SETS["rate+area"],
+            seed_sequence=run_task.seed_sequence,
+        )
+        run_outcome = execute_run_task(run_task)
+        pareto_outcome = execute_pareto_task(pareto_task)
+        run_cache = RunTaskCache(journal=journal)
+        pareto_cache = ParetoTaskCache(journal=journal)
+        for cache in (run_cache, pareto_cache):
+            cache.put(run_task, run_outcome)
+            cache.put(pareto_task, pareto_outcome)
+        assert len(journal) == 2
+        assert run_cache.get(pareto_task) is None
+        assert pareto_cache.get(run_task) is None
+        assert run_cache.get(run_task).rate == run_outcome.rate
+        assert [point.values for point in pareto_cache.get(pareto_task).front] == [
+            point.values for point in pareto_outcome.front
+        ]
+        assert (run_cache.hits, run_cache.misses) == (1, 0)
+        assert (pareto_cache.hits, pareto_cache.misses) == (1, 0)
 
 
 class TestCheckpointStore:
