@@ -3,10 +3,10 @@
 The workload is the paper's multi-run protocol at the QUICK budget:
 one :class:`EAMVOptimizer` fanning ``RUNS`` independent EA runs over a
 medium synthetic test set (the same spec as ``bench_batch``'s
-``medium``).  Contenders are the serial backend and thread/process
-pools at several job counts; since every run is self-seeded, all
-contenders produce bit-identical results and the only thing measured
-is scheduling.
+``medium``).  Contenders are the serial backend and process pools at
+several job counts; since every run is self-seeded, all contenders
+produce bit-identical results and the only thing measured is
+scheduling.
 
 Run ``pytest benchmarks/bench_parallel.py --benchmark-only`` for
 distributions, or ``python benchmarks/run_bench.py`` to (re)generate
@@ -24,12 +24,7 @@ import pytest
 
 from repro.core.config import CompressionConfig, EAParameters
 from repro.core.optimizer import EAMVOptimizer
-from repro.parallel import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.parallel import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
 RUNS = 8  # independent EA runs per optimize() call — the fan-out width
@@ -54,7 +49,6 @@ def _blocks():
 def _backends() -> dict[str, ExecutionBackend]:
     contenders: dict[str, ExecutionBackend] = {"serial": SerialBackend()}
     for jobs in JOB_COUNTS[1:]:
-        contenders[f"thread-{jobs}"] = ThreadBackend(jobs)
         contenders[f"process-{jobs}"] = ProcessBackend(jobs)
     return contenders
 
@@ -74,7 +68,7 @@ def test_multi_run_scaling(benchmark, name):
     benchmark.extra_info["mean_rate"] = round(result.mean_rate, 3)
 
 
-def scaling_report(repeats: int = 3, kinds: tuple[str, ...] = ("thread", "process")) -> dict:
+def scaling_report(repeats: int = 3) -> dict:
     """Measure runs/second per backend and job count (for run_bench).
 
     Returns the ``BENCH_parallel.json`` document body.  Every
@@ -105,24 +99,20 @@ def scaling_report(repeats: int = 3, kinds: tuple[str, ...] = ("thread", "proces
         }
     ]
     for jobs in JOB_COUNTS[1:]:
-        for kind in kinds:
-            backend = (
-                ThreadBackend(jobs) if kind == "thread" else ProcessBackend(jobs)
-            )
-            seconds, rates = best_seconds(backend)
-            assert rates == serial_rates, (
-                f"{kind}-{jobs} diverged from the serial reference; "
-                "refusing to benchmark"
-            )
-            results.append(
-                {
-                    "backend": kind,
-                    "jobs": jobs,
-                    "seconds": round(seconds, 3),
-                    "runs_per_second": round(RUNS / seconds, 2),
-                    "speedup_vs_serial": round(serial_seconds / seconds, 2),
-                }
-            )
+        seconds, rates = best_seconds(ProcessBackend(jobs))
+        assert rates == serial_rates, (
+            f"process-{jobs} diverged from the serial reference; "
+            "refusing to benchmark"
+        )
+        results.append(
+            {
+                "backend": "process",
+                "jobs": jobs,
+                "seconds": round(seconds, 3),
+                "runs_per_second": round(RUNS / seconds, 2),
+                "speedup_vs_serial": round(serial_seconds / seconds, 2),
+            }
+        )
     return {
         "benchmark": "parallel multi-run fan-out (EAMVOptimizer.optimize)",
         "workload": {

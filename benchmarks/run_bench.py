@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Emit benchmark trajectory artifacts (``BENCH_*.json``).
 
-Two artifacts, both small and diffable so future PRs re-run this
+Three artifacts, all small and diffable so future PRs re-run this
 script and catch regressions:
 
 * ``BENCH_fitness.json`` — times the three pricing paths of
@@ -18,15 +18,19 @@ script and catch regressions:
   localized, not just detected).  ``cpu_count`` is recorded as
   provenance.
 * ``BENCH_parallel.json`` — runs/second of the multi-run EA fan-out
-  through the serial, thread, and process backends at jobs ∈
-  {1, 2, 4, 8} (``bench_parallel.scaling_report``), with ``cpu_count``
-  recorded so scaling is judged against the machine's ceiling.
+  through the serial and process backends at jobs ∈ {1, 2, 4, 8}
+  (``bench_parallel.scaling_report``), with ``cpu_count`` recorded so
+  scaling is judged against the machine's ceiling.
+* ``BENCH_serve.json`` — requests/second of the serve daemon: cold
+  one-shot, warm serial and warm + batched over HTTP
+  (``bench_serve.serve_report``).
 
 ::
 
     PYTHONPATH=src python benchmarks/run_bench.py \\
         [--output BENCH_fitness.json] [--parallel-output BENCH_parallel.json] \\
-        [--fitness-only | --parallel-only]
+        [--serve-output BENCH_serve.json] \\
+        [--fitness-only | --parallel-only | --serve-only]
     PYTHONPATH=src python benchmarks/run_bench.py --check \\
         [--check-tolerance 0.30]
 

@@ -33,8 +33,8 @@ from repro.parallel import (
     Fault,
     FaultPlan,
     FaultToleranceStats,
+    ProcessBackend,
     RetryPolicy,
-    ThreadBackend,
     chaos_wrap,
     grouped_map,
 )
@@ -64,7 +64,7 @@ def main() -> None:
     )
     tasks = EAMVOptimizer(config, seed=42).build_run_tasks(blocks)
     stats = FaultToleranceStats()
-    outcomes = ThreadBackend(3).map(
+    outcomes = ProcessBackend(3).map(
         chaos_wrap(execute_run_task, plan),
         tasks,
         retry=RetryPolicy(max_attempts=3),
@@ -81,7 +81,7 @@ def main() -> None:
         cache = store.cache("demo:seed42", stats=stats)
         tasks = EAMVOptimizer(config, seed=42).build_run_tasks(blocks)
         grouped = grouped_map(
-            ThreadBackend(3), execute_run_task, [("demo", tasks)],
+            ProcessBackend(3), execute_run_task, [("demo", tasks)],
             cache=cache, stats=stats,
         )
         rates = [outcome.rate for outcome in grouped[0]]

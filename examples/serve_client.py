@@ -20,7 +20,7 @@ and drop the daemon setup), then walks the whole protocol:
 
 The CLI equivalents::
 
-    python -m repro serve --port 8477 --jobs 2
+    python -m repro serve --port 8477
     python -m repro request body.json   # offline byte-parity reference
 """
 
@@ -61,7 +61,6 @@ def main() -> None:
     daemon = ServeDaemon(
         CompressionService(WarmRegistry()),
         port=0,  # a free port; use --port 8477 for a real deployment
-        jobs=2,
         batch_window_ms=5.0,
     )
     daemon.start()

@@ -31,11 +31,11 @@ Examples
     python -m repro atpg c17
     python -m repro ablate kl --circuit s349 --jobs 4
 
-Every run command takes ``--jobs N`` (1 = serial, 0 = all CPU cores)
-and ``--backend {process,thread}``; results are independent of both —
-the same seed gives the same table at any job count.  The covering
-kernel is the fitness layer's own choice (``repro kernels`` shows it)
-and never changes a result either.
+Every run command takes ``--jobs N`` (1 = serial, 0 = all CPU cores;
+more than one fans out over worker processes); results are independent
+of it — the same seed gives the same table at any job count.  The
+covering kernel is the fitness layer's own choice (``repro kernels``
+shows it) and never changes a result either.
 
 Fault tolerance: ``--retries N`` re-attempts transient failures
 (worker crashes, hangs cut short by ``--task-timeout SECONDS``) with
@@ -57,7 +57,7 @@ from .core.compressor import compress_blocks
 from .core.config import CompressionConfig, EAParameters
 from .core.nine_c import compress_nine_c
 from .core.optimizer import EAMVOptimizer
-from .parallel import ExecutionBackend, RetryPolicy, resolve_backend
+from .parallel import RetryPolicy, resolve_backend
 from .testdata.calibration import calibrate_spec
 from .testdata.registry import TABLE1_STUCK_AT, row_by_name
 from .testdata.synthetic import SyntheticSpec
@@ -68,23 +68,25 @@ __all__ = ["main"]
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """The parallel-execution knobs shared by every run command."""
-    _add_jobs_argument(parser)
-    parser.add_argument(
-        "--backend",
-        choices=("process", "thread"),
-        default="process",
-        help="pool flavor used when --jobs asks for parallelism",
-    )
-    _add_retries_argument(parser)
-    _add_task_timeout_argument(parser)
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers: 1 = serial (default), 0 = all CPU cores",
+        help="worker processes: 1 = serial (default), 0 = all CPU cores",
+    )
+    _add_retries_argument(parser)
+    parser.add_argument(
+        "--task-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "per-attempt wall-clock budget of one EA run: an overdue run "
+            "is abandoned and (given --retries) re-run on a fresh slot; "
+            "enforced only on worker processes (--jobs > 1), and not when "
+            "a table fans out whole rows (at least as many rows as "
+            "--jobs), whose runs go serially inside each worker"
+        ),
     )
 
 
@@ -101,24 +103,6 @@ def _add_retries_argument(parser: argparse.ArgumentParser) -> None:
             "seeded results are byte-identical regardless (default 1)"
         ),
     )
-
-
-def _add_task_timeout_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-attempt wall-clock budget on pool backends: an "
-            "overdue work unit is abandoned and (given --retries) "
-            "re-run on a fresh slot; ignored by the serial backend"
-        ),
-    )
-
-
-def _resolve_backend(arguments: argparse.Namespace) -> ExecutionBackend:
-    return resolve_backend(arguments.jobs, arguments.backend)
 
 
 def _check_execution_arguments(arguments: argparse.Namespace) -> None:
@@ -219,7 +203,7 @@ def _table_command(arguments: argparse.Namespace, which: int) -> int:
         budget=budget,
         seed=arguments.seed,
         progress=print,
-        backend=_resolve_backend(arguments),
+        backend=resolve_backend(arguments.jobs),
         retry=retry,
         timeout=timeout,
         checkpoint=_resolve_checkpoint(arguments),
@@ -246,7 +230,7 @@ def _print_pareto_front(blocks, config, arguments: argparse.Namespace) -> int:
         config,
         OBJECTIVE_SETS[arguments.objectives],
         seed=arguments.seed,
-        backend=_resolve_backend(arguments),
+        backend=resolve_backend(arguments.jobs),
         retry=retry,
         timeout=timeout,
     )
@@ -281,7 +265,7 @@ def _compress_command(arguments: argparse.Namespace) -> int:
             test_set.blocks(arguments.k), config, arguments
         )
     optimizer = EAMVOptimizer(
-        config, seed=arguments.seed, backend=_resolve_backend(arguments)
+        config, seed=arguments.seed, backend=resolve_backend(arguments.jobs)
     )
     retry, timeout = _resolve_fault_tolerance(arguments)
     result = optimizer.optimize(
@@ -328,7 +312,7 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
         )
     retry, timeout = _resolve_fault_tolerance(arguments)
     result = EAMVOptimizer(
-        config, seed=arguments.seed, backend=_resolve_backend(arguments)
+        config, seed=arguments.seed, backend=resolve_backend(arguments.jobs)
     ).optimize(test_set.blocks(arguments.k), retry=retry, timeout=timeout)
     print(
         f"EA     rate: {result.mean_rate:6.2f}% mean, "
@@ -360,7 +344,7 @@ def _ablate_command(arguments: argparse.Namespace) -> int:
     )
 
     test_set = _calibrated_test_set(arguments.circuit, arguments.seed)
-    backend = _resolve_backend(arguments)
+    backend = resolve_backend(arguments.jobs)
     retry, timeout = _resolve_fault_tolerance(arguments)
     checkpoint = _resolve_checkpoint(arguments)
     if arguments.study == "kl":
@@ -426,7 +410,7 @@ def _report_command(arguments: argparse.Namespace) -> int:
 
     circuits1 = None if arguments.full else DEFAULT_QUICK_TABLE1
     circuits2 = None if arguments.full else DEFAULT_QUICK_TABLE2
-    backend = _resolve_backend(arguments)
+    backend = resolve_backend(arguments.jobs)
     retry, timeout = _resolve_fault_tolerance(arguments)
     checkpoint = _resolve_checkpoint(arguments)
     print("building Table 1 ...")
@@ -539,18 +523,15 @@ def _build_service(arguments: argparse.Namespace):
 
 
 def _serve_command(arguments: argparse.Namespace) -> int:
-    import os
     import signal
     import threading
 
     from .serve import ServeDaemon
 
-    jobs = arguments.jobs if arguments.jobs > 0 else (os.cpu_count() or 1)
     daemon = ServeDaemon(
         _build_service(arguments),
         host=arguments.host,
         port=arguments.port,
-        jobs=jobs,
         batch_window_ms=arguments.batch_window_ms,
         max_batch=arguments.max_batch,
         max_queue=arguments.max_queue,
@@ -570,7 +551,7 @@ def _serve_command(arguments: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _drain)
     print(
         f"repro serve: listening on http://{host}:{port} "
-        f"(jobs={jobs}, batch window {arguments.batch_window_ms}ms, "
+        f"(batch window {arguments.batch_window_ms}ms, "
         f"max batch {arguments.max_batch}, queue {arguments.max_queue}); "
         "SIGTERM drains",
         file=sys.stderr,
@@ -812,9 +793,17 @@ def build_parser() -> argparse.ArgumentParser:
             "rejected with 429 instead of accumulating (default 256)"
         ),
     )
-    _add_jobs_argument(serve)
     _add_retries_argument(serve)
-    _add_task_timeout_argument(serve)
+    serve.add_argument(
+        "--task-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "per-request wall-clock budget: an overdue request is "
+            "answered 504 and its work abandoned"
+        ),
+    )
 
     request = commands.add_parser(
         "request",

@@ -267,20 +267,13 @@ class EAMVOptimizer:
         """Run the configured number of independent EA searches.
 
         ``retry``/``timeout``/``stats`` engage the backend's
-        fault-tolerance layer (see :mod:`repro.parallel.retry`); they
-        are forwarded only when set, so duck-typed backends with the
-        bare ``map`` signature keep working.  Because every task is
-        self-seeded, retried runs return bit-identical outcomes.
+        fault-tolerance layer (see :mod:`repro.parallel.retry`).
+        Because every task is self-seeded, retried runs return
+        bit-identical outcomes.
         """
-        map_kwargs: dict = {}
-        if retry is not None:
-            map_kwargs["retry"] = retry
-        if timeout is not None:
-            map_kwargs["timeout"] = timeout
-        if stats is not None:
-            map_kwargs["stats"] = stats
         outcomes = self._backend.map(
-            execute_run_task, self.build_run_tasks(blocks), **map_kwargs
+            execute_run_task, self.build_run_tasks(blocks),
+            retry=retry, timeout=timeout, stats=stats,
         )
         return OptimizationResult(config=self._config, runs=tuple(outcomes))
 

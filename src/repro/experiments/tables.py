@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,11 @@ class TableResult:
     columns: tuple[str, ...]
     rows: tuple[RowResult, ...]
     published_averages: dict[str, float]
+    # What the row-level fan-out absorbed (a crashed row retried
+    # whole); diagnostic only, like ``RowResult.fault_stats``.
+    row_fault_stats: dict[str, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def measured_average(self, column: str) -> float:
         """Mean measured rate over the reproduced rows."""
@@ -94,8 +99,9 @@ class TableResult:
         )
 
     def fault_stats(self) -> dict[str, int]:
-        """Fault-tolerance accounting summed over all rows (diagnostic)."""
-        totals: dict[str, int] = {}
+        """Fault-tolerance accounting summed over the row-level fan-out
+        and all rows (diagnostic)."""
+        totals = dict(self.row_fault_stats)
         for row in self.rows:
             for key, value in row.fault_stats.items():
                 totals[key] = totals.get(key, 0) + value
@@ -138,17 +144,15 @@ def _build(
     # instead, so each row's flattened EA runs × K/L grid use the full
     # width.  Either way the values are identical — every run is
     # self-seeded — only the scheduling differs.
+    row_stats = FaultToleranceStats()
     if backend.jobs > 1 and len(selected) >= backend.jobs:
         fan_in = OrderedProgress(progress)
-        # Each row worker applies retry/timeout to its *in-row* EA
-        # fan-out (serial inside the worker) and journals its own runs;
-        # the row-level map additionally retries whole crashed rows —
-        # with the journal in play a retried row resumes its completed
-        # runs instead of repeating them.
-        map_kwargs: dict = {}
-        if retry is not None:
-            map_kwargs["retry"] = retry
-            map_kwargs["stats"] = FaultToleranceStats()
+        # Each row worker applies retry to its in-row EA runs and
+        # journals them; the row-level map also retries whole crashed
+        # rows, and a retried row resumes its journaled runs.  No
+        # timeout is enforced on this path: the in-row map is serial
+        # inside the worker, which cannot preempt a run, and a deadline
+        # here would bound a whole row.
         results = backend.map(
             functools.partial(
                 run_row,
@@ -156,14 +160,14 @@ def _build(
                 budget=budget,
                 seed=seed,
                 retry=retry,
-                timeout=timeout,
                 checkpoint=checkpoint,
             ),
             selected,
             on_result=lambda index, result: fan_in.publish(
                 index, _format_row_progress(result, columns)
             ),
-            **map_kwargs,
+            retry=retry,
+            stats=row_stats,
         )
     else:
         results = []
@@ -180,6 +184,7 @@ def _build(
         columns=columns,
         rows=tuple(results),
         published_averages=dict(published_averages),
+        row_fault_stats=row_stats.as_dict(),
     )
 
 

@@ -8,10 +8,6 @@ of *work units* submitted through an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — plain in-process loop (the default; zero
   overhead, exact historical behavior);
-* :class:`ThreadBackend` — a thread pool.  The native covering
-  kernel (a ctypes call) and NumPy's integer ufuncs release the GIL,
-  so threads help when fitness pricing dominates and work units share
-  large read-only inputs;
 * :class:`ProcessBackend` — a process pool for full-run fan-out.
   Work units must be picklable module-level callables; every unit
   carries its own :class:`numpy.random.SeedSequence`-derived stream,
@@ -32,8 +28,8 @@ interleaved or garbled lines.
 Fault tolerance layers on top without touching determinism: a
 :class:`RetryPolicy` re-attempts transient failures with
 deterministically-jittered backoff, per-task timeouts abandon hung
-slots, broken process pools degrade to threads and then to serial
-execution (see :mod:`repro.parallel.retry`), and the
+slots, a broken process pool is rebuilt once and then gives way to
+serial execution (see :mod:`repro.parallel.retry`), and the
 :mod:`repro.parallel.chaos` harness injects reproducible faults so
 every one of those paths is tested rather than hoped-for.
 """
@@ -42,7 +38,6 @@ from .backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     in_worker,
     resolve_backend,
 )
@@ -63,7 +58,6 @@ from .seeding import spawn_seeds
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "in_worker",

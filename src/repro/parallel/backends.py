@@ -1,6 +1,6 @@
-"""Execution backends: serial, thread-pool, and process-pool.
+"""Execution backends: serial and process-pool.
 
-All backends implement one method —
+Both backends implement one method —
 ``map(function, items, *, on_result=None, retry=None, timeout=None,
 stats=None)`` — with the same contract:
 
@@ -22,33 +22,34 @@ Fault tolerance
 ---------------
 ``retry`` takes a :class:`~repro.parallel.retry.RetryPolicy`
 (``None`` = single attempt).  ``timeout`` bounds each *attempt* in
-seconds on the pool backends: an overdue unit is abandoned (the slot
+seconds on the process backend: an overdue unit is abandoned (the slot
 eventually frees; its result, if any, is discarded), charged a
 :class:`~repro.parallel.retry.TaskTimeoutError` and — attempts
-permitting — resubmitted on a fresh slot.  The serial backend cannot
-preempt a running unit, so it honors ``retry`` but ignores
-``timeout``.  A broken process pool (worker died: OOM kill, segfault,
-``os._exit``) charges every in-flight unit a
+permitting — resubmitted on a fresh slot.  The pool holds at most
+``jobs`` live units and submits the next as one finishes, so no
+deadline runs while its unit waits behind other live units.  The serial
+backend cannot preempt a running unit, so it honors ``retry`` but
+ignores ``timeout``.  A broken process pool (worker died: OOM kill,
+segfault, ``os._exit``) charges every in-flight unit a
 :class:`~repro.parallel.retry.WorkerCrashError` and the pool is
-replaced — first rebuilt in kind, then downgraded (process → thread →
-serial) with a logged warning instead of aborting the whole map.
+rebuilt once; a second breakage finishes the map serially inline,
+with a logged warning instead of aborting the whole map.
 ``stats`` (a :class:`~repro.parallel.retry.FaultToleranceStats`)
 accumulates what was absorbed.
 
 Because every work unit is a pure function of its item (the
 self-seeded ``RunTask`` discipline), retries, timeouts and pool
-downgrades can never change results — only the wall clock.
+rebuilds can never change results — only the wall clock.
 
 Backend choice
 --------------
 ``SerialBackend`` is the default and the reference semantics.
-``ThreadBackend`` suits kernel-bound fitness work: the covering
-kernels release the GIL inside their C loops and integer ufuncs, and
-threads share the block table without copying.  ``ProcessBackend`` is for full-run
-fan-out (whole EA runs, table rows): work units and their results must
-be picklable, and each worker is marked via a pool initializer so any
-*nested* backend inside a worker degrades to serial execution instead
-of forking a pool-of-pools.
+``ProcessBackend`` fans whole EA runs and table rows out: work units
+and their results must be picklable, and each worker is marked via a
+pool initializer so any *nested* backend inside a worker degrades to
+serial execution instead of forking a pool-of-pools.  There is no
+thread pool: an EA run is Python-bound and holds the GIL, and threads
+lost to serial execution on every measured fan-out.
 
 Fork safety: workers never rely on inherited global RNG state — every
 work unit carries its own :class:`numpy.random.SeedSequence` (see
@@ -71,7 +72,6 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import Any, Protocol, runtime_checkable
@@ -88,7 +88,6 @@ from .retry import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "in_worker",
@@ -209,20 +208,23 @@ class SerialBackend:
 
 
 class _FanOut:
-    """One fault-tolerant ``map`` execution over a pool executor.
+    """One fault-tolerant ``map`` execution over a process pool.
 
     Bookkeeping lives per submission index: attempt counts, scheduled
-    retry times, the future currently owning the index.  A future that
-    outlives its deadline is *abandoned* — dropped from the books so a
-    fresh attempt can take a fresh slot; whatever the hung worker
-    eventually produces is discarded.  Pool breakage replaces the
-    executor along the backend's fallback chain (rebuild in kind →
-    downgrade flavor → run the remainder inline).
+    retry times, the future currently owning the index.  At most
+    ``max_workers`` units are live (submitted, neither finished nor
+    abandoned); each time one finishes or is abandoned the next unit
+    is submitted, due retries first, so no deadline runs while its
+    unit waits behind other live units.  A future that outlives its
+    deadline is *abandoned* — dropped from the books so a fresh
+    attempt can take a fresh slot; whatever the hung worker eventually
+    produces is discarded.  A broken pool is rebuilt once; a second
+    breakage runs the remainder inline.
     """
 
     def __init__(
         self,
-        backend: "_PoolBackend",
+        jobs: int,
         function: Callable[[Any], Any],
         items: list[Any],
         on_result: OnResult | None,
@@ -230,14 +232,13 @@ class _FanOut:
         timeout: float | None,
         stats: FaultToleranceStats,
     ) -> None:
-        self.backend = backend
         self.function = function
         self.items = items
         self.on_result = on_result
         self.policy = policy
         self.timeout = timeout
         self.stats = stats
-        self.max_workers = min(backend.jobs, len(items))
+        self.max_workers = min(jobs, len(items))
         self.results: list[Any] = [None] * len(items)
         self.completed = [False] * len(items)
         self.attempts = [0] * len(items)
@@ -245,18 +246,15 @@ class _FanOut:
         self.retry_at: dict[int, float] = {}
         self.pending: dict[Future, int] = {}
         self.deadlines: dict[Future, float] = {}
+        self.next_index = 0  # first index never submitted yet
         self.aborting = False
-        self.fallback_level = 0
-        self.executor: Executor | None = backend._executor(self.max_workers)
+        self.rebuilt = False
+        self.executor: Executor | None = _process_pool(self.max_workers)
 
     # -- top level -----------------------------------------------------
 
     def run(self) -> list[Any]:
         try:
-            for index in range(len(self.items)):
-                if self.aborting:
-                    break
-                self._submit(index)
             self._loop()
         except (KeyboardInterrupt, SystemExit):
             # Never buffered into the failure dict: cancel pending
@@ -271,9 +269,8 @@ class _FanOut:
         return self.results
 
     def _loop(self) -> None:
-        while self.pending or self.retry_at:
-            now = time.monotonic()
-            self._launch_due_retries(now)
+        while True:
+            self._fill()
             if not self.pending:
                 if self.aborting or not self.retry_at:
                     return
@@ -283,7 +280,7 @@ class _FanOut:
                 continue
             done, _ = wait(
                 list(self.pending),
-                timeout=self._wait_budget(now),
+                timeout=self._wait_budget(time.monotonic()),
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
@@ -295,13 +292,36 @@ class _FanOut:
         horizons = []
         if self.deadlines:
             horizons.append(min(self.deadlines.values()))
-        if self.retry_at and not self.aborting:
+        # A retry falling due only matters once a slot is free for it.
+        if (
+            self.retry_at
+            and not self.aborting
+            and len(self.pending) < self.max_workers
+        ):
             horizons.append(min(self.retry_at.values()))
         if not horizons:
             return None
         return max(0.0, min(horizons) - now) + 0.005
 
     # -- submission and completion ------------------------------------
+
+    def _fill(self) -> None:
+        """Top the live units up to ``max_workers``, due retries first."""
+        if self.aborting:
+            self.retry_at.clear()
+            return
+        while len(self.pending) < self.max_workers and not self.aborting:
+            now = time.monotonic()
+            due = [index for index, when in self.retry_at.items() if when <= now]
+            if due:
+                index = min(due)
+                del self.retry_at[index]
+            elif self.next_index < len(self.items):
+                index = self.next_index
+                self.next_index += 1
+            else:
+                return
+            self._submit(index)
 
     def _submit(self, index: int) -> None:
         if self.aborting or self.completed[index] or index in self.failures:
@@ -324,17 +344,6 @@ class _FanOut:
         self.pending[future] = index
         if self.timeout is not None:
             self.deadlines[future] = time.monotonic() + self.timeout
-
-    def _launch_due_retries(self, now: float) -> None:
-        if self.aborting:
-            self.retry_at.clear()
-            return
-        due = sorted(
-            index for index, when in self.retry_at.items() if when <= now
-        )
-        for index in due:
-            del self.retry_at[index]
-            self._submit(index)
 
     def _complete(self, future: Future) -> None:
         index = self.pending.pop(future, None)
@@ -412,7 +421,7 @@ class _FanOut:
             logger.warning("%s", error)
             self._failed(index, error)
 
-    # -- pool breakage and degradation ---------------------------------
+    # -- pool breakage -------------------------------------------------
 
     def _pool_broke(
         self, error: BaseException, trigger: int | None = None
@@ -442,15 +451,14 @@ class _FanOut:
             except Exception:
                 pass
         self.stats.crashes += 1
-        self.fallback_level += 1
-        replacement, description = self.backend._fallback_executor(
-            self.fallback_level, self.max_workers
-        )
-        self.executor = replacement
-        if self.fallback_level <= self.backend._pool_rebuilds:
-            self.stats.pool_rebuilds += 1
-        else:
+        if self.rebuilt:
+            description = "serial in-process execution (downgraded)"
             self.stats.downgrades += 1
+        else:
+            self.rebuilt = True
+            self.executor = _process_pool(self.max_workers)
+            description = "a rebuilt process pool"
+            self.stats.pool_rebuilds += 1
         logger.warning(
             "worker pool broke (%s: %s); continuing with %s "
             "(%d in-flight task(s) charged a crash attempt)",
@@ -514,32 +522,43 @@ class _FanOut:
             return
 
 
-class _PoolBackend:
-    """Shared executor-driven map for thread and process pools."""
+def _process_pool(max_workers: int) -> Executor:
+    # Prefer fork only on Linux (cheap workers, shared read-only
+    # block tables).  macOS also *offers* fork but CPython made
+    # spawn its default there for a reason — forked children can
+    # abort inside Accelerate/Objective-C — so everywhere else we
+    # take the platform default.
+    context = (
+        multiprocessing.get_context("fork")
+        if sys.platform.startswith("linux")
+        else multiprocessing.get_context()
+    )
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=context,
+        initializer=_mark_worker,
+    )
 
-    jobs: int
-    _flavor = "pool"
-    _pool_rebuilds = 1  # same-flavor executor recreations before downgrading
+
+class ProcessBackend:
+    """Process-pool backend for full-run fan-out.
+
+    Work units (``function`` and each item) must be picklable —
+    module-level callables over plain dataclasses.  ``fork`` is used
+    on Linux (cheap workers, shared read-only block tables), the
+    platform-default start method elsewhere; workers are marked so
+    nested backends degrade to serial execution instead of spawning
+    pools from within workers.
+
+    A broken pool (a worker killed mid-task) is rebuilt once; a second
+    breakage finishes the map serially inline — each with a logged
+    warning, never a silent abort.
+    """
 
     def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-
-    def _executor(self, max_workers: int) -> Executor:
-        raise NotImplementedError
-
-    def _fallback_executor(
-        self, level: int, max_workers: int
-    ) -> tuple[Executor | None, str]:
-        """Replacement executor after ``level`` pool breakages.
-
-        ``(None, ...)`` means "run the remainder inline" — the final
-        rung of every fallback chain.
-        """
-        if level <= self._pool_rebuilds:
-            return self._executor(max_workers), f"a rebuilt {self._flavor} pool"
-        return None, "serial in-process execution (downgraded)"
 
     def map(
         self,
@@ -556,7 +575,7 @@ class _PoolBackend:
         if in_worker() or self.jobs == 1 or len(items) <= 1:
             return _serial_map(function, items, on_result, policy, stats)
         fan_out = _FanOut(
-            self,
+            self.jobs,
             function,
             items,
             on_result,
@@ -567,77 +586,11 @@ class _PoolBackend:
         return fan_out.run()
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(jobs={self.jobs})"
+        return f"ProcessBackend(jobs={self.jobs})"
 
 
-class ThreadBackend(_PoolBackend):
-    """Thread-pool backend for GIL-releasing (NumPy-bound) work."""
-
-    _flavor = "thread"
-
-    def _executor(self, max_workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-
-class ProcessBackend(_PoolBackend):
-    """Process-pool backend for full-run fan-out.
-
-    Work units (``function`` and each item) must be picklable —
-    module-level callables over plain dataclasses.  ``fork`` is used
-    on Linux (cheap workers, shared read-only block tables), the
-    platform-default start method elsewhere; workers are marked so
-    nested backends degrade to serial execution instead of spawning
-    pools from within workers.
-
-    A broken pool (a worker killed mid-task) is rebuilt once; a second
-    breakage downgrades to a thread pool, a third to serial inline
-    execution — each with a logged warning, never a silent abort.
-    """
-
-    _flavor = "process"
-
-    def _executor(self, max_workers: int) -> Executor:
-        # Prefer fork only on Linux (cheap workers, shared read-only
-        # block tables).  macOS also *offers* fork but CPython made
-        # spawn its default there for a reason — forked children can
-        # abort inside Accelerate/Objective-C — so everywhere else we
-        # take the platform default.
-        context = (
-            multiprocessing.get_context("fork")
-            if sys.platform.startswith("linux")
-            else multiprocessing.get_context()
-        )
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=context,
-            initializer=_mark_worker,
-        )
-
-    def _fallback_executor(
-        self, level: int, max_workers: int
-    ) -> tuple[Executor | None, str]:
-        if level <= self._pool_rebuilds:
-            return self._executor(max_workers), "a rebuilt process pool"
-        if level == self._pool_rebuilds + 1:
-            return (
-                ThreadPoolExecutor(max_workers=max_workers),
-                "a thread pool (downgraded)",
-            )
-        return None, "serial in-process execution (downgraded)"
-
-
-def resolve_backend(
-    jobs: int | None = None, kind: str = "process"
-) -> ExecutionBackend:
-    """Backend for a ``--jobs`` value: 1/None = serial, 0 = all cores.
-
-    ``kind`` selects the pool flavor used when ``jobs`` asks for
-    parallelism: ``"process"`` (default; full-run fan-out) or
-    ``"thread"`` (kernel-bound work, or platforms where fork is
-    expensive).
-    """
-    if kind not in ("process", "thread"):
-        raise ValueError(f"unknown backend kind {kind!r}")
+def resolve_backend(jobs: int | None = None) -> ExecutionBackend:
+    """Backend for a ``--jobs`` value: 1/None = serial, 0 = all cores."""
     if jobs is None:
         return SerialBackend()
     if jobs < 0:
@@ -646,6 +599,4 @@ def resolve_backend(
         jobs = os.cpu_count() or 1
     if jobs == 1:
         return SerialBackend()
-    if kind == "thread":
-        return ThreadBackend(jobs)
     return ProcessBackend(jobs)

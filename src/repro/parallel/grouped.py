@@ -10,9 +10,8 @@ bookkeeping (owner table, per-group countdown, cursor regrouping)
 lives in exactly one place.
 
 Fault tolerance rides through unchanged semantics: ``retry``,
-``timeout`` and ``stats`` are forwarded to the backend (only when
-set, so duck-typed backends without the keywords keep working), and
-an optional ``cache`` (``get(item)``/``put(item, result)``, e.g. a
+``timeout`` and ``stats`` are forwarded to the backend, and an
+optional ``cache`` (``get(item)``/``put(item, result)``, e.g. a
 checkpoint :class:`~repro.experiments.checkpoint.RunTaskCache`)
 short-circuits already-completed units before anything is submitted —
 the resume path of ``--resume``.
@@ -120,20 +119,13 @@ def grouped_map(
             finish(group_index)
 
     if submitted:
-        # Fault-tolerance keywords are forwarded only when engaged, so
-        # duck-typed backends with the bare map signature keep working.
-        map_kwargs: dict[str, Any] = {}
-        if retry is not None:
-            map_kwargs["retry"] = retry
-        if timeout is not None:
-            map_kwargs["timeout"] = timeout
-        if stats is not None:
-            map_kwargs["stats"] = stats
         fresh = backend.map(
             function,
             [flat[index] for index in submitted],
             on_result=on_result,
-            **map_kwargs,
+            retry=retry,
+            timeout=timeout,
+            stats=stats,
         )
         for submit_index, flat_index in enumerate(submitted):
             results[flat_index] = fresh[submit_index]

@@ -22,7 +22,7 @@ clock.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,9 +172,9 @@ class FaultToleranceStats:
     re-executions among them; ``timeouts``/``crashes`` classify the
     absorbed failures; ``pool_rebuilds`` counts executor recreations
     after pool breakage and ``downgrades`` the times a broken pool
-    flavor fell back to a simpler one (process → thread → serial).
-    ``resumed`` is filled by the checkpoint layer: completed work
-    served from a journal instead of being re-run.
+    gave way to serial execution.  ``resumed`` is filled by the
+    checkpoint layer: completed work served from a journal instead of
+    being re-run.
     """
 
     attempts: int = 0

@@ -4,8 +4,9 @@
 :class:`~http.server.ThreadingHTTPServer` accepts requests on
 per-connection threads; ``/fitness`` bodies are admitted to the
 :class:`~repro.serve.batching.Coalescer` (one dispatcher thread, one
-warm engine per key); ``/compress`` bodies run on a bounded persistent
-worker pool so one long EA run cannot monopolize the accept loop.
+warm engine per key); ``/compress`` bodies run one at a time on a
+persistent worker thread, so one long EA run cannot monopolize the
+accept loop and the per-request timeout can abandon it.
 All pricing flows through the shared
 :class:`~repro.serve.service.CompressionService`, which the offline
 ``repro request`` command drives directly — the byte-parity contract.
@@ -111,14 +112,12 @@ class ServeDaemon:
         service: CompressionService,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
         batch_window_ms: float = 5.0,
         max_batch: int = 64,
         max_queue: int = 256,
         request_timeout: float | None = None,
     ) -> None:
         self._service = service
-        self._jobs = max(1, int(jobs))
         self._max_queue = int(max_queue)
         self._timeout = request_timeout
         self._coalescer = Coalescer(
@@ -127,8 +126,10 @@ class ServeDaemon:
             max_batch=max_batch,
             max_queue=max_queue,
         )
+        # One compress worker: extra threads only contend for the GIL
+        # (an EA run is Python-bound), which measured slower, not faster.
         self._pool = ThreadPoolExecutor(
-            max_workers=self._jobs, thread_name_prefix="repro-compress"
+            max_workers=1, thread_name_prefix="repro-compress"
         )
         self._compress_in_flight = 0
         self._lock = threading.Lock()
@@ -282,7 +283,6 @@ class ServeDaemon:
         return {
             "uptime_s": time.monotonic() - self._started,
             "draining": self._draining,
-            "jobs": self._jobs,
             "requests": counters,
             "batch": self._coalescer.stats.as_dict(
                 self._coalescer.queue_depth

@@ -32,7 +32,7 @@ from repro.experiments.pareto import (
     pareto_markdown,
     pareto_task_fingerprint,
 )
-from repro.parallel import ThreadBackend
+from repro.parallel import ProcessBackend
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
 FAST_EA = EAParameters(stagnation_limit=5, max_evaluations=150)
@@ -226,10 +226,10 @@ class TestMultiObjectiveEngine:
 class TestBuildParetoFront:
     def test_job_count_and_backend_invariance(self, blocks):
         serial = build_pareto_front(blocks, fast_config(), seed=13)
-        threaded = build_pareto_front(
-            blocks, fast_config(), seed=13, backend=ThreadBackend(4)
+        pooled = build_pareto_front(
+            blocks, fast_config(), seed=13, backend=ProcessBackend(4)
         )
-        assert pareto_markdown(serial) == pareto_markdown(threaded)
+        assert pareto_markdown(serial) == pareto_markdown(pooled)
 
     def test_kernel_invariance(self, blocks, force_kernel):
         outputs = {}

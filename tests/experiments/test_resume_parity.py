@@ -2,11 +2,11 @@
 byte-identical result.
 
 The scenario from the robustness issue: run a seeded ``table1`` build,
-kill it partway (a chaos-injected worker death under the process
-backend; a non-retryable injected raise under the thread backend),
-restart with the checkpoint store — the resumed table must be
-byte-identical to an uninterrupted run, with the journal demonstrably
-serving completed runs (``resumed > 0``).
+kill it partway (a chaos-injected worker death, or a non-retryable
+injected raise, under the process backend), restart with the
+checkpoint store — the resumed table must be byte-identical to an
+uninterrupted run, with the journal demonstrably serving completed
+runs (``resumed > 0``).
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.parallel import (
     FaultPlan,
     ProcessBackend,
     RetryPolicy,
-    ThreadBackend,
     WorkerCrashError,
     chaos_wrap,
 )
@@ -77,7 +76,7 @@ class TestResumeByteParity:
         assert format_table(resumed) == reference
         assert resumed.fault_stats()["resumed"] > 0
 
-    def test_thread_backend_terminal_failure_then_resume(
+    def test_process_backend_terminal_failure_then_resume(
         self, tmp_path, monkeypatch
     ):
         reference = _reference_text()
@@ -95,13 +94,13 @@ class TestResumeByteParity:
         with pytest.raises(RuntimeError, match="injected fault"):
             build_table1(
                 CIRCUITS, MICRO, seed=SEED,
-                backend=ThreadBackend(2), checkpoint=store,
+                backend=ProcessBackend(2), checkpoint=store,
             )
         monkeypatch.setattr(runner_module, "execute_run_task", execute_run_task)
 
         resumed = build_table1(
             CIRCUITS, MICRO, seed=SEED,
-            backend=ThreadBackend(2), checkpoint=store,
+            backend=ProcessBackend(2), checkpoint=store,
         )
         assert format_table(resumed) == reference
         assert resumed.fault_stats()["resumed"] > 0
@@ -111,7 +110,8 @@ class TestResumeByteParity:
     ):
         """With a retry policy and the journal, the same kill is
         absorbed inside a single build: the crashed row retries, its
-        journal serves the runs that had already finished."""
+        journal serves the runs that had already finished, and the
+        table's fault accounting reports the crash."""
         import unittest.mock
 
         reference = _reference_text()
@@ -132,3 +132,5 @@ class TestResumeByteParity:
         assert format_table(result) == reference
         stats = result.fault_stats()
         assert stats["resumed"] > 0
+        assert stats["crashes"] >= 1
+        assert stats["pool_rebuilds"] == 1

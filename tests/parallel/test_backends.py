@@ -8,14 +8,12 @@ from repro.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     in_worker,
     resolve_backend,
 )
 
 BACKENDS = {
     "serial": SerialBackend(),
-    "thread": ThreadBackend(3),
     "process": ProcessBackend(3),
 }
 
@@ -94,21 +92,17 @@ class TestResolveBackend:
             assert isinstance(backend, ProcessBackend)
             assert backend.jobs == expected
 
-    def test_kind_selects_pool_flavor(self):
-        assert isinstance(resolve_backend(4), ProcessBackend)
-        assert isinstance(resolve_backend(4, "process"), ProcessBackend)
-        assert isinstance(resolve_backend(4, "thread"), ThreadBackend)
-
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend(-1)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend(2, "fiber")
+        # Processes are the only pool: a pool flavor is no argument.
+        assert isinstance(resolve_backend(4), ProcessBackend)
+        for kind in ("thread", "process"):
+            with pytest.raises(TypeError):
+                resolve_backend(2, kind)
 
     def test_pool_backends_reject_zero_jobs(self):
-        with pytest.raises(ValueError):
-            ThreadBackend(0)
         with pytest.raises(ValueError):
             ProcessBackend(0)

@@ -2,6 +2,7 @@
 fault-tolerance paths it exercises (retry, timeout, crash, downgrade,
 prompt interrupts, failure ordering)."""
 
+import logging
 import pickle
 import time
 
@@ -16,7 +17,6 @@ from repro.parallel import (
     RetryPolicy,
     SerialBackend,
     TaskTimeoutError,
-    ThreadBackend,
     TransientTaskError,
     WorkerCrashError,
     chaos_wrap,
@@ -39,6 +39,11 @@ def _interrupt_on_zero(x):
     if x == 0:
         raise KeyboardInterrupt
     time.sleep(2.0)
+    return x
+
+
+def _nap(x):
+    time.sleep(0.3)
     return x
 
 
@@ -108,15 +113,12 @@ class TestFaultPlan:
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadBackend(3),
     "process": lambda: ProcessBackend(3),
 }
 
 
 def _backend_with_jobs(name, jobs):
-    if name == "serial":
-        return SerialBackend()
-    return {"thread": ThreadBackend, "process": ProcessBackend}[name](jobs)
+    return SerialBackend() if name == "serial" else ProcessBackend(jobs)
 
 
 @pytest.mark.chaos
@@ -176,7 +178,7 @@ class TestHangsAndTimeouts:
             faults={"1": {0: Fault(HANG, seconds=1.0)}},
         )
         stats = FaultToleranceStats()
-        results = ThreadBackend(3).map(
+        results = ProcessBackend(3).map(
             chaos_wrap(_times_ten, plan),
             list(range(4)),
             retry=FAST_RETRY,
@@ -187,13 +189,24 @@ class TestHangsAndTimeouts:
         assert stats.timeouts >= 1
         assert stats.retries >= 1
 
+    def test_queued_units_do_not_time_out(self):
+        # Six 0.3 s units on two workers take ~0.9 s in all, but no
+        # single unit runs past the 0.5 s deadline: a unit's clock
+        # must not run while it waits for a free worker.
+        stats = FaultToleranceStats()
+        results = ProcessBackend(2).map(
+            _nap, list(range(6)), timeout=0.5, stats=stats
+        )
+        assert results == list(range(6))
+        assert stats.timeouts == 0
+
     def test_timeout_without_retry_raises(self, tmp_path):
         plan = FaultPlan(
             state_dir=tmp_path,
             faults={"0": {0: Fault(HANG, seconds=1.0)}},
         )
         with pytest.raises(TaskTimeoutError):
-            ThreadBackend(2).map(
+            ProcessBackend(2).map(
                 chaos_wrap(_times_ten, plan), list(range(3)), timeout=0.15
             )
 
@@ -228,25 +241,33 @@ class TestWorkerDeath:
         with pytest.raises(WorkerCrashError):
             ProcessBackend(3).map(chaos_wrap(_times_ten, plan), list(range(4)))
 
-    def test_repeated_breakage_downgrades_to_thread_pool(self, tmp_path):
+    def test_repeated_breakage_finishes_serially(self, tmp_path, caplog):
         # The same task dies on attempts 0 and 1: the first breakage
-        # rebuilds the process pool, the second downgrades to threads,
+        # rebuilds the process pool, the second finishes the map inline,
         # where attempt 2 (unlisted: clean) finally succeeds.
         plan = FaultPlan(
             state_dir=tmp_path,
             faults={"0": {0: Fault(DIE), 1: Fault(DIE)}},
         )
         stats = FaultToleranceStats()
-        results = ProcessBackend(2).map(
-            chaos_wrap(_times_ten, plan),
-            list(range(4)),
-            retry=RetryPolicy(max_attempts=4, base_delay=0.01),
-            stats=stats,
-        )
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            results = ProcessBackend(2).map(
+                chaos_wrap(_times_ten, plan),
+                list(range(4)),
+                retry=RetryPolicy(max_attempts=4, base_delay=0.01),
+                stats=stats,
+            )
         assert results == [0, 10, 20, 30]
         assert stats.crashes == 2
         assert stats.pool_rebuilds == 1
         assert stats.downgrades == 1
+        breakages = [
+            record.getMessage() for record in caplog.records
+            if record.getMessage().startswith("worker pool broke")
+        ]
+        assert len(breakages) == 2
+        assert "rebuilt process pool" in breakages[0]
+        assert "serial in-process execution" in breakages[1]
 
 
 @pytest.mark.chaos
@@ -254,7 +275,7 @@ class TestPromptInterrupt:
     def test_keyboard_interrupt_propagates_immediately(self):
         # Workers sleep 2s each; the interrupt from unit 0 must not
         # wait for them — it cancels pending work and surfaces at once.
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             backend.map(_interrupt_on_zero, list(range(4)))

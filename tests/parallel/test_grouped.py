@@ -1,6 +1,6 @@
 """Tests for the grouped fan-out helper."""
 
-from repro.parallel import SerialBackend, ThreadBackend, grouped_map
+from repro.parallel import ProcessBackend, SerialBackend, grouped_map
 
 
 def _double(x):
@@ -16,7 +16,7 @@ class TestGroupedMap:
     def test_progress_one_line_per_group_in_group_order(self):
         lines = []
         grouped_map(
-            ThreadBackend(3),
+            ProcessBackend(3),
             _double,
             [("a", [1, 2]), ("b", [3]), ("c", [4])],
             progress=lines.append,

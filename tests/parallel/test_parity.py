@@ -14,12 +14,7 @@ from repro.core.config import CompressionConfig, EAParameters
 from repro.core.optimizer import EAMVOptimizer, execute_run_task
 from repro.experiments.runner import ExperimentBudget, run_row
 from repro.experiments.tables import build_table1
-from repro.parallel import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    spawn_seeds,
-)
+from repro.parallel import ProcessBackend, SerialBackend, spawn_seeds
 from repro.testdata.registry import TABLE1_STUCK_AT, row_by_name
 
 STRUCTURED_TEXT = ("1100" * 8 + "11XX" * 4 + "0000" * 6 + "10X0" * 3) * 2
@@ -54,16 +49,6 @@ class TestOptimizerParity:
     def serial_result(self):
         return optimize_with(SerialBackend())
 
-    def test_thread_backend_matches_serial(self, serial_result):
-        result = optimize_with(ThreadBackend(4))
-        assert [r.rate for r in result.runs] == [
-            r.rate for r in serial_result.runs
-        ]
-        assert [r.mv_set for r in result.runs] == [
-            r.mv_set for r in serial_result.runs
-        ]
-
-    @pytest.mark.slow
     def test_process_backend_matches_serial(self, serial_result):
         result = optimize_with(ProcessBackend(4))
         assert [r.rate for r in result.runs] == [
@@ -77,7 +62,7 @@ class TestOptimizerParity:
         ]
 
     def test_jobs_one_pool_matches_serial(self, serial_result):
-        result = optimize_with(ThreadBackend(1))
+        result = optimize_with(ProcessBackend(1))
         assert result.mean_rate == serial_result.mean_rate
         assert result.best_mv_set == serial_result.best_mv_set
 
@@ -133,14 +118,6 @@ class TestRunnerParity:
         row = row_by_name(TABLE1_STUCK_AT, "s349")
         return run_row(row, "stuck-at", budget=MICRO, seed=5)
 
-    def test_thread_backend_matches_serial(self, serial_row):
-        row = row_by_name(TABLE1_STUCK_AT, "s349")
-        parallel = run_row(
-            row, "stuck-at", budget=MICRO, seed=5, backend=ThreadBackend(4)
-        )
-        assert parallel.measured == serial_row.measured
-
-    @pytest.mark.slow
     def test_process_backend_matches_serial(self, serial_row):
         row = row_by_name(TABLE1_STUCK_AT, "s349")
         parallel = run_row(
@@ -156,7 +133,7 @@ class TestRunnerParity:
             "stuck-at",
             budget=MICRO,
             seed=5,
-            backend=ThreadBackend(4),
+            backend=ProcessBackend(4),
             progress=lines.append,
         )
         assert len(lines) == 1 + len(MICRO.kl_grid)
@@ -189,7 +166,7 @@ class TestTableParity:
             circuits=circuits,
             budget=MICRO,
             seed=4,
-            backend=ThreadBackend(2),
+            backend=ProcessBackend(2),
             progress=lines.append,
         )
         assert [line.split()[0] for line in lines] == ["s349", "s298"]

@@ -11,7 +11,6 @@ from repro.parallel import (
     RetryPolicy,
     SerialBackend,
     TaskTimeoutError,
-    ThreadBackend,
     TransientTaskError,
     WorkerCrashError,
 )
@@ -200,7 +199,6 @@ def _flaky(args):
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadBackend(3),
     "process": lambda: ProcessBackend(3),
 }
 

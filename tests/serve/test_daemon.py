@@ -1,5 +1,6 @@
 """End-to-end tests for the HTTP daemon: endpoints, parity, backpressure."""
 
+import inspect
 import json
 import threading
 import urllib.error
@@ -173,6 +174,9 @@ class TestStats:
         assert stats["uptime_s"] >= 0
         for field in ("requests", "batch", "tables", "native", "kernels"):
             assert field in stats
+        # /compress runs on one worker: no pool size to set or report.
+        assert "jobs" not in stats
+        assert "jobs" not in inspect.signature(ServeDaemon).parameters
         assert set(stats["native"]) == {"available", "reason", "warned"}
         assert sorted(stats["kernels"]) == ["bitpack", "native", "scalar"]
         (digest,) = stats["tables"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.kernels import kernel_unavailable_reason
-from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
+from repro.parallel import ProcessBackend, SerialBackend, resolve_backend
 
 NATIVE_OK = kernel_unavailable_reason("native") is None
 
@@ -49,14 +49,6 @@ class TestParser:
         ):
             arguments = build_parser().parse_args(argv)
             assert arguments.jobs == 1
-            assert arguments.backend == "process"
-
-    def test_jobs_and_backend_parsed(self):
-        arguments = build_parser().parse_args(
-            ["table1", "--seed", "1", "--jobs", "4", "--backend", "thread"]
-        )
-        assert arguments.jobs == 4
-        assert arguments.backend == "thread"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -135,9 +127,9 @@ class TestKernelFlag:
 
 
 class TestRemovedCacheFlags:
-    """The MV match-column cache, the tuning profile, the gemm kernel
-    and kernel selection are gone, and so are their flags and the
-    `tune` command."""
+    """The MV match-column cache, the tuning profile, the gemm kernel,
+    kernel selection and the pool-flavor choice are gone, and so are
+    their flags, serve's `--jobs` and the `tune` command."""
 
     REMOVED = (
         (["--mv-cache-size", "0"], "unrecognized arguments"),
@@ -149,6 +141,8 @@ class TestRemovedCacheFlags:
         (["--kernel", "gemm"], "unrecognized arguments"),
         (["--kernel", "auto"], "unrecognized arguments"),
         (["--kernel", "bitpack"], "unrecognized arguments"),
+        (["--backend", "process"], "unrecognized arguments"),
+        (["--backend", "thread"], "unrecognized arguments"),
     )
 
     @pytest.mark.parametrize("argv", RUN_COMMANDS)
@@ -166,6 +160,7 @@ class TestRemovedCacheFlags:
             ["request", "body.json", "--backend", "thread"],
             ["request", "body.json", "--task-timeout", "0"],
             ["serve", "--backend", "thread"],
+            ["serve", "--jobs", "2"],
         ],
     )
     def test_ignored_service_flags_rejected(self, argv, capsys):
@@ -280,26 +275,14 @@ class TestKernelsCommand:
 
 class TestResolvedBackends:
     def test_jobs_one_resolves_serial(self):
-        from repro.cli import _resolve_backend
-
         arguments = build_parser().parse_args(["table1", "--jobs", "1"])
-        assert isinstance(_resolve_backend(arguments), SerialBackend)
+        assert isinstance(resolve_backend(arguments.jobs), SerialBackend)
 
     def test_jobs_n_resolves_pool(self):
-        from repro.cli import _resolve_backend
-
         arguments = build_parser().parse_args(["table1", "--jobs", "3"])
-        backend = _resolve_backend(arguments)
+        backend = resolve_backend(arguments.jobs)
         assert isinstance(backend, ProcessBackend)
         assert backend.jobs == 3
-
-    def test_thread_kind_resolves_thread_pool(self):
-        from repro.cli import _resolve_backend
-
-        arguments = build_parser().parse_args(
-            ["table1", "--jobs", "3", "--backend", "thread"]
-        )
-        assert isinstance(_resolve_backend(arguments), ThreadBackend)
 
 
 class TestCompressCommand:
@@ -431,20 +414,6 @@ class TestJobsSmoke:
         )
         return str(path)
 
-    def test_compress_thread_jobs_matches_serial(self, tmp_path, capsys):
-        path = self._patterns_file(tmp_path)
-        assert main(["compress", path, *self.ARGS, "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                ["compress", path, *self.ARGS, "--jobs", "2",
-                 "--backend", "thread"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == serial
-
-    @pytest.mark.slow
     def test_compress_process_jobs_matches_serial(self, tmp_path, capsys):
         path = self._patterns_file(tmp_path)
         assert main(["compress", path, *self.ARGS, "--jobs", "1"]) == 0
@@ -576,15 +545,14 @@ class TestServeParser:
         assert arguments.batch_window_ms == 5.0
         assert arguments.max_batch == 64
         assert arguments.max_queue == 256
-        assert arguments.jobs == 1
+        assert not hasattr(arguments, "jobs")
 
     def test_serve_overrides(self):
         arguments = build_parser().parse_args(
-            ["serve", "--port", "0", "--jobs", "4", "--batch-window-ms",
+            ["serve", "--port", "0", "--batch-window-ms",
              "2.5", "--max-batch", "8", "--max-queue", "32"]
         )
         assert arguments.port == 0
-        assert arguments.jobs == 4
         assert arguments.batch_window_ms == 2.5
         assert arguments.max_batch == 8
         assert arguments.max_queue == 32
@@ -736,7 +704,7 @@ class TestObjectivesFlag:
         outputs = {}
         variants = {
             "serial": ("auto", []),
-            "jobs4": ("auto", ["--jobs", "4", "--backend", "thread"]),
+            "jobs4": ("auto", ["--jobs", "4"]),
             "scalar": ("scalar", []),
             "bitpack": ("bitpack", []),
         }
