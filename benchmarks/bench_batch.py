@@ -8,7 +8,7 @@ Two comparisons share the synthetic workloads:
   generation path (PR 1's tentpole: ≥5× batched over reference on
   ``medium``).
 * **Covering kernels** — the same batched pipeline under each
-  usable kernel (``bitpack``, ``native``, ``scalar``;
+  usable kernel (``bitpack``, ``native``;
   :mod:`repro.core.kernels`), including the ``wide`` K = 96 workload
   the single-word seed could not express.
 
@@ -71,7 +71,7 @@ KERNEL_WORKLOADS = {
 }
 
 # Only kernels this machine can actually run: a toolchain-less
-# container benches bitpack and scalar, a full one adds `native`.
+# container benches bitpack only, a full one adds `native`.
 KERNELS = tuple(usable_kernels())
 
 

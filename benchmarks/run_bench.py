@@ -10,7 +10,7 @@ script and catch regressions:
   small/medium/large synthetic workloads: genomes/second plus
   batched-over-reference and batched-over-scalar speedups.  A
   ``kernel_comparison`` section times the batched pipeline under
-  every usable covering kernel (bitpack, native, scalar) on the
+  every usable covering kernel (bitpack, native) on the
   same workloads plus the ``wide`` K = 96 one, recording the
   native-over-bitpack speedup and what ``auto`` would pick.  A
   ``stage_breakdown`` section splits one batched call into its

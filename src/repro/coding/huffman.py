@@ -17,10 +17,15 @@ Two array-based fast paths back the EA's batched fitness engine
 of all merge weights produced by Huffman's algorithm and is identical
 for every optimal tree, so it can be computed with the classic
 two-queue merge over sorted frequencies (:func:`huffman_total_bits`)
-and, for a whole generation at once, with a lockstep-vectorized
-two-queue over a frequency *matrix*
-(:func:`huffman_total_bits_batch`) — no per-genome dict or heap
-construction anywhere on the hot path.
+— no per-genome dict or heap construction anywhere on the hot path.
+For a whole generation at once (:func:`huffman_total_bits_batch`,
+:func:`huffman_length_stats_batch`) the merge runs in C, one call per
+frequency matrix, whenever the native kernel library
+(:mod:`repro.core.kernels.native`) is loaded.  Without a compiler the
+batch functions fall back to the Python merges :func:`_merge_total`
+and :func:`_merge_stats` (lockstep-vectorized across rows for large
+batches), which also serve as the test oracle; every path returns the
+same integers.
 """
 
 from __future__ import annotations
@@ -47,12 +52,27 @@ __all__ = [
     "entropy_bound",
 ]
 
-# Below this many rows the per-row scalar merge beats the lockstep
-# batch machinery (whose step count scales with L, not the row count).
-# Measured at L = 64 on a 2-vCPU x86 container: per-row 1.3 ms vs
-# lockstep 1.8 ms at 64 rows, even at 96, 2.6 vs 1.9 ms at 128.  The
-# paper's C = 5 generations always take the per-row merge.
+# Without the native library: below this many rows the per-row Python
+# merge beats the lockstep batch machinery (whose step count scales
+# with L, not the row count).  Measured at L = 64 on a 2-vCPU x86
+# container: per-row 1.3 ms vs lockstep 1.8 ms at 64 rows, even at 96,
+# 2.6 vs 1.9 ms at 128.  The paper's C = 5 generations always take the
+# per-row merge.
 _LOCKSTEP_MIN_ROWS = 96
+
+
+def _native_stats(freqs: np.ndarray) -> np.ndarray | None:
+    """``(4, R)`` merge aggregates from the C routine, or ``None``.
+
+    ``None`` when the native library is unavailable (or the matrix is
+    not integer), leaving the caller on its Python merge.  Imported
+    lazily because :mod:`repro.core` imports this module.
+    """
+    if freqs.dtype.kind not in "iu":
+        return None
+    from ..core.kernels.native import huffman_stats_rows
+
+    return huffman_stats_rows(freqs)
 
 
 def huffman_code_lengths(frequencies: Mapping[Hashable, int]) -> dict[Hashable, int]:
@@ -154,10 +174,11 @@ def huffman_total_bits_batch(frequency_matrix: np.ndarray) -> np.ndarray:
     ``freq`` itself for single-symbol rows).  Exact for totals below
     2**53 (float64 accumulation of integer weights).
 
-    The lockstep machinery costs ~``L`` vectorized steps regardless of
-    ``C``, so small batches (below ``_LOCKSTEP_MIN_ROWS``) are routed
-    through the per-row scalar merge instead — same results, no fixed
-    overhead.
+    With the native library loaded, an integer matrix is priced by its
+    C merge in one call instead.  Otherwise the lockstep machinery
+    costs ~``L`` vectorized steps regardless of ``C``, so small
+    batches (below ``_LOCKSTEP_MIN_ROWS``) are routed through the
+    per-row Python merge — same results on every path.
 
     >>> huffman_total_bits_batch(np.asarray([[5, 3, 2], [0, 7, 0]])).tolist()
     [15, 7]
@@ -170,6 +191,9 @@ def huffman_total_bits_batch(frequency_matrix: np.ndarray) -> np.ndarray:
         return np.zeros(n_rows, dtype=np.int64)
     if freqs.size and int(freqs.min()) < 0:
         raise ValueError("frequencies must be non-negative")
+    stats = _native_stats(freqs)
+    if stats is not None:
+        return stats[1]
     if n_rows < _LOCKSTEP_MIN_ROWS:
         # One batched sort, then pure-Python merges on plain lists —
         # no per-row numpy call overhead.
@@ -314,10 +338,11 @@ def huffman_length_stats_batch(frequency_matrix: np.ndarray) -> HuffmanLengthSta
     ``Σ len``, and the longest codeword.  Returns a
     :class:`HuffmanLengthStats` of four ``(C,)`` ``int64`` arrays.
 
-    Pareto pricing batches are generation-sized (tens of rows), so this
-    uses one batched sort plus the per-row scalar merge — the same
-    small-batch strategy :func:`huffman_total_bits_batch` routes
-    through below its lockstep cutover.
+    With the native library loaded, an integer matrix runs through
+    its C merge in one call (the leaf-first tie rule of
+    :func:`_merge_stats`).  Otherwise — Pareto pricing batches are
+    generation-sized (tens of rows) — this uses one batched sort plus
+    the per-row Python merge.
 
     >>> stats = huffman_length_stats_batch(np.asarray([[5, 3, 2], [0, 7, 0]]))
     >>> [column.tolist() for column in stats]
@@ -332,6 +357,9 @@ def huffman_length_stats_batch(frequency_matrix: np.ndarray) -> HuffmanLengthSta
         return HuffmanLengthStats(zeros, zeros.copy(), zeros.copy(), zeros.copy())
     if int(freqs.min()) < 0:
         raise ValueError("frequencies must be non-negative")
+    native = _native_stats(freqs)
+    if native is not None:
+        return HuffmanLengthStats(*native)
     presorted = np.sort(freqs, axis=1).tolist()
     stats = [
         _merge_stats([leaf for leaf in row if leaf > 0]) for row in presorted

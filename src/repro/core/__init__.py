@@ -27,7 +27,6 @@ from .kernels import (
     BitpackKernel,
     CoveringKernel,
     NativeKernel,
-    ScalarKernel,
     available_kernels,
     get_kernel,
     kernel_availability,
@@ -86,7 +85,6 @@ __all__ = [
     "BitpackKernel",
     "CoveringKernel",
     "NativeKernel",
-    "ScalarKernel",
     "available_kernels",
     "get_kernel",
     "kernel_availability",

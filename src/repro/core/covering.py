@@ -9,11 +9,11 @@ which drives the Huffman codeword assignment.
 Covering runs on the distinct-block table of a :class:`BlockSet`, so
 its cost is O(L × distinct blocks) vectorized numpy work.
 :func:`cover` covers one :class:`MVSet` (the compressor path) with
-:func:`cover_masks`, the single-genome reference loop (re-exported
-from :mod:`repro.core.kernels.scalar`).  The EA's inner loop prices a
-whole generation per pass instead, through the covering kernels that
-:class:`~repro.core.fitness.BatchCompressionRateFitness` resolves
-(:mod:`repro.core.kernels`), all bit-identical to this loop.
+:func:`cover_masks`, the single-genome reference loop.  The EA's inner
+loop prices a whole generation per pass instead, through the covering
+kernels that :class:`~repro.core.fitness.BatchCompressionRateFitness`
+resolves (:mod:`repro.core.kernels`), all property-tested
+bit-identical to this loop.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockSet
-from .kernels import cover_masks
+from .blocks import BlockSet, masks_as_words
 from .matching import MVSet
 
 __all__ = [
@@ -75,6 +74,49 @@ class CoveringResult:
         return {
             int(i): int(f) for i, f in enumerate(self.frequencies) if f > 0
         }
+
+
+def cover_masks(
+    block_ones: np.ndarray,
+    block_zeros: np.ndarray,
+    block_counts: np.ndarray,
+    mv_ones: np.ndarray,
+    mv_zeros: np.ndarray,
+    covering_order: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Single-genome covering over plain mask arrays (the reference).
+
+    An explicit loop over MVs in priority order with vectorized
+    per-block match tests — the seed's covering algorithm, and the
+    oracle the batched kernels are property-tested against.  Masks may
+    be flat ``(N,)`` single-word values or ``(N, W)`` little-endian
+    word arrays (for ``K > 64``).  Returns
+    ``(assignment, frequencies, uncovered)`` with the same meaning as
+    :class:`CoveringResult`.
+    """
+    block_ones = masks_as_words(block_ones)
+    block_zeros = masks_as_words(block_zeros)
+    mv_ones = masks_as_words(mv_ones)
+    mv_zeros = masks_as_words(mv_zeros)
+    n_distinct = block_ones.shape[0]
+    n_vectors = mv_ones.shape[0]
+    assignment = np.full(n_distinct, -1, dtype=np.int64)
+    unassigned = np.ones(n_distinct, dtype=bool)
+    for mv_index in covering_order:
+        if not unassigned.any():
+            break
+        conflicts = (block_ones & mv_zeros[mv_index]) | (
+            block_zeros & mv_ones[mv_index]
+        )
+        hits = unassigned & (conflicts == 0).all(axis=1)
+        assignment[hits] = mv_index
+        unassigned &= ~hits
+    frequencies = np.zeros(n_vectors, dtype=np.int64)
+    covered = assignment >= 0
+    block_counts = np.asarray(block_counts, dtype=np.int64)
+    np.add.at(frequencies, assignment[covered], block_counts[covered])
+    uncovered = int(block_counts[~covered].sum())
+    return assignment, frequencies, uncovered
 
 
 def cover(blocks: BlockSet, mv_set: MVSet, require_complete: bool = False) -> CoveringResult:

@@ -2,19 +2,19 @@
 
 This is the EA's inner loop.  The workhorse is
 :class:`BatchCompressionRateFitness`, which prices an entire
-generation of ``C`` genomes in a handful of numpy kernel calls:
+generation of ``C`` genomes in two library calls:
 
 1. the ``(C, L·K)`` genome matrix is reshaped into a ``(C, L, K)``
-   trit grid and each genome's MVs are ordered by increasing ``U``
-   count (the paper's covering priority) in one vectorized pass;
-2. a pluggable covering kernel (:mod:`repro.core.kernels` — compiled
-   native lanes, bit-packed integer lanes, or the scalar reference;
-   ``"auto"`` picks per workload shape) covers the whole
-   generation in ONE fused ``cover_grid`` pass, early-exiting genomes
-   whose MVs cannot cover every block;
-3. :func:`repro.coding.huffman.huffman_total_bits_batch` prices all
-   frequency rows with a two-queue merge (no per-genome dict or
-   heap), and the fill bits are one matrix dot away.
+   trit grid, and a covering kernel (:mod:`repro.core.kernels` —
+   compiled native lanes, else bit-packed numpy lanes) covers the
+   whole generation in ONE ``cover_grid`` pass: each kernel orders
+   every genome's MVs by increasing ``U`` count (the paper's covering
+   priority) itself and returns per-MV use frequencies, reporting
+   genomes whose MVs cannot cover every block as uncovered;
+2. :func:`repro.coding.huffman.huffman_total_bits_batch` prices all
+   frequency rows with a two-queue merge (in C when the native
+   library is loaded, else in Python), and the fill bits are one
+   matrix dot away.
 
 :class:`CompressionRateFitness` keeps the historical single-genome
 callable API as a thin batch-of-one wrapper, so existing callers keep
@@ -82,14 +82,13 @@ class BatchCompressionRateFitness:
     """Price a whole generation of genomes against a fixed block set.
 
     The covering kernel is this class's private detail: ``"auto"``
-    (the default) resolves from the workload shape (C, D, L, K) when
-    the first batch arrives.  ``kernel`` — a registry name
-    (``"bitpack"``, ``"native"``, ``"scalar"``) or a
-    :class:`~repro.core.kernels.CoveringKernel` instance — is the one
-    seam that forces a kernel, for benchmarks and tests.  Every
-    generation prices through the kernel's one fused ``cover_grid``
-    pass, and every kernel prices bit-identically, so the choice only
-    moves the wall clock.
+    (the default) resolves to native, else bitpack, when the first
+    batch arrives.  ``kernel`` — a registry name (``"bitpack"``,
+    ``"native"``) or a :class:`~repro.core.kernels.CoveringKernel`
+    instance — is the one seam that forces a kernel, for benchmarks
+    and tests.  Every generation prices through the kernel's one
+    ``cover_grid`` pass over the raw trit grid, and both kernels price
+    bit-identically, so the choice only moves the wall clock.
 
     >>> blocks = BlockSet.from_string("111 000 111 111", 3)
     >>> fit = BatchCompressionRateFitness(blocks, n_vectors=2, block_length=3)
@@ -206,21 +205,11 @@ class BatchCompressionRateFitness:
         """
         n_genomes = matrix.shape[0]
         grid = matrix.reshape(n_genomes, self._n_vectors, self._block_length)
-        n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
-        orders = np.argsort(n_unspecified, axis=1, kind="stable")
+        n_unspecified = (grid == DC).sum(axis=2, dtype=np.int64)
         kernel = self._resolve_kernel(n_genomes)
-        # The covering kernel consumes the trit grid with the L axis
-        # pre-permuted into covering order; each kernel converts to its
-        # own representation (integer conflict lanes, uint64 words).
-        ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
         if clock:
             clock.mark("pack")
-        _, frequencies, uncovered = kernel.cover_grid(
-            self._prepared,
-            ordered_grid,
-            orders,
-            want_assignment=False,
-        )
+        frequencies, uncovered = kernel.cover_grid(self._prepared, grid)
         if clock:
             clock.mark("cover")
         return frequencies, uncovered, n_unspecified
@@ -253,8 +242,9 @@ class BatchCompressionRateFitness:
         rates = np.full(n_genomes, self._invalid_fitness, dtype=np.float64)
         valid = uncovered == 0
         if valid.any():
-            codeword_bits = huffman_total_bits_batch(frequencies[valid])
-            fill_bits = (frequencies[valid] * n_unspecified[valid]).sum(axis=1)
+            valid_freqs = frequencies[valid]
+            codeword_bits = huffman_total_bits_batch(valid_freqs)
+            fill_bits = (valid_freqs * n_unspecified[valid]).sum(axis=1)
             compressed = codeword_bits + fill_bits
             original = self._blocks.original_bits
             rates[valid] = 100.0 * (original - compressed) / original

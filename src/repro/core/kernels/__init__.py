@@ -1,31 +1,32 @@
 """Pluggable covering kernels and their selection registry.
 
-Three interchangeable backends price the covering inner loop (see
+Two interchangeable backends price the covering inner loop (see
 :mod:`repro.core.kernels.base` for the shared contract):
 
+* ``native``  — the whole covering of a generation as one call into a
+  cc-compiled C library (:mod:`repro.core.kernels.native`): covering
+  order, fused lanes, branch-free single-word matching with
+  first-match early exit, optional OpenMP over the D axis, and the
+  scatter into per-MV frequencies.  Compiled on first use and cached
+  under ``$REPRO_CACHE_DIR/native/``; on machines without a C
+  toolchain the registry reports it *unavailable* and every selection
+  path below skips it;
 * ``bitpack`` — fused integer conflict lanes with D-axis sharding;
-  the numpy kernel every machine can run;
-* ``native``  — the same fused-lane match test as a cc-compiled C
-  loop (:mod:`repro.core.kernels.native`): no numpy temporaries,
-  branch-free single-word matching, first-match early exit, optional
-  OpenMP over the D axis.  Compiled on first use and cached under
-  ``$REPRO_CACHE_DIR/native/``; on machines without a C toolchain the
-  registry reports it *unavailable* and every selection path below
-  skips it;
-* ``scalar``  — the original per-genome Python loop; the semantic
-  reference and the cheapest option for tiny one-off coverings.
+  the numpy kernel every machine can run.
+
+The single-genome Python loop :func:`repro.core.covering.cover_masks`
+is the semantic reference both are property-tested against.
 
 Kernels are private to the fitness layer:
 :class:`~repro.core.fitness.BatchCompressionRateFitness` resolves
-``auto`` on its first batch via :func:`select_kernel_name` — scalar
-for tiny one-genome coverings, else native, else bitpack — so a
-missing compiler silently falls back to the numpy kernel.  Its
-``kernel=`` argument is the one seam that names a kernel (benchmarks
-and tests); a named kernel that is unavailable fails loudly in
-:func:`resolve_kernel`, because silently substituting a different
-backend would misattribute every downstream timing.  All kernels
-return bit-identical results, so selection only ever moves the wall
-clock.
+``auto`` on its first batch via :func:`select_kernel_name` — native,
+else bitpack — so a missing compiler silently falls back to the numpy
+kernel.  Its ``kernel=`` argument is the one seam that names a kernel
+(benchmarks and tests); a named kernel that is unavailable fails
+loudly in :func:`resolve_kernel`, because silently substituting a
+different backend would misattribute every downstream timing.  Both
+kernels return bit-identical results, so selection only ever moves
+the wall clock.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .base import CoveringKernel, PreparedBlocks
 from .bitpack import BitpackKernel
 from .build import NativeBuildError
 from .native import NativeKernel, native_status
-from .scalar import ScalarKernel, cover_masks
 
 __all__ = [
     "AUTO_KERNEL",
@@ -45,9 +45,7 @@ __all__ = [
     "NativeBuildError",
     "NativeKernel",
     "PreparedBlocks",
-    "ScalarKernel",
     "available_kernels",
-    "cover_masks",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
@@ -60,17 +58,8 @@ AUTO_KERNEL = "auto"
 
 _REGISTRY: dict[str, Callable[[], CoveringKernel]] = {
     BitpackKernel.name: BitpackKernel,
-    ScalarKernel.name: ScalarKernel,
     NativeKernel.name: NativeKernel,
 }
-
-# At or below this many match tests (distinct blocks × MVs) a
-# single-genome covering runs the plain Python loop.  Measured one-off
-# coverings (prepare + cover, K = 12, 2-vCPU x86 container): scalar
-# ~145 µs at L = 8 for D up to 128, vs ~190–230 µs for native and
-# bitpack, whose fixed setup cost dominates tiny tables; scalar's
-# per-MV loop (~18 µs per MV) loses from L = 16 on.
-SCALAR_MAX_WORK = 512
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -136,20 +125,13 @@ def select_kernel_name(
     n_vectors: int,
     block_length: int,
 ) -> str:
-    """The ``auto`` rule, keyed on the workload shape (C, D, L, K).
+    """The ``auto`` rule: ``native`` when available, else ``bitpack``.
 
-    1. ``scalar`` for a single genome whose covering is tiny
-       (``D·L <= SCALAR_MAX_WORK``): batched setup costs more than the
-       Python loop;
-    2. otherwise ``native`` when the compiled kernel is available — it
-       measured fastest at every batched shape probed;
-    3. otherwise ``bitpack``, the array kernel that needs no compiler.
-
-    ``block_length`` does not enter the rule; it stays in the signature
-    so the shape reads the same everywhere a kernel is resolved.
+    The compiled kernel measured fastest at every shape probed; the
+    numpy kernel needs no compiler.  The workload shape (C, D, L, K)
+    does not enter the rule; it stays in the signature so the shape
+    reads the same everywhere a kernel is resolved.
     """
-    if n_genomes <= 1 and n_distinct * n_vectors <= SCALAR_MAX_WORK:
-        return ScalarKernel.name
     if kernel_unavailable_reason(NativeKernel.name) is None:
         return NativeKernel.name
     return BitpackKernel.name

@@ -47,6 +47,11 @@ class _Handler(BaseHTTPRequestHandler):
     """Route HTTP verbs to the owning daemon; never log to stderr."""
 
     protocol_version = "HTTP/1.1"
+    # A response goes out in two writes (headers, then body).  On a
+    # keep-alive connection Nagle's algorithm would hold the body until
+    # the client's delayed ACK of the headers, ~40 ms later; TCP_NODELAY
+    # on every accepted socket sends it at once.
+    disable_nagle_algorithm = True
     daemon: "ServeDaemon"  # set on the subclass the daemon builds
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002

@@ -1,14 +1,18 @@
 """Unit and property tests for Huffman coding."""
 
 import math
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
+from repro.coding import huffman
 from repro.coding.huffman import (
+    _merge_stats,
+    _merge_total,
     entropy_bound,
     huffman_code,
     huffman_code_lengths,
@@ -19,6 +23,22 @@ from repro.coding.huffman import (
     weighted_length,
 )
 from repro.coding.prefix import is_prefix_free, kraft_sum
+from repro.core.kernels import kernel_unavailable_reason
+from repro.core.kernels.native import huffman_stats_rows
+
+NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+requires_native = pytest.mark.skipif(
+    NATIVE_UNAVAILABLE is not None,
+    reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
+)
+
+
+@contextmanager
+def python_merge():
+    """Keep the batch functions on their Python merges (no-compiler path)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(huffman, "_native_stats", lambda freqs: None)
+        yield
 
 
 class TestHuffmanLengths:
@@ -203,9 +223,28 @@ class TestHuffmanTotalBits:
         if n_symbols > 1:
             matrix[1] = 0
             matrix[1, 0] = 7  # single-symbol row
-        totals = huffman_total_bits_batch(matrix)
+        with python_merge():  # the lockstep merge is the no-compiler path
+            totals = huffman_total_bits_batch(matrix)
         for row in range(n_rows):
             assert totals[row] == huffman_total_bits(matrix[row])
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_python_merge_matches_scalar_rows(self, n_rows, n_symbols, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 500, (n_rows, n_symbols))
+        matrix[rng.random(matrix.shape) < 0.3] = 0
+        with python_merge():
+            totals = huffman_total_bits_batch(matrix)
+            stats = huffman_length_stats_batch(matrix)
+        for row in range(n_rows):
+            assert totals[row] == huffman_total_bits(matrix[row])
+            assert tuple(column[row] for column in stats) == (
+                huffman_length_stats(matrix[row])
+            )
 
 
 class TestHuffmanLengthStats:
@@ -281,3 +320,62 @@ class TestHuffmanLengthStats:
         assert np.array_equal(
             stats.total_bits, huffman_total_bits_batch(matrix)
         )
+
+
+def merge_edge_rows(rng, n_symbols):
+    """Frequency rows at the merge's edges, stacked into one matrix."""
+    rows = [
+        np.zeros(n_symbols, dtype=np.int64),  # nothing active
+        np.eye(1, n_symbols, n_symbols - 1, dtype=np.int64)[0] * 9,  # one
+        np.full(n_symbols, 4, dtype=np.int64),  # every weight ties
+        rng.integers(0, 3, n_symbols),  # ties among tiny weights
+        rng.integers(0, 1000, n_symbols) * (rng.random(n_symbols) < 0.5),
+        2 ** np.minimum(np.arange(n_symbols), 40),  # a deep, skewed tree
+    ]
+    return np.stack(rows).astype(np.int64)
+
+
+@requires_native
+class TestNativeMerge:
+    """The C two-queue merge against the Python merges it replaces."""
+
+    @pytest.mark.parametrize("n_symbols", [1, 2, 31, 32, 33, 63, 64, 65, 130])
+    def test_edge_rows_match_python_merges(self, n_symbols):
+        rng = np.random.default_rng(n_symbols)
+        matrix = merge_edge_rows(rng, n_symbols)
+        stats = huffman_stats_rows(matrix)
+        assert stats.shape == (4, len(matrix)) and stats.dtype == np.int64
+        for row, frequencies in enumerate(matrix):
+            leaves = sorted(int(f) for f in frequencies if f > 0)
+            assert tuple(stats[:, row]) == _merge_stats(leaves)
+            assert stats[1, row] == _merge_total(leaves)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=140),
+    )
+    def test_random_rows_match_python_merges(self, seed, n_rows, n_symbols):
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, rng.integers(1, 10_000), (n_rows, n_symbols))
+        matrix[rng.random(matrix.shape) < rng.random()] = 0
+        stats = huffman_stats_rows(matrix)
+        totals = huffman_total_bits_batch(matrix)
+        batch = huffman_length_stats_batch(matrix)
+        for row in range(n_rows):
+            leaves = sorted(int(f) for f in matrix[row] if f > 0)
+            expected = _merge_stats(leaves)
+            assert tuple(stats[:, row]) == expected
+            assert tuple(column[row] for column in batch) == expected
+            assert totals[row] == _merge_total(leaves) == expected[1]
+
+    def test_batch_functions_run_on_the_library(self):
+        matrix = np.asarray([[5, 3, 2], [0, 7, 0]])
+        assert huffman._native_stats(matrix) is not None
+        # Non-integer matrices keep the Python merge.
+        assert huffman._native_stats(matrix.astype(np.float64)) is None
+        assert huffman_total_bits_batch(matrix.astype(np.float64)).tolist() == [
+            15,
+            7,
+        ]

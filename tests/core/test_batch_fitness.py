@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 1. the batch covering the fitness runs (the ``auto`` kernel's
-   ``prepare`` + ``cover_grid``) row-for-row agrees with the scalar
+   ``prepare`` + ``cover_grid``) row-for-row agrees with the
    ``cover_masks`` reference loop;
 2. ``BatchCompressionRateFitness`` prices every genome exactly like
    the end-to-end compressor (and like the single-genome wrapper),
@@ -42,15 +42,22 @@ def random_genome_batch(
     return rng.integers(0, 3, size=(n_genomes, genome_length), dtype=np.int8)
 
 
-def auto_cover(blocks, grid, orders):
+def auto_cover(blocks, grid):
     """Cover a ``(C, L, K)`` grid the way the fitness does: the ``auto``
     kernel, ``prepare`` once, then one ``cover_grid`` pass."""
     n_genomes, n_vectors, block_length = grid.shape
     kernel = resolve_kernel(
         "auto", n_genomes, blocks.n_distinct, n_vectors, block_length
     )
-    ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
-    return kernel.cover_grid(kernel.prepare(blocks), ordered_grid, orders)
+    return kernel.cover_grid(kernel.prepare(blocks), grid)
+
+
+def stable_u_order(mvs):
+    """MV indices by increasing U count, ties in declaration order."""
+    return np.asarray(
+        sorted(range(len(mvs)), key=lambda index: int((mvs[index] == DC).sum())),
+        dtype=np.int64,
+    )
 
 
 class TestCoverMasksBatch:
@@ -70,38 +77,33 @@ class TestCoverMasksBatch:
         grid = rng.integers(
             0, 3, size=(n_genomes, n_vectors, block_length), dtype=np.int8
         )
-        orders = np.stack([rng.permutation(n_vectors) for _ in range(n_genomes)])
 
-        assignment, frequencies, uncovered = auto_cover(blocks, grid, orders)
+        frequencies, uncovered = auto_cover(blocks, grid)
         for row in range(n_genomes):
-            ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
+            _, ref_frequencies, ref_uncovered = cover_masks(
                 blocks.ones, blocks.zeros, blocks.counts,
                 pack_bits_to_words(grid[row] == ONE),
                 pack_bits_to_words(grid[row] == ZERO),
-                orders[row],
+                stable_u_order(grid[row]),
             )
             assert uncovered[row] == ref_uncovered
             if ref_uncovered == 0:
-                assert (assignment[row] == ref_assignment).all()
                 assert (frequencies[row] == ref_frequencies).all()
-            else:  # early-exit rows carry no assignment/frequency data
-                assert (assignment[row] == -1).all()
+            else:  # early-exit rows carry no frequency data
                 assert (frequencies[row] == 0).all()
 
     def test_empty_batch_and_empty_blocks(self):
         empty = BlockSet.from_trit_array(np.empty(0, dtype=np.int8), 4)
-        orders = np.tile(np.arange(4), (3, 1))
-        assignment, frequencies, uncovered = auto_cover(
-            empty, np.full((3, 4, 4), DC, dtype=np.int8), orders
+        frequencies, uncovered = auto_cover(
+            empty, np.full((3, 4, 4), DC, dtype=np.int8)
         )
-        assert assignment.shape == (3, 0)
+        assert frequencies.shape == (3, 4)
         assert (frequencies == 0).all()
         assert (uncovered == 0).all()
         blocks = BlockSet.from_string("0101 1X0X", 4)
-        assignment, frequencies, uncovered = auto_cover(
-            blocks, np.empty((0, 4, 4), dtype=np.int8), orders[:0]
+        frequencies, uncovered = auto_cover(
+            blocks, np.empty((0, 4, 4), dtype=np.int8)
         )
-        assert assignment.shape == (0, 2)
         assert frequencies.shape == (0, 4) and uncovered.shape == (0,)
 
 

@@ -32,9 +32,15 @@ from repro.core.blocks_io import (
     save_block_table,
 )
 from repro.core.fitness import BatchCompressionRateFitness
-from repro.core.kernels import get_kernel
+from repro.core.kernels import get_kernel, kernel_unavailable_reason
 
 from ..conftest import subprocess_environment
+
+NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+requires_native = pytest.mark.skipif(
+    NATIVE_UNAVAILABLE is not None,
+    reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
+)
 
 
 def random_trits(rng, n):
@@ -138,7 +144,10 @@ class TestMemmapPricingParity:
     kernels — the bitpack lane build spills to a disk-backed buffer
     but the lanes themselves are bit-identical."""
 
-    @pytest.mark.parametrize("kernel_name", ("auto", "bitpack", "scalar"))
+    @pytest.mark.parametrize(
+        "kernel_name",
+        ("auto", "bitpack", pytest.param("native", marks=requires_native)),
+    )
     def test_prepare_and_price_from_memmap(self, tmp_path, kernel_name):
         rng = np.random.default_rng(29)
         trits = random_trits(rng, 24_000)

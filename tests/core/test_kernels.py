@@ -1,15 +1,15 @@
 """Cross-kernel parity and registry tests for ``repro.core.kernels``.
 
-The subsystem's contract is bit-identical results from every kernel:
-``bitpack`` ≡ ``native`` ≡ the scalar reference ``cover_masks`` loop,
-including the batch early-exit convention (uncoverable genomes report
-exact ``uncovered`` counts but all ``-1`` assignment rows and zero
-frequencies) and multi-word masks (K > 64).  Every kernel is driven
-through the two calls the fitness makes — ``prepare(blocks)`` and
-``cover_grid(prepared, ordered_grid, orders)``.  Seeded experiments
-stay byte-identical no matter which kernel priced them — these tests
-pin that property at the kernel, fitness, EA-run and compressor
-layers.
+The subsystem's contract is bit-identical results from both kernels:
+``bitpack`` ≡ ``native`` ≡ the reference ``cover_masks`` loop, including
+the early-exit convention (uncoverable genomes report exact
+``uncovered`` counts and all-zero frequency rows) and multi-word masks
+(K > 64).  Every kernel is driven through the two calls the fitness
+makes — ``prepare(blocks)`` and ``cover_grid(prepared, grid)`` on the
+raw ``(C, L, K)`` trit grid, each kernel ordering the MVs itself.
+Seeded experiments stay byte-identical no matter which kernel priced
+them — these tests pin that property at the kernel, fitness, EA-run
+and compressor layers.
 """
 
 import numpy as np
@@ -27,7 +27,6 @@ from repro.core.kernels import (
     BitpackKernel,
     CoveringKernel,
     NativeKernel,
-    ScalarKernel,
     available_kernels,
     get_kernel,
     kernel_unavailable_reason,
@@ -35,6 +34,7 @@ from repro.core.kernels import (
     select_kernel_name,
     usable_kernels,
 )
+from repro.core.kernels.base import covering_orders
 from repro.core.optimizer import EAMVOptimizer
 from repro.core.trits import DC, ONE, ZERO
 from repro.testdata.synthetic import (
@@ -49,9 +49,7 @@ from repro.testdata.synthetic import (
 # asking availability here compiles on first use (warming the build
 # cache for the whole session) and yields the skip reason otherwise.
 NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
-KERNEL_NAMES = ("bitpack", "scalar") + (
-    ("native",) if NATIVE_UNAVAILABLE is None else ()
-)
+KERNEL_NAMES = ("bitpack",) + (("native",) if NATIVE_UNAVAILABLE is None else ())
 requires_native = pytest.mark.skipif(
     NATIVE_UNAVAILABLE is not None,
     reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
@@ -81,15 +79,8 @@ def block_table(block_ones, block_zeros, counts, block_length):
     )
 
 
-def random_workload(rng, block_length):
-    """Random block table + genome batch: ``(blocks, grid, orders)``.
-
-    ``grid`` is the ``(C, L, K)`` trit grid in declaration order and
-    ``orders`` each genome's covering order over it.
-    """
-    n_distinct = int(rng.integers(1, 60))
-    n_vectors = int(rng.integers(1, 14))
-    n_genomes = int(rng.integers(1, 9))
+def random_blocks(rng, n_distinct, block_length):
+    """``n_distinct`` random blocks (~half care bits) with counts 1–8."""
     bits = rng.integers(0, 2, size=(n_distinct, block_length))
     zero_bits = rng.integers(0, 2, size=(n_distinct, block_length)) & ~bits
     block_ones = pack_bits_to_words(bits)
@@ -97,33 +88,58 @@ def random_workload(rng, block_length):
     if mask_word_count(block_length) == 1:
         block_ones, block_zeros = block_ones[:, 0], block_zeros[:, 0]
     counts = rng.integers(1, 9, n_distinct).astype(np.int64)
-    blocks = block_table(block_ones, block_zeros, counts, block_length)
+    return block_table(block_ones, block_zeros, counts, block_length)
+
+
+def random_workload(rng, block_length):
+    """Random block table + ``(C, L, K)`` trit grid in declaration order."""
+    blocks = random_blocks(rng, int(rng.integers(1, 60)), block_length)
+    n_vectors = int(rng.integers(1, 14))
+    n_genomes = int(rng.integers(1, 9))
     grid = rng.integers(0, 3, size=(n_genomes, n_vectors, block_length))
-    grid = grid.astype(np.int8)
-    orders = np.stack([rng.permutation(n_vectors) for _ in range(n_genomes)])
-    return blocks, grid, orders
+    return blocks, grid.astype(np.int8)
 
 
-def cover_with(kernel, blocks, grid, orders):
+def cover_with(kernel, blocks, grid):
     """``prepare`` + ``cover_grid`` — exactly the fitness's two calls."""
-    ordered_grid = grid[np.arange(len(grid))[:, None], orders]
-    return kernel.cover_grid(kernel.prepare(blocks), ordered_grid, orders)
+    return kernel.cover_grid(kernel.prepare(blocks), grid)
 
 
-def reference_row(blocks, grid, orders, row):
-    """The scalar reference loop on one genome in declaration order."""
-    return cover_masks(
+def reference_order(mvs):
+    """The paper's covering priority in plain Python: a stable sort of
+    MV indices by U count."""
+    return np.asarray(
+        sorted(range(len(mvs)), key=lambda index: int((mvs[index] == DC).sum())),
+        dtype=np.int64,
+    )
+
+
+def reference_row(blocks, grid, row):
+    """``(frequencies, uncovered)`` of one genome by the reference loop,
+    under the early-exit convention (uncoverable → zero frequencies)."""
+    _, frequencies, uncovered = cover_masks(
         blocks.ones,
         blocks.zeros,
         blocks.counts,
         pack_bits_to_words(grid[row] == ONE),
         pack_bits_to_words(grid[row] == ZERO),
-        orders[row],
+        reference_order(grid[row]),
     )
+    return (np.zeros_like(frequencies) if uncovered else frequencies), uncovered
+
+
+def assert_matches_reference(name, blocks, grid, result):
+    frequencies, uncovered = result
+    assert frequencies.shape == grid.shape[:2], name
+    assert frequencies.dtype == np.int64 and uncovered.dtype == np.int64, name
+    for row in range(len(grid)):
+        ref_frequencies, ref_uncovered = reference_row(blocks, grid, row)
+        assert uncovered[row] == ref_uncovered, (name, row)
+        assert (frequencies[row] == ref_frequencies).all(), (name, row)
 
 
 class TestCrossKernelParity:
-    """bitpack ≡ native ≡ scalar, against the reference loop per row."""
+    """bitpack ≡ native ≡ the reference loop, row by row."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -132,22 +148,11 @@ class TestCrossKernelParity:
     )
     def test_kernels_match_reference_loop(self, seed, block_length):
         rng = np.random.default_rng(seed)
-        blocks, grid, orders = random_workload(rng, block_length)
+        blocks, grid = random_workload(rng, block_length)
         for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = cover_with(
-                get_kernel(name), blocks, grid, orders
+            assert_matches_reference(
+                name, blocks, grid, cover_with(get_kernel(name), blocks, grid)
             )
-            for row in range(len(grid)):
-                ref_assignment, ref_frequencies, ref_uncovered = (
-                    reference_row(blocks, grid, orders, row)
-                )
-                assert uncovered[row] == ref_uncovered, name
-                if ref_uncovered == 0:
-                    assert (assignment[row] == ref_assignment).all(), name
-                    assert (frequencies[row] == ref_frequencies).all(), name
-                else:  # the batch early-exit contract
-                    assert (assignment[row] == -1).all(), name
-                    assert (frequencies[row] == 0).all(), name
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -162,35 +167,27 @@ class TestCrossKernelParity:
             6,
         )
         grid = rng.integers(0, 2, size=(3, 1, 6)).astype(np.int8)
-        orders = np.zeros((3, 1), dtype=np.int64)
         results = {
-            name: cover_with(get_kernel(name), blocks, grid, orders)
+            name: cover_with(get_kernel(name), blocks, grid)
             for name in KERNEL_NAMES
         }
         for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = results[name]
+            frequencies, uncovered = results[name]
             assert (uncovered > 0).all(), name
-            assert (assignment == -1).all(), name
             assert (frequencies == 0).all(), name
-            for ours, theirs in zip(results[name], results["scalar"]):
+            for ours, theirs in zip(results[name], results["bitpack"]):
                 assert (ours == theirs).all(), name
 
     def test_empty_blocks_and_empty_batch(self):
         empty = BlockSet.from_trit_array(np.empty(0, dtype=np.int8), 4)
         all_u = np.full((3, 4, 4), DC, dtype=np.int8)
-        orders = np.tile(np.arange(4), (3, 1))
         blocks = BlockSet.from_string("0101 1X0X 0101", 4)
         for name in KERNEL_NAMES:
             kernel = get_kernel(name)
-            assignment, frequencies, uncovered = cover_with(
-                kernel, empty, all_u, orders
-            )
-            assert assignment.shape == (3, 0), name
+            frequencies, uncovered = cover_with(kernel, empty, all_u)
+            assert frequencies.shape == (3, 4) and uncovered.shape == (3,), name
             assert (frequencies == 0).all() and (uncovered == 0).all(), name
-            assignment, frequencies, uncovered = cover_with(
-                kernel, blocks, all_u[:0], orders[:0]
-            )
-            assert assignment.shape == (0, blocks.n_distinct), name
+            frequencies, uncovered = cover_with(kernel, blocks, all_u[:0])
             assert frequencies.shape == (0, 4) and uncovered.shape == (0,), name
 
     @settings(max_examples=20, deadline=None)
@@ -201,7 +198,7 @@ class TestCrossKernelParity:
     def test_match_columns_agree_with_reference(self, seed, block_length):
         """Standalone match columns ≡ one reference covering per MV."""
         rng = np.random.default_rng(seed)
-        blocks, grid, _ = random_workload(rng, block_length)
+        blocks, grid = random_workload(rng, block_length)
         mv_ones = pack_bits_to_words(grid[0] == ONE)
         mv_zeros = pack_bits_to_words(grid[0] == ZERO)
         for name in KERNEL_NAMES:
@@ -222,13 +219,161 @@ class TestCrossKernelParity:
 
     def test_contract_is_prepare_and_cover_grid(self):
         assert CoveringKernel.__abstractmethods__ == {"prepare", "cover_grid"}
-        for kernel_class in (BitpackKernel, NativeKernel, ScalarKernel):
+        for kernel_class in (BitpackKernel, NativeKernel):
             public = {
                 name
                 for name, value in vars(kernel_class).items()
                 if callable(value) and not name.startswith("_")
             }
             assert public == {"prepare", "cover_grid"}, kernel_class
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=70),
+    )
+    def test_covering_orders_is_stable_sort_by_u_count(self, seed, n_vectors):
+        rng = np.random.default_rng(seed)
+        # Few distinct U counts, so most MVs tie with another.
+        grid = rng.choice(3, size=(3, n_vectors, 3), p=[0.2, 0.2, 0.6])
+        orders = covering_orders(grid.astype(np.int8))
+        for row in range(len(grid)):
+            assert (orders[row] == reference_order(grid[row])).all()
+
+
+@pytest.fixture(params=[1, 2], ids=["omp1", "omp2"])
+def openmp_threads(request):
+    """Run the native kernel's OpenMP regions on 1 or 2 threads."""
+    from repro.core.kernels.native import _load_library
+
+    library = _load_library()[0]
+    if not hasattr(library, "omp_set_num_threads"):
+        pytest.skip("native kernel built without OpenMP")
+    previous = library.omp_get_max_threads()
+    library.omp_set_num_threads(request.param)
+    yield request.param
+    library.omp_set_num_threads(previous)
+
+
+def edge_grid(rng, n_vectors, block_length):
+    """Seven genomes at the covering edges, as one ``(7, L, K)`` grid.
+
+    0 random trits; 1 all-U (every MV ties, the first takes every
+    block); 2 one random MV repeated, last MV all-U (duplicates tie,
+    only the first can win); 3 fully specified (usually uncoverable);
+    4 fully specified, last MV all-U (zero-frequency MVs, often a
+    single active one); 5 one U per MV (NU ties everywhere);
+    6 one specified trit per MV (ties, mostly coverable).
+    """
+    n_genomes = 7
+    grid = rng.integers(0, 2, size=(n_genomes, n_vectors, block_length))
+    grid[0] = rng.integers(0, 3, size=(n_vectors, block_length))
+    grid[1] = DC
+    grid[2] = grid[2, :1]
+    grid[2, -1] = DC
+    grid[4, -1] = DC
+    columns = np.arange(n_vectors) % block_length
+    grid[5, np.arange(n_vectors), columns] = DC
+    kept = grid[6, np.arange(n_vectors), columns]
+    grid[6] = DC
+    grid[6, np.arange(n_vectors), columns] = kept
+    return grid.astype(np.int8)
+
+
+@requires_native
+class TestNativeDifferential:
+    """The native raw-grid pass against bitpack and the reference loop
+    at the word-size and chunk edges: K across the 32/64-bit lane
+    boundaries, L across the 64-candidate chunks of the single-word
+    loop, D = 1, at one and two OpenMP threads."""
+
+    @pytest.mark.parametrize("block_length", [1, 31, 32, 33, 63, 64, 65, 96])
+    def test_edges_match_bitpack_and_reference(self, openmp_threads, block_length):
+        rng = np.random.default_rng([block_length, openmp_threads])
+        for n_vectors in (1, 2, 63, 64, 65, 130):
+            for n_distinct in (1, 41):
+                blocks = random_blocks(rng, n_distinct, block_length)
+                grid = edge_grid(rng, n_vectors, block_length)
+                native = cover_with(NativeKernel(), blocks, grid)
+                bitpack = cover_with(BitpackKernel(), blocks, grid)
+                assert_matches_reference("native", blocks, grid, native)
+                for ours, theirs in zip(native, bitpack):
+                    assert (ours == theirs).all()
+                frequencies, uncovered = native
+                # The all-U genome: MV 0 wins every tie and every block.
+                assert uncovered[1] == 0
+                assert frequencies[1, 0] == blocks.counts.sum()
+                assert (frequencies[1, 1:] == 0).all()
+                # Duplicates after the first never cover a block.
+                assert uncovered[2] == 0
+                assert (frequencies[2, 1:-1] == 0).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([1, 12, 31, 32, 33, 63, 64, 65, 96]),
+        st.sampled_from([1, 2, 5, 63, 64, 65, 130]),
+    )
+    def test_random_grids_match_bitpack(self, seed, block_length, n_vectors):
+        rng = np.random.default_rng(seed)
+        blocks = random_blocks(rng, int(rng.integers(1, 300)), block_length)
+        u_share = rng.random()
+        grid = rng.choice(
+            3,
+            size=(int(rng.integers(1, 6)), n_vectors, block_length),
+            p=[(1 - u_share) / 2, (1 - u_share) / 2, u_share],
+        ).astype(np.int8)
+        native = cover_with(NativeKernel(), blocks, grid)
+        bitpack = cover_with(BitpackKernel(), blocks, grid)
+        for ours, theirs in zip(native, bitpack):
+            assert (ours == theirs).all()
+        assert_matches_reference("native", blocks, grid, native)
+
+    def test_strided_grid_prices_like_contiguous_copy(self):
+        """A strided grid view prices like its contiguous copy."""
+        rng = np.random.default_rng(5)
+        blocks = random_blocks(rng, 50, 12)
+        wide = rng.integers(0, 3, size=(4, 16, 24)).astype(np.int8)
+        grid = wide[:, :, ::2]
+        assert not grid.flags.c_contiguous
+        kernel = NativeKernel()
+        prepared = kernel.prepare(blocks)
+        for ours, theirs in zip(
+            kernel.cover_grid(prepared, grid),
+            kernel.cover_grid(prepared, np.ascontiguousarray(grid)),
+        ):
+            assert (ours == theirs).all()
+
+    def test_foreign_block_lanes_rejected(self):
+        """Lanes the C pass would read or write out of bounds raise."""
+        rng = np.random.default_rng(8)
+        blocks = random_blocks(rng, 20, 12)
+        grid = rng.integers(0, 3, size=(2, 4, 12)).astype(np.int8)
+        kernel = NativeKernel()
+        with pytest.raises(ValueError, match="do not fit"):
+            kernel.cover_grid(BitpackKernel().prepare(blocks), grid)  # uint32
+        wide = rng.integers(0, 3, size=(2, 4, 40)).astype(np.int8)
+        with pytest.raises(ValueError, match="do not fit"):
+            kernel.cover_grid(kernel.prepare(blocks), wide)  # K=12 table
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_objective_rows_bit_identical_to_bitpack(self, seed):
+        rng = np.random.default_rng(seed)
+        care = rng.random(900) < 0.4
+        values = rng.random(900) < 0.5
+        trits = np.where(care, values.astype(np.int8), np.int8(DC))
+        blocks = BlockSet.from_trit_array(trits.astype(np.int8), 12)
+        genomes = rng.choice(3, size=(6, 8 * 12), p=[0.2, 0.2, 0.6])
+        genomes = genomes.astype(np.int8)
+        genomes[:3, -12:] = DC  # coverable rows next to likely-invalid ones
+        objectives = {
+            name: BatchCompressionRateFitness(
+                blocks, n_vectors=8, block_length=12, kernel=name
+            ).evaluate_objectives(genomes)
+            for name in ("native", "bitpack")
+        }
+        assert objectives["native"].tobytes() == objectives["bitpack"].tobytes()
 
 
 class TestShardingKnobs:
@@ -241,11 +386,9 @@ class TestShardingKnobs:
     )
     def test_shard_size_is_result_invariant(self, seed, shard_size):
         rng = np.random.default_rng(seed)
-        blocks, grid, orders = random_workload(rng, 11)
-        baseline = cover_with(BitpackKernel(), blocks, grid, orders)
-        sharded = cover_with(
-            BitpackKernel(shard_size=shard_size), blocks, grid, orders
-        )
+        blocks, grid = random_workload(rng, 11)
+        baseline = cover_with(BitpackKernel(), blocks, grid)
+        sharded = cover_with(BitpackKernel(shard_size=shard_size), blocks, grid)
         for ours, theirs in zip(baseline, sharded):
             assert (ours == theirs).all()
 
@@ -277,12 +420,11 @@ class TestRegistry:
         )
 
     def test_auto_heuristic_shapes(self, no_native):
-        # The no-compiler rule: the scalar corner is unchanged and
-        # every batched shape — narrow, wide (K = 96) or a tiny table —
-        # goes to bitpack.
-        assert select_kernel_name(1, 8, 4, 8) == ScalarKernel.name
-        assert select_kernel_name(1, 8, 64, 12) == ScalarKernel.name
+        # The no-compiler rule: every shape — one genome or a batch,
+        # narrow, wide (K = 96) or a tiny table — goes to bitpack.
         for shape in (
+            (1, 8, 4, 8),
+            (1, 8, 64, 12),
             (256, 100, 64, 12),
             (256, 900, 64, 12),
             (256, 5000, 64, 64),
@@ -297,9 +439,9 @@ class TestRegistry:
     @requires_native
     def test_auto_prefers_native_when_available(self):
         # The compiled loop measured fastest on every batched shape,
-        # so with a toolchain present every non-scalar shape goes to it.
-        assert select_kernel_name(1, 8, 4, 8) == ScalarKernel.name
+        # so with a toolchain present every shape goes to it.
         for shape in (
+            (1, 8, 4, 8),
             (256, 100, 64, 12),
             (256, 900, 64, 12),
             (256, 5000, 64, 64),
@@ -378,7 +520,7 @@ class TestFitnessKernelChoice:
             rates[name] = fitness.evaluate_batch(genomes)
             assert fitness.kernel_name == name
         for name in KERNEL_NAMES:
-            assert (rates["scalar"] == rates[name]).all(), name
+            assert (rates["bitpack"] == rates[name]).all(), name
 
     def test_auto_resolves_on_first_batch(self):
         rng = np.random.default_rng(3)
@@ -460,15 +602,15 @@ class TestSeededRunParity:
 
     @pytest.mark.parametrize(
         "kernel",
-        ["auto", "bitpack", pytest.param("native", marks=requires_native), "scalar"],
+        ["auto", "bitpack", pytest.param("native", marks=requires_native)],
     )
     def test_seeded_runs_byte_identical(self, force_kernel, kernel):
         picked = self.digest(force_kernel, kernel)
-        assert picked == self.digest(force_kernel, "scalar")
+        assert picked == self.digest(force_kernel, "bitpack")
 
     def test_auto_without_compiler_matches(self, no_native, force_kernel):
         picked = self.digest(force_kernel, "auto")
-        assert picked == self.digest(force_kernel, "scalar")
+        assert picked == self.digest(force_kernel, "bitpack")
 
 
 class TestWideBlockEndToEnd:

@@ -109,14 +109,14 @@ class TestBuildCache:
         assert len(warnings) == 1
         assert "discarding corrupt native kernel build" in warnings[0]
         # The rebuilt library is real: the symbols resolve and run.
-        assert hasattr(library, "repro_cover")
+        assert all(hasattr(library, symbol) for symbol in _SYMBOLS)
         rebuilt, compiled_now = compile_cached(NATIVE_C_SOURCE, tmp_path)
         assert rebuilt.exists() and not compiled_now
 
     def test_missing_symbol_is_a_build_error(self, tmp_path):
         trivial = "int repro_nothing(void) { return 0; }\n"
         with pytest.raises(NativeBuildError, match="lacks symbol"):
-            load_native_library(trivial, ("repro_cover",), tmp_path)
+            load_native_library(trivial, ("repro_cover_grid",), tmp_path)
 
     def test_compile_failure_carries_compiler_stderr(self, tmp_path):
         with pytest.raises(NativeBuildError, match="compile failed"):
@@ -243,3 +243,43 @@ def test_process_pool_after_openmp_regions_does_not_hang():
         pytest.fail("process pool hung after the parent ran OpenMP regions")
     assert child.returncode == 0, err
     assert out.strip() == "ok"
+
+
+# Pool workers that load the library only after the fork: the parent
+# never prices a genome, exactly like `repro compress --jobs 2`.
+LOAD_AFTER_FORK_SCRIPT = textwrap.dedent(
+    """
+    from repro.core.kernels import native
+    from repro.parallel import ProcessBackend
+
+    def openmp_threads(_):
+        library = native._load_library()[0]
+        return library.omp_get_max_threads()
+
+    assert native._LOADED is None
+    print(ProcessBackend(2).map(openmp_threads, range(4)))
+    """
+)
+
+
+@requires_native
+def test_pool_workers_loading_after_fork_run_one_openmp_thread():
+    """Each worker loads the library itself; without the forked-child
+    flag libgomp would start one thread per core in every worker and
+    two workers would oversubscribe the machine."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", LOAD_AFTER_FORK_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=subprocess_environment(OMP_NUM_THREADS="2"),
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("process pool hung while loading the native library")
+    assert child.returncode == 0, err
+    assert out.strip() == "[1, 1, 1, 1]"

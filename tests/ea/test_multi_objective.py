@@ -233,12 +233,12 @@ class TestBuildParetoFront:
 
     def test_kernel_invariance(self, blocks, force_kernel):
         outputs = {}
-        for kernel in ("bitpack", "scalar"):
+        for kernel in ("bitpack", "auto"):
             force_kernel(kernel)
             outputs[kernel] = pareto_markdown(
                 build_pareto_front(blocks, fast_config(), seed=13)
             )
-        assert outputs["bitpack"] == outputs["scalar"]
+        assert outputs["bitpack"] == outputs["auto"]
 
     def test_adaptive_operators_rejected_through_config(self, blocks):
         config = fast_config().with_updates(

@@ -86,7 +86,7 @@ class TestFingerprint:
         written while one kernel priced serves runs another would price:
         same fingerprint, same journaled outcome."""
         records = []
-        for kernel in ("scalar", "bitpack"):
+        for kernel in ("auto", "bitpack"):
             force_kernel(kernel)
             task = _tasks()[0]
             records.append(

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -121,6 +122,31 @@ class TestEndpoints:
         assert status == 400
 
 
+class TestKeepAlive:
+    def test_accepted_sockets_set_tcp_nodelay(self):
+        """Headers and body leave in two writes; without TCP_NODELAY a
+        keep-alive client's delayed ACK stalls every response ~40 ms."""
+        instance = ServeDaemon(make_service(), port=0)
+        handler = instance._httpd.RequestHandlerClass
+        setup = handler.setup
+        nodelay = []
+
+        def recording_setup(self):
+            setup(self)
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        handler.setup = recording_setup
+        instance.start()
+        try:
+            status, _ = http(instance.address, "/healthz")
+        finally:
+            instance.shutdown(drain=True)
+        assert status == 200
+        assert nodelay and all(nodelay)
+
+
 class TestParity:
     def test_concurrent_fitness_is_byte_identical_to_offline(self, daemon):
         """The acceptance pin: served bytes == offline bytes, with the
@@ -178,7 +204,7 @@ class TestStats:
         assert "jobs" not in stats
         assert "jobs" not in inspect.signature(ServeDaemon).parameters
         assert set(stats["native"]) == {"available", "reason", "warned"}
-        assert sorted(stats["kernels"]) == ["bitpack", "native", "scalar"]
+        assert sorted(stats["kernels"]) == ["bitpack", "native"]
         (digest,) = stats["tables"]
         assert stats["tables"][digest]["engines"] == 0
         assert "mv_cache" not in stats["tables"][digest]

@@ -116,9 +116,7 @@ class TestKernelFlag:
         path = tmp_path / "patterns.txt"
         path.write_text(self.PATTERNS)
         outputs = {}
-        kernels = ("auto", "bitpack", "scalar") + (
-            ("native",) if NATIVE_OK else ()
-        )
+        kernels = ("auto", "bitpack") + (("native",) if NATIVE_OK else ())
         for kernel in kernels:
             force_kernel(kernel)
             assert main(["compress", str(path), *self.ARGS]) == 0
@@ -237,9 +235,8 @@ class TestKernelsCommand:
     def test_lists_every_backend_with_availability(self, capsys):
         assert main(["kernels"]) == 0
         output = capsys.readouterr().out
-        for name in ("bitpack", "scalar"):
-            assert f"{name}: available" in output
-        assert "gemm" not in output
+        assert "bitpack: available" in output
+        assert "gemm" not in output and "scalar" not in output
         if NATIVE_OK:
             assert "native: available" in output
         else:
@@ -705,9 +702,10 @@ class TestObjectivesFlag:
         variants = {
             "serial": ("auto", []),
             "jobs4": ("auto", ["--jobs", "4"]),
-            "scalar": ("scalar", []),
             "bitpack": ("bitpack", []),
         }
+        if NATIVE_OK:
+            variants["native"] = ("native", [])
         for name, (kernel, extra) in variants.items():
             force_kernel(kernel)
             assert main([*base, *extra]) == 0
