@@ -217,9 +217,7 @@ def test_kernel_path(benchmark, kernel_workload, kernel):
         blocks, n_vectors=n_vectors, block_length=block_length, kernel=kernel,
     )
     benchmark.group = f"kernel-{name}"
-    benchmark.extra_info["auto_pick"] = select_kernel_name(
-        len(genomes), blocks.n_distinct, n_vectors, block_length
-    )
+    benchmark.extra_info["auto_pick"] = select_kernel_name()
     rates = benchmark(fitness.evaluate_batch, genomes)
     _report(benchmark, len(genomes))
     assert rates.shape == (len(genomes),)

@@ -182,9 +182,7 @@ def bench_kernels(name: str, repeats: int) -> dict:
         "genomes_per_second": {
             kernel: round(value, 1) for kernel, value in throughput.items()
         },
-        "auto_selects": select_kernel_name(
-            batch_size, blocks.n_distinct, n_vectors, block_length
-        ),
+        "auto_selects": select_kernel_name(),
     }
     if "native" in throughput:
         row["speedup_native_vs_bitpack"] = round(

@@ -10,7 +10,7 @@ Commands
 ``ablate``      Run one of the ablation studies on a calibrated test set.
 ``kernels``     List the covering-kernel backends with availability
                 (e.g. ``native: unavailable — no C compiler found``)
-                and, with ``--shape C,D,L,K``, the ``auto`` pick.
+                and the ``auto`` pick.
 ``cache``       Inspect or clear the on-disk native kernel builds
                 (``list``/``info``/``clear``).
 ``serve``       Run the long-lived compression daemon: warm per-table
@@ -260,24 +260,19 @@ def _compress_command(arguments: argparse.Namespace) -> int:
             max_evaluations=arguments.max_evaluations,
         ),
     )
+    blocks = blocks8 if arguments.k == 8 else test_set.blocks(arguments.k)
     if arguments.objectives != "rate":
-        return _print_pareto_front(
-            test_set.blocks(arguments.k), config, arguments
-        )
+        return _print_pareto_front(blocks, config, arguments)
     optimizer = EAMVOptimizer(
         config, seed=arguments.seed, backend=resolve_backend(arguments.jobs)
     )
     retry, timeout = _resolve_fault_tolerance(arguments)
-    result = optimizer.optimize(
-        test_set.blocks(arguments.k), retry=retry, timeout=timeout
-    )
+    result = optimizer.optimize(blocks, retry=retry, timeout=timeout)
     print(
         f"EA     rate: {result.mean_rate:6.2f}% mean, "
         f"{result.best_rate:6.2f}% best over {config.runs} runs"
     )
-    compressed = compress_blocks(
-        test_set.blocks(arguments.k), result.best_mv_set
-    )
+    compressed = compress_blocks(blocks, result.best_mv_set)
     print(f"best MV usage: {compressed.mv_usage()}")
     return 0
 
@@ -599,33 +594,15 @@ def _request_command(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shape(text: str) -> tuple[int, int, int, int]:
-    """``C,D,L,K`` → four positive ints, else ``ValueError``."""
-    try:
-        shape = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        shape = ()
-    if len(shape) != 4 or min(shape) < 1:
-        raise ValueError(
-            f"invalid --shape {text!r}; expected C,D,L,K as four "
-            "positive integers"
-        )
-    return shape
-
-
 def _kernels_command(arguments: argparse.Namespace) -> int:
     from .core.kernels import kernel_availability, select_kernel_name
 
-    shape = None if arguments.shape is None else _parse_shape(arguments.shape)
     for name, reason in sorted(kernel_availability().items()):
         if reason is None:
             print(f"{name}: available")
         else:
             print(f"{name}: unavailable — {reason}")
-    if shape is not None:
-        c, d, l, k = shape
-        pick = select_kernel_name(c, d, l, k)
-        print(f"auto pick for shape C={c}, D={d}, L={l}, K={k}: {pick}")
+    print(f"auto pick: {select_kernel_name()}")
     return 0
 
 
@@ -706,20 +683,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_execution_arguments(report)
 
-    kernels = commands.add_parser(
+    commands.add_parser(
         "kernels",
-        help=(
-            "list covering-kernel backends with availability, and the "
-            "auto pick for a workload shape"
-        ),
-    )
-    kernels.add_argument(
-        "--shape",
-        default=None,
-        metavar="C,D,L,K",
-        help=(
-            "also print the auto kernel pick for this workload shape "
-            "(genome batch, distinct blocks, MVs per genome, block length)"
+        help="list covering-kernel backends with availability and the auto pick",
+        description=(
+            "List the covering-kernel backends with availability and the "
+            "auto kernel pick (native when available, else bitpack)."
         ),
     )
 

@@ -48,6 +48,7 @@ __all__ = [
     "masks_as_words",
     "pack_bits_to_words",
     "pack_trits",
+    "unique_rows",
     "unpack_masks",
     "unpack_words_to_bits",
     "words_to_int",
@@ -183,6 +184,40 @@ def masks_as_words(masks: np.ndarray) -> np.ndarray:
     return masks
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in canonical order, with inverse and counts.
+
+    The canonical order is ``np.unique(rows, axis=0)``'s: rows compared
+    column by column from column 0, each entry as a number.  Returns
+    ``(distinct, inverse, counts)`` exactly as
+    ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    would (``inverse`` one-dimensional, both index arrays ``int64``),
+    but from one ``np.lexsort`` over the columns and the run starts of
+    the sorted rows, instead of a sort of a structured-dtype view.
+    Every block table's distinct order comes from here, so the
+    in-memory and streamed builds agree by construction.
+
+    >>> distinct, inverse, counts = unique_rows(np.array([[2, 1], [1, 5], [2, 1]]))
+    >>> distinct.tolist(), inverse.tolist(), counts.tolist()
+    ([[1, 5], [2, 1]], [1, 0, 1], [1, 2])
+    """
+    rows = np.asarray(rows)
+    n_rows = rows.shape[0]
+    if n_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return rows.copy(), empty, empty.copy()
+    # lexsort's last key is the primary one, so the columns go in reversed.
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.empty(n_rows, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(n_rows, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    counts = np.diff(np.append(np.flatnonzero(starts), n_rows))
+    return ordered[starts], inverse, counts
+
+
 @dataclass(frozen=True)
 class BlockSet:
     """The input blocks of one test set, uniquified with multiplicities.
@@ -256,8 +291,7 @@ class BlockSet:
         ones_words = pack_bits_to_words(grid == ONE)
         zeros_words = pack_bits_to_words(grid == ZERO)
         pairs = np.concatenate([ones_words, zeros_words], axis=1)
-        distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        counts = np.bincount(inverse, minlength=len(distinct)).astype(np.int64)
+        distinct, inverse, counts = unique_rows(pairs)
         distinct_ones = np.ascontiguousarray(distinct[:, :n_words])
         distinct_zeros = np.ascontiguousarray(distinct[:, n_words:])
         if n_words == 1:

@@ -21,12 +21,14 @@ disk end to end:
   index, while the sequence streams to a temporary file.  Peak RAM is
   O(D + chunk), not O(n_blocks·K).
 
-The builder's :meth:`~StreamingBlockTableBuilder.finalize` sorts the
-distinct table exactly the way ``np.unique(axis=0)`` would, so a
-streamed build is *array-for-array identical* to
-``BlockSet.from_trit_array`` on the same trits — pinned by test, and
-the property that makes out-of-core pricing trivially byte-parity with
-in-memory pricing.
+The builder's :meth:`~StreamingBlockTableBuilder.finalize` puts the
+distinct table in canonical order through the same
+:func:`~repro.core.blocks.unique_rows` helper that
+``BlockSet.from_trit_array`` uses (``np.unique(axis=0)``'s order, from
+one ``np.lexsort``), so a streamed build is *array-for-array
+identical* to the in-memory one on the same trits — pinned by test,
+and the property that makes out-of-core pricing trivially byte-parity
+with in-memory pricing.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from pathlib import Path
 import numpy as np
 
 from ..io_utils import atomic_write_json
-from .blocks import BlockSet, mask_word_count, pack_bits_to_words
+from .blocks import (
+    BlockSet,
+    mask_word_count,
+    pack_bits_to_words,
+    unique_rows,
+)
 from .trits import DC, ONE, ZERO
 
 __all__ = [
@@ -119,10 +126,10 @@ class StreamingBlockTableBuilder:
     0/1/2); each chunk is packed and deduplicated against a global
     distinct index, and the block sequence streams to a temporary
     file.  ``finalize()`` writes the table under ``directory`` in
-    canonical (``np.unique``) order and returns the memory-mapped
-    :class:`BlockSet` — identical, array for array, to what
-    ``BlockSet.from_trit_array`` would build from the concatenated
-    chunks.
+    canonical (:func:`~repro.core.blocks.unique_rows`) order and
+    returns the memory-mapped :class:`BlockSet` — identical, array for
+    array, to what ``BlockSet.from_trit_array`` would build from the
+    concatenated chunks.
     """
 
     def __init__(self, block_length: int, directory: Path | str) -> None:
@@ -162,9 +169,7 @@ class StreamingBlockTableBuilder:
         ones = pack_bits_to_words(grid == ONE)
         zeros = pack_bits_to_words(grid == ZERO)
         pairs = np.concatenate([ones, zeros], axis=1)  # (C, 2W)
-        local_rows, local_inverse = np.unique(
-            pairs, axis=0, return_inverse=True
-        )
+        local_rows, local_inverse, _ = unique_rows(pairs)
         # Merge chunk-local uniques into the global first-seen index;
         # the loop runs over chunk-*distinct* rows only.
         global_ids = np.empty(len(local_rows), dtype=np.int64)
@@ -203,14 +208,11 @@ class StreamingBlockTableBuilder:
             rows = np.vstack(self._rows)  # (D, 2W), first-seen order
         else:
             rows = np.empty((0, 2 * words), dtype=np.uint64)
-        # Canonical order: np.unique itself sorts the (already
-        # distinct) rows, so streamed and in-memory builds of the same
-        # trits are array-identical by construction; the inverse map is
-        # each first-seen id's new position.
-        sorted_rows, new_id_of_old = np.unique(
-            rows, axis=0, return_inverse=True
-        )
-        new_id_of_old = new_id_of_old.reshape(-1)
+        # Canonical order: the helper that orders in-memory builds
+        # sorts the (already distinct) rows, so streamed and in-memory
+        # builds of the same trits are array-identical by construction;
+        # the inverse map is each first-seen id's new position.
+        sorted_rows, new_id_of_old, _ = unique_rows(rows)
         old_id_of_new = np.empty(n_distinct, dtype=np.int64)
         old_id_of_new[new_id_of_old] = np.arange(n_distinct)
         counts = np.asarray(self._counts, dtype=np.int64)[old_id_of_new]

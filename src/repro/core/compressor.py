@@ -5,6 +5,13 @@ actual compressed bit stream a tester would ship to the on-chip
 decoder: for every input block, the codeword of its matching vector
 followed by the fill bits for the MV's ``U`` positions.
 
+The stream is built from arrays, not bit by bit.  Every distinct block
+emits the same bits wherever it occurs, so each gets one row of a
+``uint8`` matrix (its final MV's codeword, then its values at that
+MV's ``U`` positions); the rows are gathered in test-set order by the
+block sequence, compacted with a validity mask and ``np.packbits``-ed,
+a bounded chunk of the sequence at a time.
+
 The reported ``compression_rate`` follows the paper exactly::
 
     100 * (original size - compressed size) / original size
@@ -20,13 +27,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..coding.bitstream import BitWriter
+import numpy as np
+
 from .blocks import BlockSet
 from .covering import CoveringResult, cover
 from .encoding import EncodingStrategy, EncodingTable, build_encoding_table
 from .matching import MVSet
 
 __all__ = ["CompressedTestSet", "compress_blocks", "compression_rate"]
+
+# Blocks of the sequence emitted per chunk.  The gathered
+# (chunk, longest row) bit matrix and its mask are the emitter's only
+# sequence-sized arrays: 2**16 blocks keep them at a few MiB even for
+# K = 96 with long codewords, a paper-sized table (a few thousand
+# blocks) still goes in one pass, and a memory-mapped 40 M-block
+# sequence streams through without ever being gathered whole.
+_EMIT_CHUNK_BLOCKS = 1 << 16
 
 
 def compression_rate(original_bits: int, compressed_bits: int) -> float:
@@ -129,30 +145,15 @@ def compress_blocks(
     table = build_encoding_table(
         mv_set, covering.frequency_map(), strategy, fixed_codewords
     )
-
-    # Emit the stream block by block, in test-set order.  Each distinct
-    # block always produces the same bits (codeword + fills), so that
-    # run is materialized once as a tuple and replayed per occurrence —
-    # no per-block dict lookups, int() conversions or list building.
-    writer = BitWriter()
-    codeword_bits: dict[int, tuple[int, ...]] = {
-        mv_index: tuple(1 if ch == "1" else 0 for ch in word)
-        for mv_index, word in table.codewords.items()
-    }
-    emitted_bits: list[tuple[int, ...]] = []
-    for distinct_index, mv_index in enumerate(covering.assignment.tolist()):
-        final_mv = table.final_mv(mv_index)
-        fills = mv_set[final_mv].fill_bits(
-            blocks.block_trits(distinct_index), fill_default
-        )
-        emitted_bits.append(codeword_bits[final_mv] + tuple(fills))
-    write_bits = writer.write_bits
-    for distinct_index in blocks.sequence.tolist():
-        write_bits(emitted_bits[distinct_index])
-
-    if writer.bit_length != table.total_bits:
+    if fill_default not in (0, 1):
+        raise ValueError("fill_default must be 0 or 1")
+    rows, lengths = _block_rows(
+        blocks, mv_set, table, covering.assignment, fill_default
+    )
+    payload, payload_bits = _emit(rows, lengths, blocks.sequence)
+    if payload_bits != table.total_bits:
         raise AssertionError(
-            f"emitted {writer.bit_length} bits but encoding table "
+            f"emitted {payload_bits} bits but encoding table "
             f"predicted {table.total_bits}"
         )
     return CompressedTestSet(
@@ -160,7 +161,92 @@ def compress_blocks(
         mv_set=mv_set,
         table=table,
         covering=covering,
-        payload=writer.getvalue(),
-        payload_bits=writer.bit_length,
+        payload=payload,
+        payload_bits=payload_bits,
         fill_default=fill_default,
     )
+
+
+def _mask_bits(words: np.ndarray, block_length: int) -> np.ndarray:
+    """``(D, W)`` little-endian mask words → ``(D, K)`` uint8 bits.
+
+    Position 0 (the most significant bit of the K-bit mask) comes
+    first, as in :func:`repro.core.blocks.unpack_words_to_bits`, but
+    one byte per bit instead of one uint64.
+    """
+    big_endian = np.ascontiguousarray(words[:, ::-1], dtype=">u8")
+    bits = np.unpackbits(big_endian.view(np.uint8), axis=1)
+    return bits[:, bits.shape[1] - block_length :]
+
+
+def _block_rows(
+    blocks: BlockSet,
+    mv_set: MVSet,
+    table: EncodingTable,
+    assignment: np.ndarray,
+    fill_default: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct block's emitted bits, left-aligned, one row each.
+
+    Row ``d`` is the codeword of block ``d``'s final MV (its covering
+    MV after subsumption redirects), then the block's values at that
+    MV's ``U`` positions: a specified bit keeps its value, an ``X``
+    takes ``fill_default``.  Returns ``(rows, lengths)``: a
+    ``(D, longest row)`` uint8 matrix and each row's valid bit count.
+    """
+    block_length = blocks.block_length
+    # A block's value at every position, X already filled: its ones
+    # mask under a 0 fill, the complement of its zeros mask under a 1.
+    if fill_default:
+        values = 1 - _mask_bits(blocks.zeros_words, block_length)
+    else:
+        values = _mask_bits(blocks.ones_words, block_length)
+    # Two constant columns, 0 then 1, so codeword bits are gathered
+    # from the same matrix as fill bits.
+    zero_column, one_column = block_length, block_length + 1
+    values = np.concatenate(
+        [values, np.broadcast_to(np.array([0, 1], np.uint8), (len(values), 2))],
+        axis=1,
+    )
+    sources_by_mv = {
+        mv_index: [one_column if bit == "1" else zero_column for bit in codeword]
+        + list(mv_set[mv_index].u_positions)
+        for mv_index, codeword in table.codewords.items()
+    }
+    width = max(map(len, sources_by_mv.values()), default=0)
+    sources = np.full((len(mv_set), width), zero_column, dtype=np.intp)
+    lengths = np.zeros(len(mv_set), dtype=np.int64)
+    for mv_index, columns in sources_by_mv.items():
+        sources[mv_index, : len(columns)] = columns
+        lengths[mv_index] = len(columns)
+    final = np.arange(len(mv_set))
+    for mv_index, target in table.redirect.items():
+        final[mv_index] = target
+    final_mv = final[assignment]
+    rows = np.take_along_axis(values, sources[final_mv], axis=1)
+    return rows, lengths[final_mv]
+
+
+def _emit(
+    rows: np.ndarray, lengths: np.ndarray, sequence: np.ndarray
+) -> tuple[bytes, int]:
+    """Concatenate ``rows[sequence]`` into MSB-first packed bytes.
+
+    Returns ``(payload, bit count)``; the final partial byte is
+    zero-padded.  Bits that do not fill a whole byte at the end of a
+    chunk carry over into the next one.
+    """
+    valid = np.arange(rows.shape[1]) < lengths[:, None]
+    packed = []
+    carry = np.empty(0, dtype=np.uint8)
+    n_bits = 0
+    for start in range(0, len(sequence), _EMIT_CHUNK_BLOCKS):
+        chunk = np.asarray(sequence[start : start + _EMIT_CHUNK_BLOCKS])
+        bits = rows[chunk][valid[chunk]]
+        n_bits += bits.size
+        bits = np.concatenate([carry, bits])
+        whole = bits.size - bits.size % 8
+        packed.append(np.packbits(bits[:whole]).tobytes())
+        carry = bits[whole:]
+    packed.append(np.packbits(carry).tobytes())
+    return b"".join(packed), n_bits

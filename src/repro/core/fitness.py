@@ -121,27 +121,18 @@ class BatchCompressionRateFitness:
         self._block_length = block_length
         self._strategy = strategy
         self._invalid_fitness = invalid_fitness
-        # The kernel choice; "auto" resolves lazily on the first batch
-        # (the heuristic wants the generation size C), concrete names
-        # resolve and prepare the block table right away.
+        # The kernel choice; "auto" resolves on the first batch, a named
+        # kernel right away, so an unavailable one fails here.
         self._kernel_choice = kernel
         self._kernel: CoveringKernel | None = None
         self._prepared = None
         if kernel != AUTO_KERNEL:
-            self._resolve_kernel(n_genomes=1)
+            self._prepare_kernel()
         self.evaluations = 0
 
-    def _resolve_kernel(self, n_genomes: int) -> CoveringKernel:
-        if self._kernel is None:
-            self._kernel = resolve_kernel(
-                self._kernel_choice,
-                n_genomes=n_genomes,
-                n_distinct=self._blocks.n_distinct,
-                n_vectors=self._n_vectors,
-                block_length=self._block_length,
-            )
-            self._prepared = self._kernel.prepare(self._blocks)
-        return self._kernel
+    def _prepare_kernel(self) -> None:
+        self._kernel = resolve_kernel(self._kernel_choice)
+        self._prepared = self._kernel.prepare(self._blocks)
 
     @property
     def blocks(self) -> BlockSet:
@@ -206,10 +197,11 @@ class BatchCompressionRateFitness:
         n_genomes = matrix.shape[0]
         grid = matrix.reshape(n_genomes, self._n_vectors, self._block_length)
         n_unspecified = (grid == DC).sum(axis=2, dtype=np.int64)
-        kernel = self._resolve_kernel(n_genomes)
+        if self._kernel is None:
+            self._prepare_kernel()
         if clock:
             clock.mark("pack")
-        frequencies, uncovered = kernel.cover_grid(self._prepared, grid)
+        frequencies, uncovered = self._kernel.cover_grid(self._prepared, grid)
         if clock:
             clock.mark("cover")
         return frequencies, uncovered, n_unspecified

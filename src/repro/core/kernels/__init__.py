@@ -119,31 +119,18 @@ def get_kernel(name: str) -> CoveringKernel:
     return factory()
 
 
-def select_kernel_name(
-    n_genomes: int,
-    n_distinct: int,
-    n_vectors: int,
-    block_length: int,
-) -> str:
+def select_kernel_name() -> str:
     """The ``auto`` rule: ``native`` when available, else ``bitpack``.
 
     The compiled kernel measured fastest at every shape probed; the
-    numpy kernel needs no compiler.  The workload shape (C, D, L, K)
-    does not enter the rule; it stays in the signature so the shape
-    reads the same everywhere a kernel is resolved.
+    numpy kernel needs no compiler.
     """
     if kernel_unavailable_reason(NativeKernel.name) is None:
         return NativeKernel.name
     return BitpackKernel.name
 
 
-def resolve_kernel(
-    choice: str | CoveringKernel,
-    n_genomes: int,
-    n_distinct: int,
-    n_vectors: int,
-    block_length: int,
-) -> CoveringKernel:
+def resolve_kernel(choice: str | CoveringKernel) -> CoveringKernel:
     """Turn a kernel choice (name, ``auto`` or instance) into a kernel.
 
     Availability is threaded through both paths asymmetrically:
@@ -156,9 +143,7 @@ def resolve_kernel(
     if isinstance(choice, CoveringKernel):
         return choice
     if choice == AUTO_KERNEL:
-        choice = select_kernel_name(
-            n_genomes, n_distinct, n_vectors, block_length
-        )
+        choice = select_kernel_name()
     elif choice in _REGISTRY:
         reason = kernel_unavailable_reason(choice)
         if reason is not None:

@@ -33,6 +33,7 @@ interleaved lines under concurrency.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -177,25 +178,23 @@ class _EAConfigJob:
 
 
 def _config_jobs(
-    search_set: TestSet,
+    search_blocks: Callable[[int], BlockSet],
     configurations: list[tuple[str, int, int]],
     budget: ExperimentBudget,
     seed: int,
 ) -> list[_EAConfigJob]:
     """Build self-seeded run tasks for every (label, K, L) of a row.
 
+    ``search_blocks(K)`` is the search set's block table at ``K``.
     Each configuration gets its own :class:`~numpy.random.SeedSequence`
     child of the row seed, and the optimizer spawns one grandchild per
     run — the spawn tree fixes every run's stream before any work is
     submitted, so execution order can never change results.
     """
-    blocks_cache: dict[int, BlockSet] = {}
     jobs = []
     for (label, block_length, n_vectors), child in zip(
         configurations, spawn_seeds(seed, len(configurations))
     ):
-        if block_length not in blocks_cache:
-            blocks_cache[block_length] = search_set.blocks(block_length)
         config = CompressionConfig(
             block_length=block_length,
             n_vectors=n_vectors,
@@ -207,7 +206,7 @@ def _config_jobs(
             _EAConfigJob(
                 label=label,
                 block_length=block_length,
-                tasks=optimizer.build_run_tasks(blocks_cache[block_length]),
+                tasks=optimizer.build_run_tasks(search_blocks(block_length)),
             )
         )
     return jobs
@@ -215,7 +214,7 @@ def _config_jobs(
 
 def _execute_config_jobs(
     jobs: list[_EAConfigJob],
-    test_set: TestSet,
+    full_blocks: Callable[[int], BlockSet],
     search_is_full: bool,
     backend: ExecutionBackend,
     progress: Callable[[str], None] | None,
@@ -227,7 +226,8 @@ def _execute_config_jobs(
     """(mean rate, best rate) per configuration, via one flat fan-out.
 
     The search may have run on a subsample; every run's best MV set is
-    then re-priced on the full test set with Huffman coding.  Progress
+    then re-priced on the full test set (``full_blocks(K)``, its block
+    table at ``K``) with Huffman coding.  Progress
     emits one line per configuration, released in configuration order
     as soon as all of a configuration's runs are in.  ``retry``/
     ``timeout``/``stats`` ride through to the backend and ``cache``
@@ -252,7 +252,6 @@ def _execute_config_jobs(
     )
 
     rates = []
-    full_blocks_cache: dict[int, BlockSet] = {}
     for job, job_outcomes in zip(jobs, grouped):
         result = OptimizationResult(
             config=job.tasks[0].config, runs=tuple(job_outcomes)
@@ -260,13 +259,9 @@ def _execute_config_jobs(
         if search_is_full:
             rates.append((result.mean_rate, result.best_rate))
             continue
-        if job.block_length not in full_blocks_cache:
-            full_blocks_cache[job.block_length] = test_set.blocks(
-                job.block_length
-            )
         repriced = [
             compress_blocks(
-                full_blocks_cache[job.block_length],
+                full_blocks(job.block_length),
                 run.mv_set,
                 EncodingStrategy.HUFFMAN,
             ).rate
@@ -319,7 +314,10 @@ def run_row(
     calibration = calibrate_spec(spec, row.published["9C"])
     test_set = calibration.test_set
 
-    nine_c_blocks = test_set.blocks(DEFAULT_NINE_C_BLOCK_LENGTH)
+    # One block table per K for the whole row: the 9C columns, an
+    # unsampled search and the re-pricing all share it.
+    full_blocks = functools.cache(test_set.blocks)
+    nine_c_blocks = full_blocks(DEFAULT_NINE_C_BLOCK_LENGTH)
     measured: dict[str, float] = {
         "9C": compress_nine_c(nine_c_blocks).rate,
         "9C+HC": compress_nine_c(nine_c_blocks, use_huffman=True).rate,
@@ -334,7 +332,11 @@ def run_row(
         configurations = [("EA1 K=8,L=9", 8, 9), ("EA2 K=12,L=64", 12, 64)]
 
     search_set = _subsample(test_set, budget.search_bit_cap, seed)
-    jobs = _config_jobs(search_set, configurations, budget, seed)
+    search_is_full = search_set is test_set
+    search_blocks = (
+        full_blocks if search_is_full else functools.cache(search_set.blocks)
+    )
+    jobs = _config_jobs(search_blocks, configurations, budget, seed)
     stats = FaultToleranceStats()
     cache = (
         checkpoint.cache(f"{kind}:{row.circuit}:seed{seed}", stats=stats)
@@ -342,7 +344,7 @@ def run_row(
         else None
     )
     rates = _execute_config_jobs(
-        jobs, test_set, search_set is test_set, backend, progress,
+        jobs, full_blocks, search_is_full, backend, progress,
         retry=retry, timeout=timeout, stats=stats, cache=cache,
     )
 

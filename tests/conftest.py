@@ -32,7 +32,7 @@ def force_kernel(monkeypatch):
     auto = kernels.select_kernel_name
 
     def force(name: str) -> None:
-        pick = auto if name == "auto" else (lambda *shape: name)
+        pick = auto if name == "auto" else (lambda: name)
         monkeypatch.setattr(kernels, "select_kernel_name", pick)
 
     return force

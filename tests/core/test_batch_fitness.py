@@ -45,10 +45,7 @@ def random_genome_batch(
 def auto_cover(blocks, grid):
     """Cover a ``(C, L, K)`` grid the way the fitness does: the ``auto``
     kernel, ``prepare`` once, then one ``cover_grid`` pass."""
-    n_genomes, n_vectors, block_length = grid.shape
-    kernel = resolve_kernel(
-        "auto", n_genomes, blocks.n_distinct, n_vectors, block_length
-    )
+    kernel = resolve_kernel("auto")
     return kernel.cover_grid(kernel.prepare(blocks), grid)
 
 

@@ -205,8 +205,7 @@ FORK_AFTER_OPENMP_SCRIPT = textwrap.dedent(
         "fork", n_patterns=60, pattern_bits=96, care_density=0.4, seed=3
     )
     blocks = synthetic_test_set(spec).blocks(12)
-    # The auto pick, asked the way the fitness asks it on every batch.
-    assert select_kernel_name(1, blocks.n_distinct, 8, 12) == "native"
+    assert select_kernel_name() == "native"  # the fitness's auto pick
     config = CompressionConfig(
         block_length=12, n_vectors=8, runs=2,
         ea=EAParameters(stagnation_limit=5, max_evaluations=60),

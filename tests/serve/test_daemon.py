@@ -253,16 +253,30 @@ class TestRemovedKernel:
 
 
 class TestDegradation:
-    def test_timeout_is_504_and_counted(self):
-        daemon = ServeDaemon(make_service(), port=0, request_timeout=1e-6)
+    def test_timeout_is_504_and_counted(self, monkeypatch):
+        # The compress worker is held until the 504 is in: a fast
+        # /compress could otherwise finish before the handler starts
+        # waiting and come back 200 despite the 1 µs timeout.
+        service = make_service()
+        release = threading.Event()
+        run_compress = service.run_compress
+
+        def held_compress(body):
+            release.wait(timeout=60)
+            return run_compress(body)
+
+        monkeypatch.setattr(service, "run_compress", held_compress)
+        daemon = ServeDaemon(service, port=0, request_timeout=1e-6)
         daemon.start()
         try:
             status, raw = http(daemon.address, "/compress", COMPRESS_BODY)
+            release.set()
             assert status == 504
             assert "abandoned" in json.loads(raw)["error"]
             stats = json.loads(http(daemon.address, "/stats")[1])
             assert stats["requests"]["timeouts"] == 1
         finally:
+            release.set()
             daemon.shutdown(drain=True)
 
     def test_draining_daemon_answers_503(self):
