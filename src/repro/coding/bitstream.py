@@ -1,10 +1,12 @@
-"""Bit-level I/O used by the compressor and the on-chip decoder model.
+"""Bit-level I/O for the on-chip decoder model and bit-string helpers.
 
 The compressed test data produced by code-based compression is a plain
 bit string (codewords followed by fill bits).  ``BitWriter`` accumulates
 bits most-significant-first into a compact :class:`bytearray`;
 ``BitReader`` replays them in the same order, which is exactly what a
-serial on-chip decoder would see on its input pin.
+serial on-chip decoder would see on its input pin.  The compressor
+builds its payload in the same MSB-first layout with array operations
+(:mod:`repro.core.compressor`), not through ``BitWriter``.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class BitWriter:
         """Append a sequence of bits in order.
 
         Bulk counterpart of :meth:`write_bit` with the buffer and
-        cursor hoisted into locals — the compressor emits every block
-        through here, so per-bit attribute/method dispatch matters.
+        cursor hoisted into locals.  The compressor does not write
+        through here: it packs whole streams with ``np.packbits``.
         """
         buffer = self._buffer
         position = self._bit_count

@@ -108,13 +108,15 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
 def unpack_words_to_bits(words: np.ndarray, block_length: int) -> np.ndarray:
     """Invert :func:`pack_bits_to_words`: ``(..., W)`` words → ``(..., K)``.
 
-    Returns a uint64 0/1 array with position 0 (the MSB) first.
+    Returns a uint8 0/1 array with position 0 (the MSB) first.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    exponents = np.arange(block_length - 1, -1, -1, dtype=np.int64)
-    word_index = exponents // WORD_BITS
-    shifts = (exponents % WORD_BITS).astype(np.uint64)
-    return (words[..., word_index] >> shifts) & np.uint64(1)
+    # Most significant word first, each word's bytes big-endian: the
+    # K-bit value is then the last K bits of one MSB-first bit string.
+    big_endian = np.ascontiguousarray(
+        np.asarray(words, dtype=np.uint64)[..., ::-1], dtype=">u8"
+    )
+    bits = np.unpackbits(big_endian.view(np.uint8), axis=-1)
+    return bits[..., bits.shape[-1] - block_length :]
 
 
 def int_to_words(value: int, n_words: int) -> tuple[int, ...]:

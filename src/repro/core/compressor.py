@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockSet
+from .blocks import BlockSet, unpack_words_to_bits
 from .covering import CoveringResult, cover
 from .encoding import EncodingStrategy, EncodingTable, build_encoding_table
 from .matching import MVSet
@@ -167,18 +167,6 @@ def compress_blocks(
     )
 
 
-def _mask_bits(words: np.ndarray, block_length: int) -> np.ndarray:
-    """``(D, W)`` little-endian mask words → ``(D, K)`` uint8 bits.
-
-    Position 0 (the most significant bit of the K-bit mask) comes
-    first, as in :func:`repro.core.blocks.unpack_words_to_bits`, but
-    one byte per bit instead of one uint64.
-    """
-    big_endian = np.ascontiguousarray(words[:, ::-1], dtype=">u8")
-    bits = np.unpackbits(big_endian.view(np.uint8), axis=1)
-    return bits[:, bits.shape[1] - block_length :]
-
-
 def _block_rows(
     blocks: BlockSet,
     mv_set: MVSet,
@@ -198,9 +186,9 @@ def _block_rows(
     # A block's value at every position, X already filled: its ones
     # mask under a 0 fill, the complement of its zeros mask under a 1.
     if fill_default:
-        values = 1 - _mask_bits(blocks.zeros_words, block_length)
+        values = 1 - unpack_words_to_bits(blocks.zeros_words, block_length)
     else:
-        values = _mask_bits(blocks.ones_words, block_length)
+        values = unpack_words_to_bits(blocks.ones_words, block_length)
     # Two constant columns, 0 then 1, so codeword bits are gathered
     # from the same matrix as fill bits.
     zero_column, one_column = block_length, block_length + 1
