@@ -4,9 +4,9 @@ Two comparisons share the synthetic workloads:
 
 * **Batching** — the pre-batching per-genome ``reference`` algorithm
   (dict/heap Huffman over a Python covering loop, pinned verbatim),
-  the batch-of-one ``scalar`` wrapper, and the ``batched``
-  generation path (PR 1's tentpole: ≥5× batched over reference on
-  ``medium``).
+  ``scalar`` (one genome per ``evaluate_batch`` call), and the
+  ``batched`` generation path (PR 1's tentpole: ≥5× batched over
+  reference on ``medium``).
 * **Covering kernels** — the same batched pipeline under each
   usable kernel (``bitpack``, ``native``;
   :mod:`repro.core.kernels`), including the ``wide`` K = 96 workload
@@ -29,12 +29,8 @@ import pytest
 
 from repro.coding.huffman import huffman_code_lengths
 from repro.core.covering import cover_masks
-from repro.core.fitness import (
-    INVALID_FITNESS,
-    BatchCompressionRateFitness,
-    CompressionRateFitness,
-)
-from repro.core.kernels import select_kernel_name, usable_kernels
+from repro.core.fitness import INVALID_FITNESS, BatchCompressionRateFitness
+from repro.core.kernels import kernel_availability, select_kernel_name
 from repro.ea.genome import random_genome
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
@@ -72,7 +68,9 @@ KERNEL_WORKLOADS = {
 
 # Only kernels this machine can actually run: a toolchain-less
 # container benches bitpack only, a full one adds `native`.
-KERNELS = tuple(usable_kernels())
+KERNELS = tuple(
+    name for name, reason in sorted(kernel_availability().items()) if reason is None
+)
 
 
 def reference_scalar_fitness(blocks, n_vectors, block_length):
@@ -136,11 +134,13 @@ def test_reference_scalar_path(benchmark, workload):
 
 def test_scalar_wrapper_path(benchmark, workload):
     name, blocks, block_length, n_vectors, genomes = workload
-    fitness = CompressionRateFitness(
+    fitness = BatchCompressionRateFitness(
         blocks, n_vectors=n_vectors, block_length=block_length
     )
     benchmark.group = f"fitness-{name}"
-    rates = benchmark(lambda: [fitness(genome) for genome in genomes])
+    rates = benchmark(
+        lambda: [fitness.evaluate_batch(genome[None, :]) for genome in genomes]
+    )
     _report(benchmark, len(genomes))
     assert len(rates) == len(genomes)
 
@@ -160,16 +160,14 @@ def test_all_paths_agree(workload):
     """Not a benchmark: the three contenders must price identically."""
     _, blocks, block_length, n_vectors, genomes = workload
     evaluate = reference_scalar_fitness(blocks, n_vectors, block_length)
-    scalar = CompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
     batch = BatchCompressionRateFitness(
         blocks, n_vectors=n_vectors, block_length=block_length
     )
     sample = genomes[:16]
     batched_rates = batch.evaluate_batch(sample)
     for index, genome in enumerate(sample):
-        assert batched_rates[index] == evaluate(genome) == scalar(genome)
+        single = batch.evaluate_batch(genome[None, :])[0]
+        assert batched_rates[index] == evaluate(genome) == single
 
 
 def build_kernel_workload(name):

@@ -14,7 +14,7 @@ from repro.coding.huffman import huffman_code_lengths
 from repro.core.blocks import BlockSet
 from repro.core.compressor import compress_blocks
 from repro.core.decompressor import decompress
-from repro.core.fitness import BatchCompressionRateFitness, CompressionRateFitness
+from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.matching import MVSet
 from repro.core.nine_c import compress_nine_c
 from repro.ea.genome import random_genome
@@ -42,13 +42,13 @@ def test_blockset_construction(benchmark, medium_test_set):
 
 def test_fitness_evaluation(benchmark, medium_blocks):
     """One EA fitness evaluation (cover + Huffman + price), L=64, K=12."""
-    fitness = CompressionRateFitness(
+    fitness = BatchCompressionRateFitness(
         medium_blocks, n_vectors=64, block_length=12
     )
     genome = random_genome(64 * 12, np.random.default_rng(3))
     genome[-12:] = 2  # all-U tail, as the optimizer pins it
-    rate = benchmark(fitness, genome)
-    assert rate > -100.0
+    rates = benchmark(fitness.evaluate_batch, genome[None, :])
+    assert rates[0] > -100.0
 
 
 def test_fitness_generation_batch(benchmark, medium_blocks):

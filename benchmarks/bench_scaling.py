@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.fitness import CompressionRateFitness
+from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.nine_c import compress_nine_c
 from repro.ea.genome import random_genome
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
@@ -59,10 +59,12 @@ def test_scaling_fitness_evaluation(benchmark, label):
         )
     )
     blocks = test_set.blocks(12)
-    fitness = CompressionRateFitness(blocks, n_vectors=64, block_length=12)
+    fitness = BatchCompressionRateFitness(blocks, n_vectors=64, block_length=12)
     genome = random_genome(64 * 12, np.random.default_rng(1))
     genome[-12:] = 2
     benchmark.extra_info["total_bits"] = test_set.total_bits
     benchmark.extra_info["distinct_blocks"] = blocks.n_distinct
-    rate = benchmark.pedantic(fitness, args=(genome,), rounds=3, iterations=1)
-    assert rate > -1000.0
+    rates = benchmark.pedantic(
+        fitness.evaluate_batch, args=(genome[None, :],), rounds=3, iterations=1
+    )
+    assert rates[0] > -1000.0

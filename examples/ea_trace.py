@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.blocks import BlockSet
 from repro.core.config import EAParameters
-from repro.core.fitness import CompressionRateFitness
+from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.matching import MVSet
 from repro.core.trits import DC
 from repro.ea.engine import EvolutionaryEngine
@@ -43,7 +43,7 @@ def main() -> None:
         f"{blocks.n_distinct} distinct; paper 9C rate {row.published['9C']}%"
     )
 
-    fitness = CompressionRateFitness(blocks, n_vectors=L, block_length=K)
+    fitness = BatchCompressionRateFitness(blocks, n_vectors=L, block_length=K)
 
     def pin_all_u(genome):
         repaired = genome.copy()

@@ -23,7 +23,6 @@ from .core import (
     BlockSet,
     CompressedTestSet,
     CompressionConfig,
-    CompressionRateFitness,
     CoveringResult,
     DecodedTestSet,
     EAMVOptimizer,
@@ -50,7 +49,6 @@ __all__ = [
     "BlockSet",
     "CompressedTestSet",
     "CompressionConfig",
-    "CompressionRateFitness",
     "CoveringResult",
     "DecodedTestSet",
     "EAMVOptimizer",

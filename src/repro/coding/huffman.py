@@ -22,10 +22,9 @@ For a whole generation at once (:func:`huffman_total_bits_batch`,
 :func:`huffman_length_stats_batch`) the merge runs in C, one call per
 frequency matrix, whenever the native kernel library
 (:mod:`repro.core.kernels.native`) is loaded.  Without a compiler the
-batch functions fall back to the Python merges :func:`_merge_total`
-and :func:`_merge_stats` (lockstep-vectorized across rows for large
-batches), which also serve as the test oracle; every path returns the
-same integers.
+batch functions fall back to one batched sort and the per-row Python
+merges :func:`_merge_total` and :func:`_merge_stats`, which also
+serve as the test oracle; every path returns the same integers.
 """
 
 from __future__ import annotations
@@ -51,15 +50,6 @@ __all__ = [
     "weighted_length",
     "entropy_bound",
 ]
-
-# Without the native library: below this many rows the per-row Python
-# merge beats the lockstep batch machinery (whose step count scales
-# with L, not the row count).  Measured at L = 64 on a 2-vCPU x86
-# container: per-row 1.3 ms vs lockstep 1.8 ms at 64 rows, even at 96,
-# 2.6 vs 1.9 ms at 128.  The paper's C = 5 generations always take the
-# per-row merge.
-_LOCKSTEP_MIN_ROWS = 96
-
 
 def _native_stats(freqs: np.ndarray) -> np.ndarray | None:
     """``(4, R)`` merge aggregates from the C routine, or ``None``.
@@ -162,23 +152,14 @@ def huffman_total_bits_batch(frequency_matrix: np.ndarray) -> np.ndarray:
     """Row-wise :func:`huffman_total_bits` over a ``(C, L)`` matrix.
 
     This is the batched fitness engine's pricing kernel: one call prices
-    every genome of a generation.  All ``C`` rows run the two-queue
-    merge in lockstep — each of the ``L−1`` steps pops the two smallest
-    pending nodes of every row with ``O(C)`` vectorized work — so the
-    Python-level loop count depends only on ``L``, not on the batch
-    size.  Rows are padded with ``+inf`` sentinels; rows with fewer
-    active symbols simply stop participating early.
+    every genome of a generation.  With the native library loaded, an
+    integer matrix runs through its C merge in one call.  Otherwise
+    one batched sort feeds the per-row Python merge
+    :func:`_merge_total` — same results on every path.
 
     Frequencies must be non-negative; zeros are inactive.  Returns an
     ``int64`` array of ``Σ freq·len`` per row (0 for all-zero rows,
-    ``freq`` itself for single-symbol rows).  Exact for totals below
-    2**53 (float64 accumulation of integer weights).
-
-    With the native library loaded, an integer matrix is priced by its
-    C merge in one call instead.  Otherwise the lockstep machinery
-    costs ~``L`` vectorized steps regardless of ``C``, so small
-    batches (below ``_LOCKSTEP_MIN_ROWS``) are routed through the
-    per-row Python merge — same results on every path.
+    ``freq`` itself for single-symbol rows).
 
     >>> huffman_total_bits_batch(np.asarray([[5, 3, 2], [0, 7, 0]])).tolist()
     [15, 7]
@@ -194,55 +175,13 @@ def huffman_total_bits_batch(frequency_matrix: np.ndarray) -> np.ndarray:
     stats = _native_stats(freqs)
     if stats is not None:
         return stats[1]
-    if n_rows < _LOCKSTEP_MIN_ROWS:
-        # One batched sort, then pure-Python merges on plain lists —
-        # no per-row numpy call overhead.
-        presorted = np.sort(freqs, axis=1).tolist()
-        return np.asarray(
-            [
-                _merge_total([leaf for leaf in row if leaf > 0])
-                for row in presorted
-            ],
-            dtype=np.int64,
-        )
-
-    # Sorted leaves with +inf padding; one extra column so queue heads
-    # can point one past the end without bounds checks.
-    leaves = np.where(freqs > 0, freqs, np.inf).astype(np.float64)
-    leaves.sort(axis=1)
-    leaves = np.concatenate(
-        [leaves, np.full((n_rows, 1), np.inf)], axis=1
+    # One batched sort, then pure-Python merges on plain lists — no
+    # per-row numpy call overhead.
+    presorted = np.sort(freqs, axis=1).tolist()
+    return np.asarray(
+        [_merge_total([leaf for leaf in row if leaf > 0]) for row in presorted],
+        dtype=np.int64,
     )
-    n_active = (freqs > 0).sum(axis=1)
-
-    merged = np.full((n_rows, n_symbols), np.inf)
-    rows = np.arange(n_rows)
-    leaf_head = np.zeros(n_rows, dtype=np.int64)
-    merge_head = np.zeros(n_rows, dtype=np.int64)
-    merge_tail = np.zeros(n_rows, dtype=np.int64)
-    totals = np.zeros(n_rows, dtype=np.float64)
-
-    for step in range(n_symbols - 1):
-        active = step < n_active - 1
-        if not active.any():
-            break
-        pair = np.zeros(n_rows, dtype=np.float64)
-        for _ in range(2):
-            leaf_value = leaves[rows, leaf_head]
-            merge_value = merged[rows, np.minimum(merge_head, n_symbols - 1)]
-            merge_value = np.where(merge_head < merge_tail, merge_value, np.inf)
-            take_leaf = leaf_value <= merge_value
-            pair += np.where(take_leaf, leaf_value, merge_value)
-            leaf_head += take_leaf & active
-            merge_head += ~take_leaf & active
-        merged[rows[active], merge_tail[active]] = pair[active]
-        merge_tail += active
-        totals += np.where(active, pair, 0.0)
-
-    single = n_active == 1
-    if single.any():
-        totals[single] = leaves[single, 0]
-    return totals.astype(np.int64)
 
 
 class HuffmanLengthStats(NamedTuple):

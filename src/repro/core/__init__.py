@@ -27,13 +27,9 @@ from .kernels import (
     BitpackKernel,
     CoveringKernel,
     NativeKernel,
-    available_kernels,
-    get_kernel,
     kernel_availability,
-    kernel_unavailable_reason,
     resolve_kernel,
     select_kernel_name,
-    usable_kernels,
 )
 from .decompressor import DecodedTestSet, decompress, verify_roundtrip
 from .encoding import (
@@ -43,11 +39,7 @@ from .encoding import (
     compressed_size,
     refine_subsumption,
 )
-from .fitness import (
-    INVALID_FITNESS,
-    BatchCompressionRateFitness,
-    CompressionRateFitness,
-)
+from .fitness import INVALID_FITNESS, BatchCompressionRateFitness
 from .matching import MatchingVector, MVSet
 from .nine_c import (
     DEFAULT_NINE_C_BLOCK_LENGTH,
@@ -85,13 +77,9 @@ __all__ = [
     "BitpackKernel",
     "CoveringKernel",
     "NativeKernel",
-    "available_kernels",
-    "get_kernel",
     "kernel_availability",
-    "kernel_unavailable_reason",
     "resolve_kernel",
     "select_kernel_name",
-    "usable_kernels",
     "CompressedTestSet",
     "compress_blocks",
     "compression_rate",
@@ -111,7 +99,6 @@ __all__ = [
     "refine_subsumption",
     "INVALID_FITNESS",
     "BatchCompressionRateFitness",
-    "CompressionRateFitness",
     "MatchingVector",
     "MVSet",
     "DEFAULT_NINE_C_BLOCK_LENGTH",

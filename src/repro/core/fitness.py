@@ -16,11 +16,10 @@ generation of ``C`` genomes in two library calls:
    library is loaded, else in Python), and the fill bits are one
    matrix dot away.
 
-:class:`CompressionRateFitness` keeps the historical single-genome
-callable API as a thin batch-of-one wrapper, so existing callers keep
-working unchanged.  For a genome whose MVs cannot cover every block
-the paper assigns "a sufficiently small number"; we use a large
-negative constant, far below any reachable rate.
+A single genome is a batch of one: ``evaluate_batch`` also accepts a
+1-D genome.  For a genome whose MVs cannot cover every block the
+paper assigns "a sufficiently small number"; we use a large negative
+constant, far below any reachable rate.
 """
 
 from __future__ import annotations
@@ -31,18 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coding.huffman import huffman_length_stats_batch, huffman_total_bits_batch
-from .blocks import BlockSet, mask_word_count, pack_bits_to_words
+from .blocks import BlockSet
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
 from .kernels import AUTO_KERNEL, CoveringKernel, resolve_kernel
 from .matching import MVSet
-from .trits import DC, ONE, ZERO
+from .trits import DC
 
 __all__ = [
     "INVALID_FITNESS",
     "OBJECTIVE_COLUMNS",
     "BatchCompressionRateFitness",
-    "CompressionRateFitness",
 ]
 
 # Column order of ``BatchCompressionRateFitness.evaluate_objectives``:
@@ -83,7 +81,7 @@ class BatchCompressionRateFitness:
 
     The covering kernel is this class's private detail: ``"auto"``
     (the default) resolves to native, else bitpack, when the first
-    batch arrives.  ``kernel`` — a registry name (``"bitpack"``,
+    batch arrives.  ``kernel`` — a kernel name (``"bitpack"``,
     ``"native"``) or a :class:`~repro.core.kernels.CoveringKernel`
     instance — is the one seam that forces a kernel, for benchmarks
     and tests.  Every generation prices through the kernel's one
@@ -103,7 +101,6 @@ class BatchCompressionRateFitness:
         n_vectors: int,
         block_length: int,
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
-        invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
     ) -> None:
         if blocks.block_length != block_length:
@@ -120,7 +117,6 @@ class BatchCompressionRateFitness:
         self._n_vectors = n_vectors
         self._block_length = block_length
         self._strategy = strategy
-        self._invalid_fitness = invalid_fitness
         # The kernel choice; "auto" resolves on the first batch, a named
         # kernel right away, so an unavailable one fails here.
         self._kernel_choice = kernel
@@ -153,25 +149,6 @@ class BatchCompressionRateFitness:
     def mv_cache_stats(self) -> _DedupRowCounts:
         """Constant zero row counts, kept because perfbench/ reads them."""
         return _NO_DEDUP
-
-    def genome_masks_batch(
-        self, genomes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pack a ``(C, L·K)`` genome matrix into per-MV mask arrays.
-
-        Returns ``(ones, zeros, n_unspecified)``; the masks are
-        ``(C, L)`` for ``K <= 64`` and ``(C, L, W)`` word arrays for
-        wider blocks, one vectorized pass over the whole batch.
-        """
-        matrix = self._genome_matrix(genomes)
-        grid = matrix.reshape(-1, self._n_vectors, self._block_length)
-        ones = pack_bits_to_words(grid == ONE)
-        zeros = pack_bits_to_words(grid == ZERO)
-        if mask_word_count(self._block_length) == 1:
-            ones = ones[..., 0]
-            zeros = zeros[..., 0]
-        n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
-        return ones, zeros, n_unspecified
 
     def _genome_matrix(self, genomes: np.ndarray) -> np.ndarray:
         matrix = np.asarray(genomes, dtype=np.int8)
@@ -211,11 +188,12 @@ class BatchCompressionRateFitness:
     ) -> np.ndarray:
         """Compression rate (%) for every genome row; one kernel pass.
 
-        Rows whose MVs cannot cover every input block come back as
-        ``invalid_fitness``.  Identical, element for element, to
-        calling the single-genome path on each row.  ``timings``, if a
-        dict, accumulates per-stage wall seconds (``pack`` / ``cover``
-        / ``huffman``).
+        ``genomes`` is a ``(C, L·K)`` matrix or one 1-D genome (a
+        batch of one).  Rows whose MVs cannot cover every input block
+        come back as :data:`INVALID_FITNESS`.  Identical, element for
+        element, to pricing each row as a batch of one.  ``timings``,
+        if a dict, accumulates per-stage wall seconds (``pack`` /
+        ``cover`` / ``huffman``).
         """
         matrix = self._genome_matrix(genomes)
         n_genomes = matrix.shape[0]
@@ -231,7 +209,7 @@ class BatchCompressionRateFitness:
         frequencies, uncovered, n_unspecified = self._cover_generation(
             matrix, clock
         )
-        rates = np.full(n_genomes, self._invalid_fitness, dtype=np.float64)
+        rates = np.full(n_genomes, INVALID_FITNESS, dtype=np.float64)
         valid = uncovered == 0
         if valid.any():
             valid_freqs = frequencies[valid]
@@ -254,7 +232,7 @@ class BatchCompressionRateFitness:
         statistics.  Column order is
         :data:`OBJECTIVE_COLUMNS`; the rate column is bit-identical to
         :meth:`evaluate_batch` on the same rows.  Rows whose MVs cannot
-        cover every block come back as ``(invalid_fitness, inf, inf)``.
+        cover every block come back as ``(INVALID_FITNESS, inf, inf)``.
         """
         matrix = self._genome_matrix(genomes)
         n_genomes = matrix.shape[0]
@@ -271,7 +249,7 @@ class BatchCompressionRateFitness:
             matrix, None
         )
         objectives = np.empty((n_genomes, 3), dtype=np.float64)
-        objectives[:, 0] = self._invalid_fitness
+        objectives[:, 0] = INVALID_FITNESS
         objectives[:, 1:] = np.inf
         valid = uncovered == 0
         if valid.any():
@@ -306,71 +284,9 @@ class BatchCompressionRateFitness:
         mv_set = MVSet.from_genome(genome, self._block_length)
         covering = cover(self._blocks, mv_set)
         if covering.uncovered:
-            return self._invalid_fitness
+            return INVALID_FITNESS
         table = build_encoding_table(
             mv_set, covering.frequency_map(), EncodingStrategy.HUFFMAN_SUBSUME
         )
         original = self._blocks.original_bits
         return 100.0 * (original - table.total_bits) / original
-
-
-class CompressionRateFitness:
-    """Callable genome → compression rate (%) for a fixed block set.
-
-    Thin batch-of-one wrapper over :class:`BatchCompressionRateFitness`
-    — kept so single-genome callers (optimizer, examples, tests) see
-    the historical API and exact historical values.
-
-    >>> blocks = BlockSet.from_string("111 000 111 111", 3)
-    >>> fit = CompressionRateFitness(blocks, n_vectors=2, block_length=3)
-    >>> genome = MVSet.from_strings(["111", "UUU"]).to_genome()
-    >>> round(fit(genome), 1)  # 3·1 + 1·(1+3) = 7 bits vs 12
-    41.7
-    """
-
-    def __init__(
-        self,
-        blocks: BlockSet,
-        n_vectors: int,
-        block_length: int,
-        strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
-        invalid_fitness: float = INVALID_FITNESS,
-    ) -> None:
-        self._batch = BatchCompressionRateFitness(
-            blocks, n_vectors, block_length, strategy, invalid_fitness
-        )
-        self._n_vectors = n_vectors
-        self._block_length = block_length
-        self.evaluations = 0
-
-    @property
-    def blocks(self) -> BlockSet:
-        """The block set this fitness prices against."""
-        return self._batch.blocks
-
-    @property
-    def batch(self) -> BatchCompressionRateFitness:
-        """The underlying batch engine (shared with ``evaluate_batch``)."""
-        return self._batch
-
-    def genome_masks(
-        self, genome: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pack a genome into per-MV ``(ones, zeros, n_unspecified)`` arrays."""
-        ones, zeros, n_unspecified = self._batch.genome_masks_batch(genome)
-        return ones[0], zeros[0], n_unspecified[0]
-
-    def __call__(self, genome: np.ndarray) -> float:
-        """Compression rate achieved by the genome's matching vectors."""
-        self.evaluations += 1
-        return float(self._batch.evaluate_batch(genome)[0])
-
-    def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
-        """Batched evaluation; lets the EA engine batch this fitness."""
-        rates = self._batch.evaluate_batch(genomes)
-        self.evaluations += rates.size
-        return rates
-
-    def evaluate_mv_set(self, mv_set: MVSet) -> float:
-        """Convenience: rate for an explicit :class:`MVSet`."""
-        return self(mv_set.to_genome())

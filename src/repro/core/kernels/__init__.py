@@ -1,4 +1,4 @@
-"""Pluggable covering kernels and their selection registry.
+"""The two covering kernels and the fitness layer's choice between them.
 
 Two interchangeable backends price the covering inner loop (see
 :mod:`repro.core.kernels.base` for the shared contract):
@@ -9,8 +9,7 @@ Two interchangeable backends price the covering inner loop (see
   first-match early exit, optional OpenMP over the D axis, and the
   scatter into per-MV frequencies.  Compiled on first use and cached
   under ``$REPRO_CACHE_DIR/native/``; on machines without a C
-  toolchain the registry reports it *unavailable* and every selection
-  path below skips it;
+  toolchain it reports itself *unavailable* and ``auto`` skips it;
 * ``bitpack`` — fused integer conflict lanes with D-axis sharding;
   the numpy kernel every machine can run.
 
@@ -24,14 +23,13 @@ else bitpack — so a missing compiler silently falls back to the numpy
 kernel.  Its ``kernel=`` argument is the one seam that names a kernel
 (benchmarks and tests); a named kernel that is unavailable fails
 loudly in :func:`resolve_kernel`, because silently substituting a
-different backend would misattribute every downstream timing.  Both
-kernels return bit-identical results, so selection only ever moves
-the wall clock.
+different backend would misattribute every downstream timing.
+:func:`kernel_availability` reports both kernels for ``repro
+kernels`` and serve's ``/stats``.  Both kernels return bit-identical
+results, so selection only ever moves the wall clock.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from .base import CoveringKernel, PreparedBlocks
 from .bitpack import BitpackKernel
@@ -45,78 +43,22 @@ __all__ = [
     "NativeBuildError",
     "NativeKernel",
     "PreparedBlocks",
-    "available_kernels",
-    "get_kernel",
     "kernel_availability",
-    "kernel_unavailable_reason",
     "resolve_kernel",
     "select_kernel_name",
-    "usable_kernels",
 ]
 
 AUTO_KERNEL = "auto"
 
-_REGISTRY: dict[str, Callable[[], CoveringKernel]] = {
-    BitpackKernel.name: BitpackKernel,
-    NativeKernel.name: NativeKernel,
-}
 
+def kernel_availability() -> dict[str, str | None]:
+    """Each kernel's name → why it cannot run here, or ``None``.
 
-def available_kernels() -> tuple[str, ...]:
-    """Names of every registered kernel (without ``auto``).
-
-    Registration, not usability: an unavailable kernel (e.g.
-    ``native`` without a C compiler) is still listed here because its
-    name is still valid configuration.  Use :func:`usable_kernels` or
-    :func:`kernel_availability` for what can actually run.
-    """
-    return tuple(sorted(_REGISTRY))
-
-
-def usable_kernels() -> tuple[str, ...]:
-    """Names of every registered kernel that can run on this machine."""
-    return tuple(
-        name
-        for name in sorted(_REGISTRY)
-        if kernel_unavailable_reason(name) is None
-    )
-
-
-def kernel_unavailable_reason(name: str) -> str | None:
-    """Why ``name`` cannot run here, or ``None`` when it can.
-
-    Unknown names raise ``ValueError`` (matching :func:`get_kernel`).
     Only ``native`` can be unavailable; asking about it triggers the
     compile-on-first-use machinery, so the first call may take a
     moment (and warms the build cache).  Nothing asks at import time.
     """
-    if name not in _REGISTRY:
-        known = ", ".join((AUTO_KERNEL, *available_kernels()))
-        raise ValueError(
-            f"unknown covering kernel {name!r}; choose one of: {known}"
-        )
-    return native_status()[1] if name == NativeKernel.name else None
-
-
-def kernel_availability() -> dict[str, str | None]:
-    """Every registered kernel → its unavailability reason (or ``None``)."""
-    return {name: kernel_unavailable_reason(name) for name in sorted(_REGISTRY)}
-
-
-def get_kernel(name: str) -> CoveringKernel:
-    """Instantiate the kernel registered under ``name``.
-
-    >>> get_kernel("bitpack").name
-    'bitpack'
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join((AUTO_KERNEL, *available_kernels()))
-        raise ValueError(
-            f"unknown covering kernel {name!r}; choose one of: {known}"
-        ) from None
-    return factory()
+    return {BitpackKernel.name: None, NativeKernel.name: native_status()[1]}
 
 
 def select_kernel_name() -> str:
@@ -125,7 +67,7 @@ def select_kernel_name() -> str:
     The compiled kernel measured fastest at every shape probed; the
     numpy kernel needs no compiler.
     """
-    if kernel_unavailable_reason(NativeKernel.name) is None:
+    if native_status()[0]:
         return NativeKernel.name
     return BitpackKernel.name
 
@@ -136,19 +78,30 @@ def resolve_kernel(choice: str | CoveringKernel) -> CoveringKernel:
     Availability is threaded through both paths asymmetrically:
     ``auto`` only ever selects usable kernels (an unavailable
     ``native`` silently disappears from the choice), while an
-    explicitly named kernel that is unavailable raises with the
+    explicitly named ``native`` that is unavailable raises with the
     reason — substituting a different backend behind an explicit
-    request would misattribute every downstream timing.
+    request would misattribute every downstream timing.  Naming
+    ``bitpack`` never loads or builds the native library.
+
+    >>> resolve_kernel("bitpack").name
+    'bitpack'
     """
     if isinstance(choice, CoveringKernel):
         return choice
     if choice == AUTO_KERNEL:
         choice = select_kernel_name()
-    elif choice in _REGISTRY:
-        reason = kernel_unavailable_reason(choice)
+    elif choice == NativeKernel.name:
+        reason = native_status()[1]
         if reason is not None:
             raise ValueError(
                 f"covering kernel {choice!r} is unavailable on this "
                 f"machine: {reason}"
             )
-    return get_kernel(choice)
+    if choice == BitpackKernel.name:
+        return BitpackKernel()
+    if choice == NativeKernel.name:
+        return NativeKernel()
+    raise ValueError(
+        f"unknown covering kernel {choice!r}; choose one of: "
+        f"{AUTO_KERNEL}, {BitpackKernel.name}, {NativeKernel.name}"
+    )

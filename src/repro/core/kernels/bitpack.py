@@ -16,7 +16,8 @@ Two axes of blocking keep every temporary cache-resident:
 * **Genome chunking** bounds the per-chunk rank matrices;
 * **Block-table sharding** splits the D axis so each
   ``(chunk, L, shard)`` conflict tensor fits in cache no matter how
-  large the distinct table grows.  Shards are independent — covering
+  large the distinct table grows: the shard size is computed from
+  ``_SHARD_TENSOR_BYTES``, not set.  Shards are independent — covering
   rank and covered weight per shard — and only tiny per-genome
   reductions cross shard boundaries.
 
@@ -109,31 +110,18 @@ def _first_match_rank(matches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BitpackKernel(CoveringKernel):
     """Integer conflict-lane covering kernel with D-axis sharding.
 
-    Parameters
-    ----------
-    shard_size:
-        Distinct blocks per shard; ``None`` picks a size that keeps
-        each shard's conflict tensor at ``_SHARD_TENSOR_BYTES``.
+    Each shard holds as many distinct blocks as keep its conflict
+    tensor at ``_SHARD_TENSOR_BYTES``.
     """
 
     name = "bitpack"
 
-    def __init__(self, shard_size: int | None = None) -> None:
-        if shard_size is not None and shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        self._shard_size = shard_size
-
     def prepare(self, blocks: BlockSet) -> PreparedBlocks:
         return prepare_fused_lanes(blocks, _lane_dtype(2 * blocks.block_length))
 
-    def _shard_slices(self, n_distinct, span, n_vectors, itemsize):
-        if self._shard_size is not None:
-            size = self._shard_size
-        else:
-            size = max(
-                1,
-                _SHARD_TENSOR_BYTES // max(1, span * n_vectors * itemsize),
-            )
+    @staticmethod
+    def _shard_slices(n_distinct, span, n_vectors, itemsize):
+        size = max(1, _SHARD_TENSOR_BYTES // max(1, span * n_vectors * itemsize))
         return [
             slice(start, min(start + size, n_distinct))
             for start in range(0, n_distinct, size)

@@ -32,7 +32,7 @@ a reader can never observe a half-written library.
 The failure contract: a missing compiler, a failed compile or an
 unloadable library raises :class:`NativeBuildError` (or, for a
 *cached* corrupt ``.so``, discards the file with a warning and
-rebuilds once) — the registry
+rebuilds once) — :func:`repro.core.kernels.native.native_status`
 turns that into "``native`` unavailable" so ``auto`` never selects it.
 A missing toolchain can cost speed, never a run.
 """

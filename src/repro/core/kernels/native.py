@@ -36,8 +36,8 @@ An at-fork hook therefore drops every forked child (e.g. a
 was loaded before the fork or is first loaded in the child — process
 fan-out already uses the cores.
 
-When the toolchain is missing the registry reports this kernel
-unavailable: ``auto`` falls back to bitpack and the Huffman batch
+When the toolchain is missing :func:`native_status` reports this
+kernel unavailable: ``auto`` falls back to bitpack and the Huffman batch
 functions to their Python merge — a missing compiler can cost speed,
 never a run.
 """
@@ -369,9 +369,9 @@ os.register_at_fork(after_in_child=_single_thread_after_fork)
 def native_status() -> tuple[bool, str | None]:
     """(available, unavailability reason) — compiles on first call.
 
-    The registry's availability hook: ``auto`` selection and ``repro
-    kernels`` both ask this instead of trying (and failing) to
-    construct the kernel.
+    The availability hook of :mod:`repro.core.kernels`: ``auto``
+    selection and ``repro kernels`` both ask this instead of trying
+    (and failing) to construct the kernel.
     """
     library, reason = _load_library()
     return library is not None, reason
@@ -428,9 +428,10 @@ class NativeKernel(CoveringKernel):
 
     Construction loads (compiling on first use) the shared library;
     it raises :class:`~repro.core.kernels.build.NativeBuildError` when
-    the toolchain is missing — resolve through the registry (which
-    checks :func:`native_status` first) rather than constructing
-    directly when the fallback chain matters.
+    the toolchain is missing — go through
+    :func:`~repro.core.kernels.resolve_kernel` (which checks
+    :func:`native_status` first) rather than constructing directly
+    when the fallback chain matters.
     """
 
     name = "native"

@@ -20,9 +20,10 @@ from .blocks import (
     int_to_words,
     mask_word_count,
     masks_as_words,
+    pack_bits_to_words,
     pack_trits,
 )
-from .trits import DC, format_trits, parse_trits, trits_to_array
+from .trits import DC, ONE, ZERO, format_trits, parse_trits, trits_to_array
 
 __all__ = ["MatchingVector", "MVSet"]
 
@@ -231,12 +232,9 @@ class MVSet:
         ``(L, W)`` word arrays for wider vectors — the same convention
         as :class:`repro.core.blocks.BlockSet`.
         """
-        ones = np.asarray(
-            [mv.ones_words for mv in self._vectors], dtype=np.uint64
-        )
-        zeros = np.asarray(
-            [mv.zeros_words for mv in self._vectors], dtype=np.uint64
-        )
+        grid = self.to_genome().reshape(len(self), self.block_length)
+        ones = pack_bits_to_words(grid == ONE)
+        zeros = pack_bits_to_words(grid == ZERO)
         if mask_word_count(self.block_length) == 1:
             return ones[:, 0], zeros[:, 0]
         return ones, zeros

@@ -30,14 +30,17 @@ covering runs on a pluggable kernel from
 :mod:`repro.core.kernels` — the engine itself is kernel-agnostic and
 inherits whatever kernel the fitness was configured with), that call
 is a handful of numpy kernels over the entire generation; plain
-callables are looped transparently.  A genome-hash LRU cache short-circuits
+callables are looped transparently.  A genome-hash LRU cache of
+:data:`DEFAULT_CACHE_SIZE` genomes, always on, short-circuits
 re-pricing of duplicate offspring (common under copy/reproduce and
 late-run convergence); hits still count toward ``evaluations`` — the
-paper's "generated legal solutions" budget — so cached and uncached
-runs terminate identically, and the hit rate is reported on
-:class:`EAResult`.  Adaptive operator scheduling needs each child's
-fitness before choosing the next operator, so that mode evaluates
-incrementally (still through the memo).
+paper's "generated legal solutions" budget — so the memo never moves
+termination, and the hit rate is reported on :class:`EAResult`.
+Adaptive operator scheduling needs each child's fitness before
+choosing the next operator, so that mode evaluates incrementally
+(still through the memo).  Genes are trits
+(:data:`~repro.ea.genome.TRIT_ALPHABET_SIZE` values); the alphabet
+and the memo size are constants, not parameters.
 
 One loop, two engines
 ---------------------
@@ -61,7 +64,7 @@ import numpy as np
 
 from ..core.config import EAParameters
 from .adaptive import AdaptiveOperatorScheduler
-from .genome import TRIT_ALPHABET_SIZE, random_genome, validate_genome
+from .genome import random_genome, validate_genome
 from .operators import (
     point_mutation,
     reproduce,
@@ -149,10 +152,10 @@ class EvolutionaryEngine:
     initial_genomes:
         Optional seed individuals injected into the initial random
         population (e.g. the 9C matching vectors).
-    cache_size:
-        Capacity of the genome-hash LRU memo cache; ``0``/``None``
-        disables memoization.  The cache never changes results, only
-        skips re-pricing duplicate genomes.
+
+    The genome-hash LRU memo always holds up to
+    :data:`DEFAULT_CACHE_SIZE` genomes.  It never changes results,
+    only skips re-pricing duplicate genomes.
     """
 
     # What a priced genome becomes: built as (genome, value, birth_order).
@@ -166,8 +169,6 @@ class EvolutionaryEngine:
         seed: int | None = None,
         repair: RepairFunction | None = None,
         initial_genomes: Sequence[np.ndarray] = (),
-        alphabet_size: int = TRIT_ALPHABET_SIZE,
-        cache_size: int | None = DEFAULT_CACHE_SIZE,
     ) -> None:
         if genome_length < 1:
             raise ValueError("genome_length must be >= 1")
@@ -180,10 +181,6 @@ class EvolutionaryEngine:
         self._initial_genomes = [validate_genome(g) for g in initial_genomes]
         if any(g.size != genome_length for g in self._initial_genomes):
             raise ValueError("seed genomes must match genome_length")
-        self._alphabet_size = alphabet_size
-        self._cache_size = int(cache_size or 0)
-        if self._cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
         self._start_run()
 
     def _start_run(self) -> None:
@@ -223,42 +220,34 @@ class EvolutionaryEngine:
         if self._repair is None:
             prepared = list(genomes)
         else:
-            prepared = [
-                validate_genome(self._repair(genome), self._alphabet_size)
-                for genome in genomes
-            ]
+            prepared = [validate_genome(self._repair(genome)) for genome in genomes]
         self._evaluations += len(prepared)
 
         # One slot per genome; every slot holds a value by the time
-        # the individuals are built below (annotated once — the memo
-        # path fills slots out of order, the raw path all at once).
-        values: list[object]
-        if not self._cache_size:
-            values = list(self._evaluate_raw(prepared))
-        else:
-            values = [None] * len(prepared)
-            pending: OrderedDict[bytes, list[int]] = OrderedDict()
-            for index, genome in enumerate(prepared):
-                key = genome.tobytes()
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
+        # the individuals are built below.
+        values: list[object] = [None] * len(prepared)
+        pending: OrderedDict[bytes, list[int]] = OrderedDict()
+        for index, genome in enumerate(prepared):
+            key = genome.tobytes()
+            cached = self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self._cache_hits += 1
+                values[index] = cached
+            else:
+                if key in pending:  # duplicate inside this batch
                     self._cache_hits += 1
-                    values[index] = cached
-                else:
-                    if key in pending:  # duplicate inside this batch
-                        self._cache_hits += 1
-                    pending.setdefault(key, []).append(index)
-            if pending:
-                misses = [prepared[slots[0]] for slots in pending.values()]
-                for (key, slots), value in zip(
-                    pending.items(), self._evaluate_raw(misses)
-                ):
-                    self._cache[key] = value
-                    if len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
-                    for index in slots:
-                        values[index] = value
+                pending.setdefault(key, []).append(index)
+        if pending:
+            misses = [prepared[slots[0]] for slots in pending.values()]
+            for (key, slots), value in zip(
+                pending.items(), self._evaluate_raw(misses)
+            ):
+                self._cache[key] = value
+                if len(self._cache) > DEFAULT_CACHE_SIZE:
+                    self._cache.popitem(last=False)
+                for index in slots:
+                    values[index] = value
 
         individuals = []
         for genome, value in zip(prepared, values):
@@ -271,9 +260,7 @@ class EvolutionaryEngine:
     def _initial_population(self) -> list[Individual]:
         genomes = [genome.copy() for genome in self._initial_genomes]
         while len(genomes) < self._params.population_size:
-            genomes.append(
-                random_genome(self._genome_length, self._rng, self._alphabet_size)
-            )
+            genomes.append(random_genome(self._genome_length, self._rng))
         return self._select_survivors(self._price_genomes(genomes))
 
     # -- selection ----------------------------------------------------
@@ -322,7 +309,7 @@ class EvolutionaryEngine:
             return list(children[:capacity]), parents
         parent = self._pick_parent(population)
         if operator == 1:
-            child = point_mutation(parent.genome, self._rng, self._alphabet_size)
+            child = point_mutation(parent.genome, self._rng)
         elif operator == 2:
             child = segment_inversion(parent.genome, self._rng)
         else:

@@ -15,12 +15,8 @@ __all__ = ["TRIT_ALPHABET_SIZE", "random_genome", "validate_genome"]
 TRIT_ALPHABET_SIZE = 3
 
 
-def random_genome(
-    length: int,
-    rng: np.random.Generator,
-    alphabet_size: int = TRIT_ALPHABET_SIZE,
-) -> np.ndarray:
-    """Draw a uniform random genome of the given length.
+def random_genome(length: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a uniform random trit genome of the given length.
 
     >>> g = random_genome(6, np.random.default_rng(0))
     >>> g.shape, g.dtype.name
@@ -28,20 +24,16 @@ def random_genome(
     """
     if length < 1:
         raise ValueError("genome length must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet must have at least two symbols")
-    return rng.integers(0, alphabet_size, size=length, dtype=np.int8)
+    return rng.integers(0, TRIT_ALPHABET_SIZE, size=length, dtype=np.int8)
 
 
-def validate_genome(
-    genome: np.ndarray, alphabet_size: int = TRIT_ALPHABET_SIZE
-) -> np.ndarray:
+def validate_genome(genome: np.ndarray) -> np.ndarray:
     """Check dtype/range and return the genome as a contiguous array."""
     array = np.ascontiguousarray(genome, dtype=np.int8)
     if array.ndim != 1:
         raise ValueError("genome must be one-dimensional")
     if array.size == 0:
         raise ValueError("genome must be non-empty")
-    if array.min() < 0 or array.max() >= alphabet_size:
-        raise ValueError(f"genes must be in [0, {alphabet_size})")
+    if array.min() < 0 or array.max() >= TRIT_ALPHABET_SIZE:
+        raise ValueError(f"genes must be in [0, {TRIT_ALPHABET_SIZE})")
     return array

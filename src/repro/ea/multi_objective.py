@@ -51,8 +51,7 @@ import numpy as np
 
 from ..core.config import EAParameters
 from ..core.fitness import OBJECTIVE_COLUMNS
-from .engine import DEFAULT_CACHE_SIZE, EvolutionaryEngine, RepairFunction
-from .genome import TRIT_ALPHABET_SIZE
+from .engine import EvolutionaryEngine, RepairFunction
 
 __all__ = [
     "MAXIMIZED_OBJECTIVES",
@@ -323,8 +322,6 @@ class MultiObjectiveEngine(EvolutionaryEngine):
         seed: int | None = None,
         repair: RepairFunction | None = None,
         initial_genomes: Sequence[np.ndarray] = (),
-        alphabet_size: int = TRIT_ALPHABET_SIZE,
-        cache_size: int | None = DEFAULT_CACHE_SIZE,
     ) -> None:
         names = tuple(objectives)
         if len(names) < 2:
@@ -348,14 +345,7 @@ class MultiObjectiveEngine(EvolutionaryEngine):
                 "mode: its scheduler rewards a scalar fitness gain"
             )
         super().__init__(
-            fitness,
-            genome_length,
-            params,
-            seed,
-            repair,
-            initial_genomes,
-            alphabet_size,
-            cache_size,
+            fitness, genome_length, params, seed, repair, initial_genomes
         )
         self._evaluate_objectives = evaluate
         self._objectives = names

@@ -65,15 +65,11 @@ def one_point_crossover(
     return child_one, child_two
 
 
-def point_mutation(
-    parent: np.ndarray,
-    rng: np.random.Generator,
-    alphabet_size: int = TRIT_ALPHABET_SIZE,
-) -> np.ndarray:
-    """Replace one randomly selected gene by a random alphabet value."""
+def point_mutation(parent: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Replace one randomly selected gene by a random trit."""
     child = parent.copy()
     position = int(rng.integers(0, child.size))
-    child[position] = np.int8(rng.integers(0, alphabet_size))
+    child[position] = np.int8(rng.integers(0, TRIT_ALPHABET_SIZE))
     return child
 
 

@@ -23,10 +23,10 @@ from repro.coding.huffman import (
     weighted_length,
 )
 from repro.coding.prefix import is_prefix_free, kraft_sum
-from repro.core.kernels import kernel_unavailable_reason
+from repro.core.kernels import kernel_availability
 from repro.core.kernels.native import huffman_stats_rows
 
-NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+NATIVE_UNAVAILABLE = kernel_availability()["native"]
 requires_native = pytest.mark.skipif(
     NATIVE_UNAVAILABLE is not None,
     reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
@@ -209,13 +209,10 @@ class TestHuffmanTotalBits:
         st.integers(min_value=1, max_value=70),
         st.integers(min_value=0, max_value=2**32),
     )
-    def test_lockstep_path_matches_scalar_rows(self, n_symbols, seed):
-        """Large batches take the lockstep-vectorized merge — cover it
-        explicitly (the property test above stays below the row
-        threshold and only exercises the per-row fallback)."""
-        from repro.coding.huffman import _LOCKSTEP_MIN_ROWS
-
-        n_rows = _LOCKSTEP_MIN_ROWS + 32
+    def test_large_python_batch_matches_scalar_rows(self, n_symbols, seed):
+        """A batch of 128 rows on the no-compiler path takes the per-row
+        merge like any other, edge rows included."""
+        n_rows = 128
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 500, (n_rows, n_symbols))
         matrix[rng.random(matrix.shape) < 0.3] = 0
@@ -223,7 +220,7 @@ class TestHuffmanTotalBits:
         if n_symbols > 1:
             matrix[1] = 0
             matrix[1, 0] = 7  # single-symbol row
-        with python_merge():  # the lockstep merge is the no-compiler path
+        with python_merge():
             totals = huffman_total_bits_batch(matrix)
         for row in range(n_rows):
             assert totals[row] == huffman_total_bits(matrix[row])

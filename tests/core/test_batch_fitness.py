@@ -6,11 +6,10 @@ Three layers of guarantees:
    ``prepare`` + ``cover_grid``) row-for-row agrees with the
    ``cover_masks`` reference loop;
 2. ``BatchCompressionRateFitness`` prices every genome exactly like
-   the end-to-end compressor (and like the single-genome wrapper),
+   the end-to-end compressor (and each row like a batch of one),
    including uncoverable genomes → ``INVALID_FITNESS``;
 3. the refactored ``EvolutionaryEngine`` reproduces recorded
-   pre-refactor results seed for seed, with and without the memo
-   cache.
+   pre-refactor results seed for seed, through its genome memo.
 """
 
 import numpy as np
@@ -22,11 +21,7 @@ from repro.core.blocks import BlockSet, pack_bits_to_words
 from repro.core.config import CompressionConfig, EAParameters
 from repro.core.covering import cover, cover_masks
 from repro.core.compressor import compress_blocks
-from repro.core.fitness import (
-    INVALID_FITNESS,
-    BatchCompressionRateFitness,
-    CompressionRateFitness,
-)
+from repro.core.fitness import INVALID_FITNESS, BatchCompressionRateFitness
 from repro.core.kernels import resolve_kernel
 from repro.core.matching import MVSet
 from repro.core.trits import DC, ONE, ZERO
@@ -134,15 +129,15 @@ class TestBatchFitnessAgainstCompressor:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
-    def test_scalar_wrapper_is_batch_of_one(self, seed):
+    def test_rows_price_like_batches_of_one(self, seed):
         rng = np.random.default_rng(seed)
         blocks = random_block_set(rng, n_bits=120, block_length=6)
         batch = BatchCompressionRateFitness(blocks, n_vectors=5, block_length=6)
-        scalar = CompressionRateFitness(blocks, n_vectors=5, block_length=6)
+        single = BatchCompressionRateFitness(blocks, n_vectors=5, block_length=6)
         genomes = random_genome_batch(rng, 8, 5 * 6)
         rates = batch.evaluate_batch(genomes)
         for row in range(genomes.shape[0]):
-            assert scalar(genomes[row]) == rates[row]
+            assert single.evaluate_batch(genomes[row])[0] == rates[row]
 
     def test_all_u_genomes_are_always_coverable(self):
         blocks = BlockSet.from_string("101 010 111", 3)
@@ -179,8 +174,8 @@ class TestEngineParity:
     """Recorded pre-refactor engine results, reproduced bit for bit.
 
     The expected tuples were captured by running the per-child
-    (pre-batching) engine on this exact workload; the batched engine
-    must match them seed for seed, cache or no cache.
+    (pre-batching) engine on this exact workload; the batched engine,
+    genome memo included, must match them seed for seed.
     """
 
     EXPECTED = {11: (50.3125, 60, 310), 99: (53.28125, 60, 310)}
@@ -201,25 +196,23 @@ class TestEngineParity:
         repaired[-8:] = DC
         return repaired
 
-    def _run(self, seed, fitness, cache_size):
+    def _run(self, seed, fitness):
         engine = EvolutionaryEngine(
             fitness=fitness,
             genome_length=12 * 8,
             params=EAParameters(stagnation_limit=25, max_generations=60),
             seed=seed,
             repair=self._repair,
-            cache_size=cache_size,
         )
         return engine.run()
 
     @pytest.mark.parametrize("seed", sorted(EXPECTED))
-    @pytest.mark.parametrize("cache_size", [0, 8192])
-    def test_matches_recorded_pre_refactor_results(self, seed, cache_size):
+    def test_matches_recorded_pre_refactor_results(self, seed):
         blocks = self._blocks()
         fitness = BatchCompressionRateFitness(
             blocks, n_vectors=12, block_length=8
         )
-        result = self._run(seed, fitness, cache_size)
+        result = self._run(seed, fitness)
         assert (
             result.best_fitness, result.generations, result.evaluations
         ) == self.EXPECTED[seed]
@@ -229,43 +222,30 @@ class TestEngineParity:
         batch_fitness = BatchCompressionRateFitness(
             blocks, n_vectors=12, block_length=8
         )
-        single = CompressionRateFitness(blocks, n_vectors=12, block_length=8)
+        single = BatchCompressionRateFitness(blocks, n_vectors=12, block_length=8)
 
         def scalar_only(genome: np.ndarray) -> float:
-            return single._batch.evaluate_batch(genome)[0]
+            return single.evaluate_batch(genome)[0]
 
-        batched = self._run(11, batch_fitness, cache_size=0)
-        scalar = self._run(11, scalar_only, cache_size=0)
+        batched = self._run(11, batch_fitness)
+        scalar = self._run(11, scalar_only)
         assert batched.best_fitness == scalar.best_fitness
         assert batched.generations == scalar.generations
         assert batched.evaluations == scalar.evaluations
         assert (batched.best_genome == scalar.best_genome).all()
 
     def test_cache_reports_hits_without_changing_results(self):
+        """The memo serves duplicates and still lands on the recorded
+        result."""
         blocks = self._blocks()
-        cached = self._run(
-            11,
-            BatchCompressionRateFitness(blocks, n_vectors=12, block_length=8),
-            cache_size=8192,
-        )
-        uncached = self._run(
-            11,
-            BatchCompressionRateFitness(blocks, n_vectors=12, block_length=8),
-            cache_size=0,
-        )
-        assert cached.best_fitness == uncached.best_fitness
-        assert cached.generations == uncached.generations
-        assert cached.evaluations == uncached.evaluations
+        fitness = BatchCompressionRateFitness(blocks, n_vectors=12, block_length=8)
+        cached = self._run(11, fitness)
+        assert (
+            cached.best_fitness, cached.generations, cached.evaluations
+        ) == self.EXPECTED[11]
         assert cached.cache_hits > 0  # copy/reproduce duplicates exist
         assert 0.0 < cached.cache_hit_rate <= 1.0
-        assert uncached.cache_hits == 0
-        assert uncached.cache_hit_rate == 0.0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            EvolutionaryEngine(
-                fitness=lambda genome: 0.0, genome_length=4, cache_size=-1
-            )
+        assert fitness.evaluations == cached.evaluations - cached.cache_hits
 
 
 class TestMaskWidthValidation:

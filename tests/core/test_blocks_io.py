@@ -32,11 +32,11 @@ from repro.core.blocks_io import (
     save_block_table,
 )
 from repro.core.fitness import BatchCompressionRateFitness
-from repro.core.kernels import get_kernel, kernel_unavailable_reason
+from repro.core.kernels import kernel_availability, resolve_kernel
 
 from ..conftest import subprocess_environment
 
-NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+NATIVE_UNAVAILABLE = kernel_availability()["native"]
 requires_native = pytest.mark.skipif(
     NATIVE_UNAVAILABLE is not None,
     reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
@@ -169,7 +169,7 @@ class TestMemmapPricingParity:
         ram = BlockSet.from_trit_array(random_trits(rng, 24_000), 8)
         save_block_table(ram, tmp_path / "table")
         mapped = load_block_table(tmp_path / "table")
-        kernel = get_kernel("bitpack")
+        kernel = resolve_kernel("bitpack")
         from_ram = kernel.prepare(ram)
         from_map = kernel.prepare(mapped)
         assert not isinstance(from_ram.block_lanes, np.memmap)

@@ -119,11 +119,11 @@ class TestHostileInputs:
             table.prefix_code()
 
     def test_zero_length_test_set_rejected_by_fitness(self):
-        from repro.core.fitness import CompressionRateFitness
+        from repro.core.fitness import BatchCompressionRateFitness
 
         empty = BlockSet.from_string("", 4)
         with pytest.raises(ValueError):
-            CompressionRateFitness(empty, n_vectors=2, block_length=4)
+            BatchCompressionRateFitness(empty, n_vectors=2, block_length=4)
 
 
 class TestSearchLimits:

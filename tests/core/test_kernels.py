@@ -27,13 +27,11 @@ from repro.core.kernels import (
     BitpackKernel,
     CoveringKernel,
     NativeKernel,
-    available_kernels,
-    get_kernel,
-    kernel_unavailable_reason,
+    kernel_availability,
     resolve_kernel,
     select_kernel_name,
-    usable_kernels,
 )
+from repro.core.kernels import bitpack
 from repro.core.kernels.base import covering_orders
 from repro.core.optimizer import EAMVOptimizer
 from repro.core.trits import DC, ONE, ZERO
@@ -48,7 +46,7 @@ from repro.testdata.synthetic import (
 # The native kernel joins the parity suites only where it can run:
 # asking availability here compiles on first use (warming the build
 # cache for the whole session) and yields the skip reason otherwise.
-NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+NATIVE_UNAVAILABLE = kernel_availability()["native"]
 KERNEL_NAMES = ("bitpack",) + (("native",) if NATIVE_UNAVAILABLE is None else ())
 requires_native = pytest.mark.skipif(
     NATIVE_UNAVAILABLE is not None,
@@ -151,7 +149,7 @@ class TestCrossKernelParity:
         blocks, grid = random_workload(rng, block_length)
         for name in KERNEL_NAMES:
             assert_matches_reference(
-                name, blocks, grid, cover_with(get_kernel(name), blocks, grid)
+                name, blocks, grid, cover_with(resolve_kernel(name), blocks, grid)
             )
 
     @settings(max_examples=15, deadline=None)
@@ -168,7 +166,7 @@ class TestCrossKernelParity:
         )
         grid = rng.integers(0, 2, size=(3, 1, 6)).astype(np.int8)
         results = {
-            name: cover_with(get_kernel(name), blocks, grid)
+            name: cover_with(resolve_kernel(name), blocks, grid)
             for name in KERNEL_NAMES
         }
         for name in KERNEL_NAMES:
@@ -183,7 +181,7 @@ class TestCrossKernelParity:
         all_u = np.full((3, 4, 4), DC, dtype=np.int8)
         blocks = BlockSet.from_string("0101 1X0X 0101", 4)
         for name in KERNEL_NAMES:
-            kernel = get_kernel(name)
+            kernel = resolve_kernel(name)
             frequencies, uncovered = cover_with(kernel, empty, all_u)
             assert frequencies.shape == (3, 4) and uncovered.shape == (3,), name
             assert (frequencies == 0).all() and (uncovered == 0).all(), name
@@ -202,7 +200,7 @@ class TestCrossKernelParity:
         mv_ones = pack_bits_to_words(grid[0] == ONE)
         mv_zeros = pack_bits_to_words(grid[0] == ZERO)
         for name in KERNEL_NAMES:
-            kernel = get_kernel(name)
+            kernel = resolve_kernel(name)
             columns = kernel.match_columns(
                 kernel.prepare(blocks), mv_ones, mv_zeros
             )
@@ -388,27 +386,39 @@ class TestShardingKnobs:
         rng = np.random.default_rng(seed)
         blocks, grid = random_workload(rng, 11)
         baseline = cover_with(BitpackKernel(), blocks, grid)
-        sharded = cover_with(BitpackKernel(shard_size=shard_size), blocks, grid)
+        # A shard holds _SHARD_TENSOR_BYTES // (C·L·lane bytes) blocks;
+        # this small workload covers its C genomes in one chunk.
+        lane_bytes = BitpackKernel().prepare(blocks).block_lanes.itemsize
+        tensor_bytes = shard_size * grid.shape[0] * grid.shape[1] * lane_bytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitpack, "_SHARD_TENSOR_BYTES", tensor_bytes)
+            sharded = cover_with(BitpackKernel(), blocks, grid)
         for ours, theirs in zip(baseline, sharded):
             assert (ours == theirs).all()
-
-    def test_shard_size_validated(self):
-        with pytest.raises(ValueError):
-            BitpackKernel(shard_size=0)
 
 
 class TestRegistry:
     def test_available_kernels(self):
-        names = available_kernels()
+        names = kernel_availability()
         assert set(KERNEL_NAMES) <= set(names)
 
-    def test_get_kernel_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown covering kernel"):
-            get_kernel("nonsense")
+    def test_resolve_unknown_name(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown covering kernel 'nonsense'; "
+            r"choose one of: auto, bitpack, native$",
+        ):
+            resolve_kernel("nonsense")
 
-    def test_auto_never_resolves_by_get(self):
-        with pytest.raises(ValueError):
-            get_kernel("auto")
+    def test_resolving_bitpack_never_loads_native(self, monkeypatch):
+        """A cold native compile takes seconds; naming bitpack skips it."""
+        from repro.core import kernels
+
+        def refuse():
+            raise AssertionError("resolve_kernel('bitpack') asked native")
+
+        monkeypatch.setattr(kernels, "native_status", refuse)
+        assert resolve_kernel("bitpack").name == BitpackKernel.name
 
     def test_resolve_passes_instances_through(self):
         kern = BitpackKernel()
@@ -429,7 +439,7 @@ class TestRegistry:
 
     def test_kernels_repr_names(self):
         for name in KERNEL_NAMES:
-            kern = get_kernel(name)
+            kern = resolve_kernel(name)
             assert isinstance(kern, CoveringKernel)
             assert kern.name == name
             assert name in repr(kern)
@@ -439,28 +449,30 @@ class TestAvailabilityResolution:
     """Unavailable kernels: explicit requests fail, auto skips quietly."""
 
     def test_native_always_registered(self):
-        # Registration is not usability: the name stays valid
-        # configuration even on a toolchain-less machine.
-        assert "native" in available_kernels()
+        # ``native`` stays a valid name, listed with its reason even
+        # on a toolchain-less machine.
+        assert "native" in kernel_availability()
 
     def test_explicit_unavailable_kernel_raises(self, no_native):
-        with pytest.raises(ValueError, match="unavailable on this machine"):
+        reason = kernel_availability()["native"]
+        with pytest.raises(ValueError) as info:
             resolve_kernel("native")
+        assert str(info.value) == (
+            f"covering kernel 'native' is unavailable on this machine: {reason}"
+        )
 
     def test_auto_silently_skips_unavailable(self, no_native):
         kern = resolve_kernel("auto")
         assert kern.name == BitpackKernel.name
-        assert "native" not in usable_kernels()
-        assert kernel_unavailable_reason("native") is not None
+        assert kernel_availability()["native"] is not None
 
-    def test_unknown_name_still_raises(self):
+    def test_unknown_name_still_raises(self, no_native):
         with pytest.raises(ValueError, match="unknown covering kernel"):
-            kernel_unavailable_reason("nonsense")
+            resolve_kernel("nonsense")
 
     @requires_native
     def test_native_usable_with_compiler(self):
-        assert "native" in usable_kernels()
-        assert kernel_unavailable_reason("native") is None
+        assert kernel_availability()["native"] is None
         kern = resolve_kernel("native")
         assert kern.name == NativeKernel.name
 
@@ -497,13 +509,15 @@ class TestFitnessKernelChoice:
         )
         assert fitness.kernel_name == "auto"
         fitness.evaluate_batch(rng.integers(0, 3, size=(4, 40), dtype=np.int8))
-        assert fitness.kernel_name in available_kernels()
+        assert fitness.kernel_name in kernel_availability()
 
-    def test_kernel_instance_accepted(self):
+    def test_kernel_instance_accepted(self, monkeypatch):
         rng = np.random.default_rng(4)
         blocks = self._blocks(rng)
+        # Four-block shards: 4 genomes · 5 MVs · 2-byte lanes (K = 8).
+        monkeypatch.setattr(bitpack, "_SHARD_TENSOR_BYTES", 4 * 4 * 5 * 2)
         fitness = BatchCompressionRateFitness(
-            blocks, n_vectors=5, block_length=8, kernel=BitpackKernel(shard_size=4)
+            blocks, n_vectors=5, block_length=8, kernel=BitpackKernel()
         )
         assert fitness.kernel_name == "bitpack"
         rates = fitness.evaluate_batch(

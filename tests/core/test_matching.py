@@ -162,3 +162,44 @@ class TestMVSet:
         assert [str(mv) for mv in mvs] == ["10", "01"]
         assert str(mvs[1]) == "01"
         assert len(mvs) == 2
+
+
+def per_mv_masks(mvs):
+    """``mask_arrays``'s reference: each MV's own ``ones_words`` and
+    ``zeros_words``, flat for one-word vectors."""
+    ones = np.asarray([mv.ones_words for mv in mvs], dtype=np.uint64)
+    zeros = np.asarray([mv.zeros_words for mv in mvs], dtype=np.uint64)
+    if ones.shape[1] == 1:
+        return ones[:, 0], zeros[:, 0]
+    return ones, zeros
+
+
+def assert_masks_match_per_mv(mvs):
+    ones, zeros = mvs.mask_arrays()
+    ref_ones, ref_zeros = per_mv_masks(mvs)
+    assert ones.dtype == zeros.dtype == np.uint64
+    assert ones.shape == ref_ones.shape and zeros.shape == ref_zeros.shape
+    assert (ones == ref_ones).all() and (zeros == ref_zeros).all()
+
+
+class TestMaskArrays:
+    """One packing pass over the set ≡ packing each MV on its own."""
+
+    @pytest.mark.parametrize("block_length", [1, 12, 63, 64, 65, 96, 128])
+    def test_matches_per_mv_words(self, block_length):
+        rng = np.random.default_rng(block_length)
+        genome = rng.integers(0, 3, size=7 * block_length, dtype=np.int8)
+        genome[:block_length] = 1  # an all-ones MV sets the top bit
+        genome[block_length : 2 * block_length] = 0
+        mvs = MVSet.from_genome(genome, block_length)
+        assert_masks_match_per_mv(mvs)
+        ones, _ = mvs.mask_arrays()
+        assert ones.shape == ((7,) if block_length <= 64 else (7, -(-block_length // 64)))
+
+    @given(
+        st.integers(min_value=1, max_value=130).flatmap(
+            lambda length: st.lists(mv_strings(length), min_size=1, max_size=12)
+        )
+    )
+    def test_matches_per_mv_words_on_random_sets(self, mv_texts):
+        assert_masks_match_per_mv(MVSet.from_strings(mv_texts))

@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.blocks import BlockSet
 from repro.core.fitness import BatchCompressionRateFitness
-from repro.core.kernels import kernel_unavailable_reason
+from repro.core.kernels import kernel_availability
 from repro.core.trits import DC
 from repro.core.kernels.build import (
     NativeBuildError,
@@ -42,7 +42,7 @@ from repro.parallel import ProcessBackend
 
 from ..conftest import subprocess_environment
 
-NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
+NATIVE_UNAVAILABLE = kernel_availability()["native"]
 requires_native = pytest.mark.skipif(
     NATIVE_UNAVAILABLE is not None,
     reason=f"native kernel unavailable: {NATIVE_UNAVAILABLE}",
@@ -148,7 +148,7 @@ class TestNoCompilerFallback:
     """The pinned no-toolchain path: one warning, every command runs."""
 
     def test_disable_env_reports_unavailable(self, no_native):
-        assert "REPRO_NATIVE_DISABLE" in kernel_unavailable_reason("native")
+        assert "REPRO_NATIVE_DISABLE" in kernel_availability()["native"]
 
     def test_missing_compiler_reports_unavailable(self, monkeypatch):
         from repro.core.kernels import native as native_module
@@ -159,7 +159,7 @@ class TestNoCompilerFallback:
         )
         native_module._reset_native_state()
         try:
-            reason = kernel_unavailable_reason("native")
+            reason = kernel_availability()["native"]
             assert "no C compiler found" in reason
         finally:
             native_module._reset_native_state()

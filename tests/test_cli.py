@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.kernels import kernel_unavailable_reason
+from repro.core.kernels import kernel_availability
 from repro.parallel import ProcessBackend, SerialBackend, resolve_backend
 
-NATIVE_OK = kernel_unavailable_reason("native") is None
+NATIVE_OK = kernel_availability()["native"] is None
 
 
 class TestParser:
@@ -102,13 +102,21 @@ class TestKernelFlag:
         assert "unrecognized arguments: --kernel nonsense" in capsys.readouterr().err
 
     def test_kernel_documented_in_help(self, capsys):
-        """Kernels are documented by the `kernels` command, not a flag."""
+        """Kernels are documented by the `kernels` command, not a flag.
+
+        argparse wraps help at the terminal width (``COLUMNS``), so the
+        phrases are looked up in whitespace-collapsed output.
+        """
+
+        def help_text() -> str:
+            return " ".join(capsys.readouterr().out.split())
+
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
-        assert "covering-kernel backends" in capsys.readouterr().out
+        assert "covering-kernel backends" in help_text()
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kernels", "--help"])
-        assert "auto kernel pick" in capsys.readouterr().out
+        assert "auto kernel pick" in help_text()
 
     def test_compress_kernel_output_matches_auto(
         self, tmp_path, capsys, force_kernel

@@ -155,15 +155,17 @@ class TestFitnessCompressorAgreementOnRealData:
     def test_rates_agree(self, s27_stuck_at):
         """The EA's fast fitness path and the materializing compressor
         must price genuine ATPG data identically."""
-        from repro.core.fitness import CompressionRateFitness
+        from repro.core.fitness import BatchCompressionRateFitness
 
         blocks = s27_stuck_at.test_set.blocks(4)
         rng = np.random.default_rng(0)
         for _ in range(10):
             genome = rng.integers(0, 3, size=6 * 4, dtype=np.int8)
             genome[-4:] = 2  # all-U tail
-            fitness = CompressionRateFitness(blocks, n_vectors=6, block_length=4)
-            predicted = fitness(genome)
+            fitness = BatchCompressionRateFitness(
+                blocks, n_vectors=6, block_length=4
+            )
+            predicted = fitness.evaluate_batch(genome)[0]
             actual = repro.compress_blocks(
                 blocks, repro.MVSet.from_genome(genome, 4)
             ).rate
