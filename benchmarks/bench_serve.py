@@ -15,7 +15,10 @@ What the serve tentpole claims to buy and this bench prices:
 * **daemon** — the full ``repro serve`` stack over real HTTP at
   concurrency ∈ {1, 8, 64}: warm state *plus* the coalescer folding
   concurrent same-table requests into single ``evaluate_batch``
-  passes, minus real socket and connection-thread overhead.
+  passes, minus real socket and connection-thread overhead.  Each
+  client thread sends all of its requests over one keep-alive
+  connection, as a long-lived client does, so a stall that only
+  shows on a reused connection shows here.
 
 Before any timing, every daemon response is checked byte-identical
 to the offline service's canonical rendering — and the inline-table
@@ -31,10 +34,11 @@ parallelism.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 
@@ -95,16 +99,25 @@ def fresh_service() -> CompressionService:
     return CompressionService(WarmRegistry())
 
 
-def post(address: tuple[str, int], path: str, body: dict) -> bytes:
+def connect(address: tuple[str, int]) -> http.client.HTTPConnection:
+    """One keep-alive connection to the daemon."""
     host, port = address
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=json.dumps(body).encode(),
-        method="POST",
+    return http.client.HTTPConnection(host, port, timeout=120)
+
+
+def post(connection: http.client.HTTPConnection, path: str, body: dict) -> bytes:
+    """POST ``body`` as JSON on ``connection`` and return the raw reply."""
+    connection.request(
+        "POST",
+        path,
+        body=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
     )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return response.read()
+    response = connection.getresponse()
+    raw = response.read()
+    if response.status != 200:
+        raise RuntimeError(f"{path} answered {response.status}: {raw!r}")
+    return raw
 
 
 def time_cold(inline_bodies: list[dict]) -> float:
@@ -142,22 +155,30 @@ def time_daemon(
     )
     daemon.start()
     try:
-        post(daemon.address, "/tables", table)
-        # One warm-up request builds the engine (cold-start cost is the
-        # cold contender's story); its parity is still checked.
-        warmup = post(daemon.address, "/fitness", digest_bodies[0])
+        with closing(connect(daemon.address)) as setup:
+            post(setup, "/tables", table)
+            # One warm-up request builds the engine (cold-start cost is
+            # the cold contender's story); its parity is still checked.
+            warmup = post(setup, "/fitness", digest_bodies[0])
         assert warmup == expected[0], "served bytes diverged from offline"
 
         mismatches = []
 
-        def send(index: int) -> None:
-            raw = post(daemon.address, "/fitness", digest_bodies[index])
-            if raw != expected[index]:
-                mismatches.append(index)
+        def client(indices: range) -> None:
+            """One client thread: its requests, in order, on one connection."""
+            with closing(connect(daemon.address)) as connection:
+                for index in indices:
+                    raw = post(connection, "/fitness", digest_bodies[index])
+                    if raw != expected[index]:
+                        mismatches.append(index)
 
+        shares = [
+            range(first, len(digest_bodies), concurrency)
+            for first in range(concurrency)
+        ]
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            list(pool.map(send, range(len(digest_bodies))))
+            list(pool.map(client, shares))
         elapsed = time.perf_counter() - start
         assert not mismatches, f"parity broke for requests {mismatches}"
         stats = daemon.stats()
