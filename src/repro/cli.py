@@ -239,6 +239,15 @@ def _print_pareto_front(blocks, config, arguments: argparse.Namespace) -> int:
 
 
 def _compress_command(arguments: argparse.Namespace) -> int:
+    config = CompressionConfig(
+        block_length=arguments.k,
+        n_vectors=arguments.l,
+        runs=arguments.runs,
+        ea=EAParameters(
+            stagnation_limit=arguments.stagnation,
+            max_evaluations=arguments.max_evaluations,
+        ),
+    )
     lines = [
         line.strip()
         for line in Path(arguments.file).read_text().splitlines()
@@ -250,15 +259,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
     print(f"9C     rate: {compress_nine_c(blocks8).rate:6.2f}%")
     print(
         f"9C+HC  rate: {compress_nine_c(blocks8, use_huffman=True).rate:6.2f}%"
-    )
-    config = CompressionConfig(
-        block_length=arguments.k,
-        n_vectors=arguments.l,
-        runs=arguments.runs,
-        ea=EAParameters(
-            stagnation_limit=arguments.stagnation,
-            max_evaluations=arguments.max_evaluations,
-        ),
     )
     blocks = blocks8 if arguments.k == 8 else test_set.blocks(arguments.k)
     if arguments.objectives != "rate":
@@ -281,6 +281,12 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
     from .atpg.stuck_at import generate_stuck_at_tests
     from .circuits.library import load_circuit
 
+    config = CompressionConfig(
+        block_length=arguments.k,
+        n_vectors=arguments.l,
+        runs=3,
+        ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
+    )
     netlist = load_circuit(arguments.circuit)
     result = generate_stuck_at_tests(netlist)
     test_set = result.test_set
@@ -294,12 +300,6 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
     print(f"9C     rate: {compress_nine_c(blocks8).rate:6.2f}%")
     print(
         f"9C+HC  rate: {compress_nine_c(blocks8, use_huffman=True).rate:6.2f}%"
-    )
-    config = CompressionConfig(
-        block_length=arguments.k,
-        n_vectors=arguments.l,
-        runs=3,
-        ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     if arguments.objectives != "rate":
         return _print_pareto_front(
@@ -559,7 +559,7 @@ def _serve_command(arguments: argparse.Namespace) -> int:
 def _request_command(arguments: argparse.Namespace) -> int:
     import json
 
-    from .serve import ProtocolError, canonical_json
+    from .serve import canonical_json
 
     service = _build_service(arguments)
     raw = (
@@ -570,8 +570,7 @@ def _request_command(arguments: argparse.Namespace) -> int:
     try:
         body = json.loads(raw)
     except json.JSONDecodeError as error:
-        print(f"error: invalid JSON request: {error}", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid JSON request: {error}") from None
     endpoint = arguments.endpoint
     if endpoint is None:
         if isinstance(body, dict) and "genomes" in body:
@@ -580,16 +579,12 @@ def _request_command(arguments: argparse.Namespace) -> int:
             endpoint = "compress"
         else:
             endpoint = "tables"
-    try:
-        if endpoint == "fitness":
-            payload = service.run_fitness(body)
-        elif endpoint == "compress":
-            payload = service.run_compress(body)
-        else:
-            payload = service.register_table(body)
-    except ProtocolError as error:
-        print(f"error: {error.message}", file=sys.stderr)
-        return 1
+    if endpoint == "fitness":
+        payload = service.run_fitness(body)
+    elif endpoint == "compress":
+        payload = service.run_compress(body)
+    else:
+        payload = service.register_table(body)
     sys.stdout.buffer.write(canonical_json(payload))
     return 0
 
@@ -802,7 +797,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Bad input a command raises — a ``ValueError`` (an invalid option
-    value, a malformed pattern) or an ``OSError`` (an unreadable file)
+    value, a malformed pattern, a request body the serve protocol
+    rejects) or an ``OSError`` (an unreadable file)
     — prints one ``repro: error: …`` line on stderr and exits 2, the
     status argparse uses for a bad flag, instead of a traceback.
     """

@@ -42,7 +42,9 @@ class EAParameters:
         Pin one genome slot to the all-U MV so covering never fails.
     seed_nine_c:
         Inject the 9C matching vectors into one initial individual
-        (the improvement the paper mentions but did not implement).
+        (the improvement the paper mentions but did not implement);
+        :class:`CompressionConfig` then requires an even ``K`` and
+        ``L >= 9``.
     parent_selection:
         ``"uniform"`` (the paper: "randomly selected individuals") or
         ``"tournament"`` — pick the fittest of ``tournament_size``
@@ -85,6 +87,10 @@ class EAParameters:
             raise ValueError("operator probabilities must sum to at most 1")
         if self.stagnation_limit < 1:
             raise ValueError("stagnation_limit must be >= 1")
+        if self.max_evaluations is not None and self.max_evaluations < 1:
+            raise ValueError("max_evaluations must be >= 1")
+        if self.max_generations is not None and self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
 
     @property
     def copy_probability(self) -> float:
@@ -141,6 +147,10 @@ class CompressionConfig:
             raise ValueError("fill_default must be 0 or 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.ea.seed_nine_c and (self.block_length % 2 or self.n_vectors < 9):
+            raise ValueError(
+                "seeding 9C requires an even K and at least 9 matching vectors"
+            )
 
     @property
     def genome_length(self) -> int:

@@ -130,10 +130,6 @@ def _seed_genomes(
     """Optional 9C-seeded individual for the initial population."""
     if not config.ea.seed_nine_c:
         return []
-    if config.block_length % 2 or config.n_vectors < 9:
-        raise ValueError(
-            "seeding 9C requires an even K and at least 9 matching vectors"
-        )
     genome = rng.integers(0, 3, size=config.genome_length, dtype=np.int8)
     nine = nine_c_mv_set(config.block_length).to_genome()
     genome[: nine.size] = nine

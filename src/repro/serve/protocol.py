@@ -40,8 +40,12 @@ __all__ = [
 ]
 
 
-class ProtocolError(Exception):
-    """A malformed or unserviceable request; carries the HTTP status."""
+class ProtocolError(ValueError):
+    """A malformed or unserviceable request; carries the HTTP status.
+
+    A ``ValueError``, so ``repro request`` reports it like any other bad
+    input: one ``repro: error: …`` line and exit 2.
+    """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)

@@ -21,6 +21,8 @@ not in parity-compared bodies.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from ..core.blocks import BlockSet
@@ -51,23 +53,7 @@ _COMPRESS_FIELDS = frozenset(("table", "seed", "config"))
 _CONFIG_FIELDS = frozenset(
     ("n_vectors", "runs", "strategy", "fill_default", "ea")
 )
-_EA_FIELDS = frozenset(
-    (
-        "population_size",
-        "children_per_generation",
-        "crossover_probability",
-        "mutation_probability",
-        "inversion_probability",
-        "stagnation_limit",
-        "max_evaluations",
-        "max_generations",
-        "include_all_u",
-        "seed_nine_c",
-        "parent_selection",
-        "tournament_size",
-        "adaptive_operators",
-    )
-)
+_EA_FIELDS = frozenset(field.name for field in fields(EAParameters))
 
 
 class CompressionService:

@@ -47,6 +47,10 @@ class TestEAParameters:
             EAParameters(children_per_generation=0)
         with pytest.raises(ValueError):
             EAParameters(stagnation_limit=0)
+        with pytest.raises(ValueError, match="^max_evaluations must be >= 1$"):
+            EAParameters(max_evaluations=0)
+        with pytest.raises(ValueError, match="^max_generations must be >= 1$"):
+            EAParameters(max_generations=0)
 
     def test_with_updates(self):
         params = EAParameters().with_updates(stagnation_limit=50)
@@ -75,6 +79,11 @@ class TestCompressionConfig:
             CompressionConfig(fill_default=2)
         with pytest.raises(ValueError):
             CompressionConfig(runs=0)
+        nine_c = EAParameters(seed_nine_c=True)
+        with pytest.raises(ValueError, match="^seeding 9C requires an even K"):
+            CompressionConfig(block_length=5, n_vectors=9, ea=nine_c)
+        with pytest.raises(ValueError, match="^seeding 9C requires an even K"):
+            CompressionConfig(block_length=8, n_vectors=8, ea=nine_c)
 
     def test_with_updates(self):
         config = CompressionConfig().with_updates(block_length=8, n_vectors=9)

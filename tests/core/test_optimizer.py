@@ -73,26 +73,23 @@ class TestOptimizer:
 
 class TestOptimizerSeeding:
     def test_nine_c_seeding_requires_even_k(self):
-        config = CompressionConfig(
-            block_length=5,
-            n_vectors=9,
-            runs=1,
-            ea=EAParameters(seed_nine_c=True, stagnation_limit=5),
-        )
-        blocks = BlockSet.from_string("10101" * 4, 5)
-        with pytest.raises(ValueError):
-            EAMVOptimizer(config, seed=1).optimize(blocks)
+        """Rejected when the config is built, before any run starts."""
+        with pytest.raises(ValueError, match="seeding 9C requires an even K"):
+            CompressionConfig(
+                block_length=5,
+                n_vectors=9,
+                runs=1,
+                ea=EAParameters(seed_nine_c=True, stagnation_limit=5),
+            )
 
     def test_nine_c_seeding_requires_nine_vectors(self):
-        config = CompressionConfig(
-            block_length=4,
-            n_vectors=4,
-            runs=1,
-            ea=EAParameters(seed_nine_c=True, stagnation_limit=5),
-        )
-        blocks = BlockSet.from_string("1010" * 4, 4)
-        with pytest.raises(ValueError):
-            EAMVOptimizer(config, seed=1).optimize(blocks)
+        with pytest.raises(ValueError, match="at least 9 matching vectors"):
+            CompressionConfig(
+                block_length=4,
+                n_vectors=4,
+                runs=1,
+                ea=EAParameters(seed_nine_c=True, stagnation_limit=5),
+            )
 
     def test_nine_c_seeding_never_loses_to_nine_c(self):
         """With the 9C MVs in the initial population and truncation
@@ -122,3 +119,31 @@ class TestOptimizerImprovement:
             blocks.original_bits - blocks.n_blocks * 5
         ) / blocks.original_bits
         assert result.best_rate > all_u_rate + 10
+
+    def test_ea_beats_nine_c_on_calibrated_s349(self):
+        """Table 1's claim on its smallest quick row: the EA beats the
+        fixed 9C code, and Huffman-coding the 9C covering never hurts."""
+        from repro.testdata.calibration import calibrate_spec
+        from repro.testdata.registry import TABLE1_STUCK_AT, row_by_name
+        from repro.testdata.synthetic import SyntheticSpec
+
+        row = row_by_name(TABLE1_STUCK_AT, "s349")
+        spec = SyntheticSpec(
+            name=row.circuit,
+            n_patterns=row.n_patterns,
+            pattern_bits=row.pattern_bits,
+            care_density=0.5,
+            seed=2005,
+        )
+        test_set = calibrate_spec(spec, row.published["9C"]).test_set
+        nine_c = compress_nine_c(test_set.blocks(8)).rate
+        nine_c_hc = compress_nine_c(test_set.blocks(8), use_huffman=True).rate
+        config = CompressionConfig(
+            block_length=12,
+            n_vectors=64,
+            runs=2,
+            ea=EAParameters(stagnation_limit=25, max_evaluations=1200),
+        )
+        ea = EAMVOptimizer(config, seed=7).optimize(test_set.blocks(12))
+        assert ea.best_rate > nine_c
+        assert nine_c_hc >= nine_c

@@ -252,6 +252,34 @@ class TestRemovedKernel:
             daemon.shutdown(drain=True)
 
 
+class TestInvalidEAConfig:
+    """An EA config no run can use is a 400 before any work starts, not
+    a 500 from inside the run."""
+
+    def test_invalid_ea_configs_are_400(self):
+        daemon = ServeDaemon(make_service(), port=0, batch_window_ms=1.0)
+        daemon.start()
+        try:
+            for ea, error in (
+                ({"max_evaluations": 0}, "max_evaluations must be >= 1"),
+                ({"max_generations": 0}, "max_generations must be >= 1"),
+                (  # TABLE's K is 3, and 9C needs an even K and L >= 9
+                    {"seed_nine_c": True},
+                    "seeding 9C requires an even K and at least 9 "
+                    "matching vectors",
+                ),
+            ):
+                config = dict(COMPRESS_BODY["config"], ea=ea)
+                status, raw = http(
+                    daemon.address, "/compress", dict(COMPRESS_BODY, config=config)
+                )
+                assert (status, json.loads(raw)["error"]) == (400, error)
+            (table,) = daemon.stats()["tables"].values()
+            assert table["compress_requests"] == 0
+        finally:
+            daemon.shutdown(drain=True)
+
+
 class TestDegradation:
     def test_timeout_is_504_and_counted(self, monkeypatch):
         # The compress worker is held until the 504 is in: a fast

@@ -324,6 +324,16 @@ class TestBadInput:
             ["compress", str(path), "--k", "0"], capsys, "block_length must be >= 1"
         )
 
+    def test_nonpositive_max_evaluations(self, tmp_path, capsys):
+        """An EA config no run can use is rejected before any work."""
+        path = tmp_path / "patterns.txt"
+        path.write_text("0101XXXX\n01010101\n")
+        out = self.assert_one_line_error(
+            ["compress", str(path), "--max-evaluations", "0"], capsys,
+            "max_evaluations must be >= 1",
+        )
+        assert out == ""
+
     def test_invalid_pattern_character(self, tmp_path, capsys):
         path = tmp_path / "patterns.txt"
         path.write_text("0101\n01Q1\n")
@@ -630,9 +640,10 @@ class TestRequestCommand:
     def test_invalid_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert main(["request", str(path)]) == 1
+        assert main(["request", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
         assert "invalid JSON" in captured.err
 
     def test_kernel_field_is_rejected(self, tmp_path, capsys):
@@ -640,18 +651,36 @@ class TestRequestCommand:
                    "genomes": ["UUUUUUUUU"], "kernel": "auto"}
         compress = {"table": self.TABLE, "seed": 5, "kernel": "auto"}
         for body, where in ((fitness, "/fitness body"), (compress, "/compress body")):
-            assert main(["request", self._write(tmp_path, body)]) == 1
+            assert main(["request", self._write(tmp_path, body)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: unknown {where} fields: kernel\n"
+            assert captured.err == f"repro: error: unknown {where} fields: kernel\n"
 
     def test_protocol_error_fails_cleanly(self, tmp_path, capsys):
         body = {"table": self.TABLE, "n_vectors": 3}  # no genomes
         assert main(["request", self._write(tmp_path, body),
-                     "--endpoint", "fitness"]) == 1
+                     "--endpoint", "fitness"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err
+        assert captured.err.startswith("repro: error: ")
+
+    def test_invalid_ea_config_fails_before_the_run(self, tmp_path, capsys):
+        """Both config errors and protocol errors take main()'s one path."""
+        for ea, error in (
+            ({"max_evaluations": 0}, "max_evaluations must be >= 1"),
+            ({"max_generations": 0}, "max_generations must be >= 1"),
+        ):
+            body = {"table": self.TABLE, "seed": 5,
+                    "config": {"n_vectors": 3, "runs": 1, "ea": ea}}
+            assert main(["request", self._write(tmp_path, body)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"repro: error: {error}\n"
+        unknown = {"table": "f" * 64, "n_vectors": 3, "genomes": ["UUUUUUUUU"]}
+        assert main(["request", self._write(tmp_path, unknown)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: no table registered under digest"
+        )
 
 
 class TestObjectivesFlag:
