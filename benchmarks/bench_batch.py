@@ -16,21 +16,19 @@ Two comparisons share the synthetic workloads:
 Huffman stages so a future regression can be localized, not just
 detected.
 
-Run with ``pytest benchmarks/bench_batch.py --benchmark-only`` and
-compare the ``genomes_per_second`` extra-info columns, or use
-``python benchmarks/run_bench.py`` for a JSON trajectory artifact
-(``BENCH_fitness.json``) suitable for regression tracking.
+``python benchmarks/run_bench.py`` times these paths and writes the
+JSON trajectory artifact (``BENCH_fitness.json``) that its
+``--check`` gate compares against.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.coding.huffman import huffman_code_lengths
 from repro.core.covering import cover_masks
-from repro.core.fitness import INVALID_FITNESS, BatchCompressionRateFitness
-from repro.core.kernels import kernel_availability, select_kernel_name
+from repro.core.fitness import INVALID_FITNESS
+from repro.core.kernels import kernel_availability
 from repro.ea.genome import random_genome
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
@@ -101,75 +99,6 @@ def reference_scalar_fitness(blocks, n_vectors, block_length):
     return evaluate
 
 
-@pytest.fixture(scope="module", params=sorted(WORKLOADS))
-def workload(request):
-    spec, block_length, n_vectors, batch_size = WORKLOADS[request.param]
-    blocks = synthetic_test_set(spec).blocks(block_length)
-    rng = np.random.default_rng(spec.seed)
-    genomes = np.stack(
-        [
-            random_genome(n_vectors * block_length, rng)
-            for _ in range(batch_size)
-        ]
-    )
-    genomes[:, -block_length:] = 2  # all-U tail, as the optimizer pins it
-    return request.param, blocks, block_length, n_vectors, genomes
-
-
-def _report(benchmark, n_genomes):
-    benchmark.extra_info["genomes"] = n_genomes
-    benchmark.extra_info["genomes_per_second"] = (
-        n_genomes / benchmark.stats.stats.mean
-    )
-
-
-def test_reference_scalar_path(benchmark, workload):
-    name, blocks, block_length, n_vectors, genomes = workload
-    evaluate = reference_scalar_fitness(blocks, n_vectors, block_length)
-    benchmark.group = f"fitness-{name}"
-    rates = benchmark(lambda: [evaluate(genome) for genome in genomes])
-    _report(benchmark, len(genomes))
-    assert len(rates) == len(genomes)
-
-
-def test_scalar_wrapper_path(benchmark, workload):
-    name, blocks, block_length, n_vectors, genomes = workload
-    fitness = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
-    benchmark.group = f"fitness-{name}"
-    rates = benchmark(
-        lambda: [fitness.evaluate_batch(genome[None, :]) for genome in genomes]
-    )
-    _report(benchmark, len(genomes))
-    assert len(rates) == len(genomes)
-
-
-def test_batched_path(benchmark, workload):
-    name, blocks, block_length, n_vectors, genomes = workload
-    fitness = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
-    benchmark.group = f"fitness-{name}"
-    rates = benchmark(fitness.evaluate_batch, genomes)
-    _report(benchmark, len(genomes))
-    assert rates.shape == (len(genomes),)
-
-
-def test_all_paths_agree(workload):
-    """Not a benchmark: the three contenders must price identically."""
-    _, blocks, block_length, n_vectors, genomes = workload
-    evaluate = reference_scalar_fitness(blocks, n_vectors, block_length)
-    batch = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
-    sample = genomes[:16]
-    batched_rates = batch.evaluate_batch(sample)
-    for index, genome in enumerate(sample):
-        single = batch.evaluate_batch(genome[None, :])[0]
-        assert batched_rates[index] == evaluate(genome) == single
-
-
 def build_kernel_workload(name):
     """Blocks + genome batch for one kernel-comparison workload."""
     spec, block_length, n_vectors, batch_size = KERNEL_WORKLOADS[name]
@@ -200,51 +129,3 @@ def stage_timings(fitness, genomes, repeats=3):
         if best is None or sum(timings.values()) < sum(best.values()):
             best = timings
     return best
-
-
-@pytest.fixture(scope="module", params=sorted(KERNEL_WORKLOADS))
-def kernel_workload(request):
-    return (request.param, *build_kernel_workload(request.param))
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_path(benchmark, kernel_workload, kernel):
-    """The batched pipeline under each registered covering kernel."""
-    name, blocks, block_length, n_vectors, genomes = kernel_workload
-    fitness = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length, kernel=kernel,
-    )
-    benchmark.group = f"kernel-{name}"
-    benchmark.extra_info["auto_pick"] = select_kernel_name()
-    rates = benchmark(fitness.evaluate_batch, genomes)
-    _report(benchmark, len(genomes))
-    assert rates.shape == (len(genomes),)
-
-
-def test_kernels_agree(kernel_workload):
-    """Not a benchmark: every kernel must price bit-identically."""
-    _, blocks, block_length, n_vectors, genomes = kernel_workload
-    sample = genomes[:16]
-    rates = {
-        kernel: BatchCompressionRateFitness(
-            blocks,
-            n_vectors=n_vectors,
-            block_length=block_length,
-            kernel=kernel,
-        ).evaluate_batch(sample)
-        for kernel in KERNELS
-    }
-    reference = rates[KERNELS[0]]
-    for kernel in KERNELS[1:]:
-        assert (rates[kernel] == reference).all(), kernel
-
-
-def test_stage_timings_cover_the_whole_call():
-    """Not a benchmark: the stage breakdown must account for the call."""
-    blocks, block_length, n_vectors, genomes = build_kernel_workload("medium")
-    fitness = BatchCompressionRateFitness(
-        blocks, n_vectors=n_vectors, block_length=block_length
-    )
-    timings = stage_timings(fitness, genomes, repeats=2)
-    assert set(timings) == {"pack", "cover", "huffman"}
-    assert all(seconds >= 0.0 for seconds in timings.values())

@@ -8,19 +8,17 @@ several job counts; since every run is self-seeded, all contenders
 produce bit-identical results and the only thing measured is
 scheduling.
 
-Run ``pytest benchmarks/bench_parallel.py --benchmark-only`` for
-distributions, or ``python benchmarks/run_bench.py`` to (re)generate
-the ``BENCH_parallel.json`` trajectory artifact.  Speedups are bounded
-by the machine — the artifact records ``cpu_count`` so a 1-core CI
-container's ~1× is read as the hardware ceiling, not a regression.
+``python benchmarks/run_bench.py`` (re)generates the
+``BENCH_parallel.json`` trajectory artifact from
+:func:`scaling_report`.  Speedups are bounded by the machine — the
+artifact records ``cpu_count`` so a 1-core CI container's ~1× is read
+as the hardware ceiling, not a regression.
 """
 
 from __future__ import annotations
 
 import os
 import time
-
-import pytest
 
 from repro.core.config import CompressionConfig, EAParameters
 from repro.core.optimizer import EAMVOptimizer
@@ -44,28 +42,6 @@ CONFIG = CompressionConfig(
 
 def _blocks():
     return synthetic_test_set(SPEC).blocks(CONFIG.block_length)
-
-
-def _backends() -> dict[str, ExecutionBackend]:
-    contenders: dict[str, ExecutionBackend] = {"serial": SerialBackend()}
-    for jobs in JOB_COUNTS[1:]:
-        contenders[f"process-{jobs}"] = ProcessBackend(jobs)
-    return contenders
-
-
-@pytest.mark.parametrize("name", list(_backends()))
-def test_multi_run_scaling(benchmark, name):
-    backend = _backends()[name]
-    blocks = _blocks()
-
-    def optimize():
-        return EAMVOptimizer(CONFIG, seed=2005, backend=backend).optimize(blocks)
-
-    result = benchmark.pedantic(optimize, rounds=1, iterations=1)
-    benchmark.extra_info["backend"] = name
-    benchmark.extra_info["runs"] = RUNS
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["mean_rate"] = round(result.mean_rate, 3)
 
 
 def scaling_report(repeats: int = 3) -> dict:

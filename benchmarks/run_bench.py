@@ -43,9 +43,10 @@ workload's speedup fell by more than ``--check-tolerance`` (default
 on any machine — including CI's bench lane, which runs it on every
 push; raw genomes/second are printed for context only.
 
-The artifacts intentionally avoid pytest-benchmark's statistics; use
-``pytest benchmarks/bench_batch.py --benchmark-only`` (or
-``bench_parallel.py``) for full distributions.
+Nothing is timed unless it prices correctly: a fitness workload
+needs exactly equal reference, batched and batch-of-one rates on its
+first 16 genomes, the kernel rows need bit-identical rates from every
+kernel, and each process-pool row needs the serial run's rates.
 """
 
 from __future__ import annotations
@@ -111,9 +112,11 @@ def bench_workload(name: str, repeats: int) -> dict:
     batch = BatchCompressionRateFitness(
         blocks, n_vectors=n_vectors, block_length=block_length
     )
-    assert np.allclose(
-        batch.evaluate_batch(genomes[:8]),
-        [reference(genome) for genome in genomes[:8]],
+    sample = genomes[:16]
+    assert (
+        batch.evaluate_batch(sample).tolist()
+        == [reference(genome) for genome in sample]
+        == [scalar.evaluate_batch(genome[None, :])[0] for genome in sample]
     ), "pricing paths disagree; refusing to benchmark"
 
     seconds = {

@@ -4,9 +4,8 @@ The paper deliberately compresses *uncompacted* test sets: compaction
 merges compatible cubes, which shrinks the pattern count but destroys
 don't-cares — and code-based compression feeds on don't-cares.  This
 module implements greedy static compaction so the trade-off can be
-measured (see ``benchmarks/bench_compaction.py``): compaction reduces
-``T·n`` up front, compression reduces transferred bits; the
-interesting question is the product.
+measured: compaction reduces ``T·n`` up front, compression reduces
+transferred bits; the interesting question is the product.
 
 Two cubes are *compatible* when no position pairs a specified 0 with
 a specified 1; their merge specifies the union of their care bits.

@@ -143,8 +143,8 @@ def experiments_markdown(
         "implements it 1:1 (random population of S, C children per "
         "generation via crossover/mutation/inversion, best-S survival, "
         "stagnation/evaluation-limit termination).  `examples/ea_trace.py` "
-        "prints the loop's live trace; `benchmarks/bench_figure1.py` "
-        "records generations, evaluations and termination cause.",
+        "prints the loop's live trace, and every `EAResult` records its "
+        "generations, evaluations and termination cause.",
         "",
         "## Section 3.3 example — subsumption",
         "",

@@ -7,9 +7,9 @@ fill policies are 0-fill, 1-fill, and random fill (power-aware flows
 also use adjacent fill, included here as ``repeat``).
 
 Filling *before* compression destroys exactly the freedom the encoder
-feeds on; ``benchmarks/bench_fill.py`` measures how many points of
-compression each policy costs, which is the quantitative argument for
-compressing test *cubes* rather than test *vectors*.
+feeds on: under 9C no policy compresses its filled vectors better than
+the cubes (``tests/testdata/test_fill.py`` checks it), which is the
+argument for compressing test *cubes* rather than test *vectors*.
 """
 
 from __future__ import annotations

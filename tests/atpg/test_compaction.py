@@ -9,6 +9,7 @@ from repro.atpg.compaction import compact_test_set, cubes_compatible, merge_cube
 from repro.atpg.fault_sim import fault_coverage
 from repro.atpg.faults import collapse_faults
 from repro.atpg.stuck_at import generate_stuck_at_tests
+from repro.circuits.generator import random_netlist
 from repro.circuits.library import load_circuit
 from repro.core.trits import DC
 from repro.testdata.test_set import TestSet
@@ -81,6 +82,16 @@ class TestCompactTestSet:
         compacted = compact_test_set(atpg.test_set)
         if compacted.n_patterns < atpg.test_set.n_patterns:
             assert compacted.x_density() < atpg.test_set.x_density()
+
+    def test_generated_circuit_loses_bits_and_dont_cares(self):
+        """On the ATPG cubes of a generated netlist, compaction gives
+        fewer bits and no higher X density."""
+        atpg = generate_stuck_at_tests(
+            random_netlist(16, 90, seed=5), max_backtracks=300
+        )
+        compacted = compact_test_set(atpg.test_set)
+        assert compacted.total_bits < atpg.test_set.total_bits
+        assert compacted.x_density() <= atpg.test_set.x_density()
 
     @settings(max_examples=25)
     @given(

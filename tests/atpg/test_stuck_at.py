@@ -20,6 +20,11 @@ class TestStuckAtFlow:
         result = generate_stuck_at_tests(load_circuit("s27"))
         assert result.fault_coverage == 1.0
 
+    def test_gen_small_coverage(self):
+        """The bundled generated netlist, not only the ISCAS ones."""
+        result = generate_stuck_at_tests(load_circuit("gen_small"))
+        assert result.fault_coverage > 0.9
+
     def test_test_set_shape(self):
         c17 = load_circuit("c17")
         result = generate_stuck_at_tests(c17)
@@ -61,6 +66,26 @@ class TestStuckAtFlow:
         # Redundant faults are fine; coverage counts testable ones only.
         assert result.fault_coverage > 0.95
         assert result.test_set.x_density() > 0.1
+
+    def test_ea_beats_nine_c_on_generated_circuit_cubes(self):
+        """On genuine ATPG cubes the EA's searched MVs beat the fixed
+        9C code."""
+        from repro.core.config import CompressionConfig, EAParameters
+        from repro.core.nine_c import compress_nine_c
+        from repro.core.optimizer import EAMVOptimizer
+
+        result = generate_stuck_at_tests(
+            random_netlist(24, 150, seed=42), max_backtracks=300
+        )
+        test_set = result.test_set
+        config = CompressionConfig(
+            block_length=12,
+            n_vectors=32,
+            runs=1,
+            ea=EAParameters(stagnation_limit=15, max_evaluations=500),
+        )
+        ea = EAMVOptimizer(config, seed=1).optimize(test_set.blocks(12))
+        assert ea.best_rate > compress_nine_c(test_set.blocks(8)).rate
 
     def test_custom_name(self):
         result = generate_stuck_at_tests(load_circuit("c17"), name="mine")

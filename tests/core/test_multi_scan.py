@@ -71,6 +71,17 @@ class TestCompressMultiScan:
         assert result.mode == "independent"
         assert len(result.chains) == 2
 
+    def test_independent_within_ten_points_of_shared(self, test_set):
+        """Per-chain MV sets need one decoder per chain; they must not
+        compress much worse than one shared decoder."""
+        shared = compress_multi_scan(
+            test_set, 4, config=fast_config(), mode="shared", seed=3
+        )
+        independent = compress_multi_scan(
+            test_set, 4, config=fast_config(), mode="independent", seed=3
+        )
+        assert independent.rate > shared.rate - 10.0
+
     def test_aggregate_rate_formula(self, test_set):
         result = compress_multi_scan(
             test_set, 2, config=fast_config(), mode="shared", seed=1

@@ -13,7 +13,6 @@ The compile machinery's contract (``repro.core.kernels.build``):
   cache — compile exactly once via the exclusive-create lock file.
 """
 
-import json
 import os
 import signal
 import subprocess

@@ -43,6 +43,9 @@ class TestOperatorSweep:
         assert len(points) == 5
         labels = {p.label for p in points}
         assert "paper (30/30/10)" in labels
+        for point in points:  # every operator mix compresses this set
+            assert point.best_rate >= point.mean_rate - 1e-9
+            assert point.mean_rate > 0.0
 
 
 class TestSeedingAblation:
@@ -53,6 +56,8 @@ class TestSeedingAblation:
         assert len(points) == 2
         assert points[0].label.startswith("random")
         assert points[1].label.startswith("9C-seeded")
+        # A 9C-seeded start must not leave the search far behind.
+        assert points[1].mean_rate >= points[0].mean_rate - 8.0
 
 
 class TestSubsumptionAblation:
@@ -73,3 +78,7 @@ class TestDecoderCostStudy:
         for values in costs.values():
             assert values["payload_bits"] > 0
             assert values["code_table_bits"] > 0
+        # Section 5: the EA's reconfigurable-decoder table is small
+        # next to the payload bits it saves over 9C.
+        saving = costs["9C"]["payload_bits"] - costs["EA"]["payload_bits"]
+        assert costs["EA"]["code_table_bits"] < max(saving, 1.0) * 5

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.experiments.tables import DEFAULT_QUICK_TABLE1, DEFAULT_QUICK_TABLE2
 from repro.testdata.calibration import calibrate_spec, nine_c_rate
-from repro.testdata.registry import TABLE1_STUCK_AT, row_by_name
+from repro.testdata.registry import TABLE1_STUCK_AT, TABLE2_PATH_DELAY, row_by_name
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
 
@@ -72,3 +73,22 @@ class TestCalibrateSpec:
         second = calibrate_spec(spec_for("s349"), row.published["9C"])
         assert first.spec.care_density == second.spec.care_density
         assert first.test_set.to_string() == second.test_set.to_string()
+
+    @pytest.mark.parametrize(
+        "table, circuit",
+        [("table1", name) for name in DEFAULT_QUICK_TABLE1]
+        + [("table2", name) for name in DEFAULT_QUICK_TABLE2],
+    )
+    def test_every_quick_row_is_anchored(self, table, circuit):
+        """What `repro table1`/`table2` build at seed 2005: each row's
+        9C column lands within 1.5 points of the published one."""
+        rows = TABLE1_STUCK_AT if table == "table1" else TABLE2_PATH_DELAY
+        row = row_by_name(rows, circuit)
+        spec = SyntheticSpec(
+            name=row.circuit,
+            n_patterns=row.n_patterns,
+            pattern_bits=row.pattern_bits,
+            care_density=0.5,
+            seed=2005,
+        )
+        assert calibrate_spec(spec, row.published["9C"]).anchor_error <= 1.5

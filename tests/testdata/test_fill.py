@@ -62,21 +62,48 @@ class TestFillStrategies:
             assert filled.patterns.shape == ts.patterns.shape
 
 
+def premise_cubes() -> TestSet:
+    from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
+
+    return synthetic_test_set(
+        SyntheticSpec(
+            "premise", n_patterns=60, pattern_bits=48,
+            care_density=0.35, seed=4,
+        )
+    )
+
+
 class TestFillHurtsCompression:
     def test_x_rich_beats_any_fill_under_nine_c(self):
         """The paper's premise, quantified: compressing cubes beats
         compressing filled vectors for every fill policy."""
         from repro.core.nine_c import compress_nine_c
-        from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
-        cubes = synthetic_test_set(
-            SyntheticSpec(
-                "premise", n_patterns=60, pattern_bits=48,
-                care_density=0.35, seed=4,
-            )
-        )
+        cubes = premise_cubes()
         unfilled_rate = compress_nine_c(cubes.blocks(8)).rate
         for strategy in FILL_STRATEGIES:
             filled = fill_test_set(cubes, strategy, seed=9)
             filled_rate = compress_nine_c(filled.blocks(8)).rate
             assert unfilled_rate >= filled_rate - 1e-9, strategy
+
+    def test_no_fill_helps_the_ea(self):
+        """The same premise for the EA's searched MVs, with a two-point
+        allowance for search noise."""
+        from repro.core.config import CompressionConfig, EAParameters
+        from repro.core.optimizer import EAMVOptimizer
+
+        config = CompressionConfig(
+            block_length=8,
+            n_vectors=16,
+            runs=1,
+            ea=EAParameters(stagnation_limit=10, max_evaluations=200),
+        )
+
+        def ea_rate(test_set: TestSet) -> float:
+            return EAMVOptimizer(config, seed=5).optimize(test_set.blocks(8)).best_rate
+
+        cubes = premise_cubes()
+        unfilled_rate = ea_rate(cubes)
+        for strategy in FILL_STRATEGIES:
+            filled_rate = ea_rate(fill_test_set(cubes, strategy, seed=9))
+            assert unfilled_rate >= filled_rate - 2.0, strategy
