@@ -85,13 +85,28 @@ class TestCompactTestSet:
 
     def test_generated_circuit_loses_bits_and_dont_cares(self):
         """On the ATPG cubes of a generated netlist, compaction gives
-        fewer bits and no higher X density."""
+        fewer bits and no higher X density, and the EA compresses the
+        uncompacted cubes no worse (within 5 points)."""
+        from repro.core.config import CompressionConfig, EAParameters
+        from repro.core.optimizer import EAMVOptimizer
+
         atpg = generate_stuck_at_tests(
             random_netlist(16, 90, seed=5), max_backtracks=300
         )
         compacted = compact_test_set(atpg.test_set)
         assert compacted.total_bits < atpg.test_set.total_bits
         assert compacted.x_density() <= atpg.test_set.x_density()
+        config = CompressionConfig(
+            block_length=8,
+            n_vectors=16,
+            runs=1,
+            ea=EAParameters(stagnation_limit=20, max_evaluations=800),
+        )
+        uncompacted_rate, compacted_rate = (
+            EAMVOptimizer(config, seed=9).optimize(test_set.blocks(8)).best_rate
+            for test_set in (atpg.test_set, compacted)
+        )
+        assert uncompacted_rate >= compacted_rate - 5.0
 
     @settings(max_examples=25)
     @given(

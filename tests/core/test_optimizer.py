@@ -120,14 +120,15 @@ class TestOptimizerImprovement:
         ) / blocks.original_bits
         assert result.best_rate > all_u_rate + 10
 
-    def test_ea_beats_nine_c_on_calibrated_s349(self):
-        """Table 1's claim on its smallest quick row: the EA beats the
-        fixed 9C code, and Huffman-coding the 9C covering never hurts."""
+    @pytest.mark.parametrize("circuit", ["s349", "s386", "s953"])
+    def test_ea_beats_nine_c_on_calibrated_rows(self, circuit):
+        """Table 1's claim row by row: the EA beats the fixed 9C code,
+        and Huffman-coding the 9C covering never hurts."""
         from repro.testdata.calibration import calibrate_spec
         from repro.testdata.registry import TABLE1_STUCK_AT, row_by_name
         from repro.testdata.synthetic import SyntheticSpec
 
-        row = row_by_name(TABLE1_STUCK_AT, "s349")
+        row = row_by_name(TABLE1_STUCK_AT, circuit)
         spec = SyntheticSpec(
             name=row.circuit,
             n_patterns=row.n_patterns,

@@ -36,6 +36,24 @@ class TestKLSweep:
             assert point.evaluations > 0
 
 
+    def test_paper_default_near_the_best_on_calibrated_s349(self):
+        """K=12, L=64 lands within 10 points of the best grid point."""
+        from repro.testdata.calibration import calibrate_spec
+        from repro.testdata.registry import TABLE1_STUCK_AT, row_by_name
+
+        row = row_by_name(TABLE1_STUCK_AT, "s349")
+        spec = SyntheticSpec(
+            name=row.circuit,
+            n_patterns=row.n_patterns,
+            pattern_bits=row.pattern_bits,
+            care_density=0.5,
+            seed=2005,
+        )
+        points = kl_sweep(calibrate_spec(spec, row.published["9C"]).test_set)
+        by_label = {point.label: point.best_rate for point in points}
+        assert by_label["K=12,L=64"] >= max(by_label.values()) - 10.0
+
+
 class TestOperatorSweep:
     def test_all_variants_run(self, test_set):
         points = operator_sweep(test_set, runs=1, seed=2, n_vectors=8,

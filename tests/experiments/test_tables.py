@@ -76,3 +76,20 @@ class TestFormatTable:
     def test_published_values_present(self, table1_result):
         text = format_table(table1_result)
         assert "( 23.0)" in text  # s349's published 9C rate
+
+
+class TestPaperOrdering:
+    """The headline orderings on the rows the quick tables start with,
+    at the default budget and seed 2005."""
+
+    def test_table1_subset_average(self):
+        table = build_table1(circuits=("s349", "s298", "s386", "s953"), seed=2005)
+        averages = {c: table.measured_average(c) for c in table.columns}
+        assert averages["9C"] < averages["9C+HC"] < averages["EA"]
+        assert averages["EA-Best"] >= averages["EA"]
+
+    def test_table2_subset_average(self):
+        table = build_table2(circuits=("s27", "s298", "s444"), seed=2005)
+        averages = {c: table.measured_average(c) for c in table.columns}
+        assert averages["9C"] < averages["9C+HC"]
+        assert averages["EA2"] > averages["9C+HC"]

@@ -8,8 +8,8 @@ from repro.testdata.registry import TABLE1_STUCK_AT, TABLE2_PATH_DELAY, row_by_n
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
 
-def spec_for(circuit: str, seed: int = 11) -> SyntheticSpec:
-    row = row_by_name(TABLE1_STUCK_AT, circuit)
+def spec_for(circuit: str, seed: int = 11, rows=TABLE1_STUCK_AT) -> SyntheticSpec:
+    row = row_by_name(rows, circuit)
     return SyntheticSpec(
         name=row.circuit,
         n_patterns=row.n_patterns,
@@ -83,12 +83,6 @@ class TestCalibrateSpec:
         """What `repro table1`/`table2` build at seed 2005: each row's
         9C column lands within 1.5 points of the published one."""
         rows = TABLE1_STUCK_AT if table == "table1" else TABLE2_PATH_DELAY
-        row = row_by_name(rows, circuit)
-        spec = SyntheticSpec(
-            name=row.circuit,
-            n_patterns=row.n_patterns,
-            pattern_bits=row.pattern_bits,
-            care_density=0.5,
-            seed=2005,
-        )
-        assert calibrate_spec(spec, row.published["9C"]).anchor_error <= 1.5
+        spec = spec_for(circuit, seed=2005, rows=rows)
+        target = row_by_name(rows, circuit).published["9C"]
+        assert calibrate_spec(spec, target).anchor_error <= 1.5
